@@ -67,11 +67,7 @@ def parse_cut(text: str, n: int) -> Bipartition:
 
 
 def parse_grouping(text: str) -> Grouping:
-    try:
-        sizes = tuple(int(p) for p in text.split(","))
-    except ValueError:
-        raise InvalidArgs(f"grouping {text!r} must be comma-separated integers") from None
-    return Grouping(sizes)
+    return Grouping(_parse_ints(text, "grouping"))
 
 
 def _parse_ints(text: str, what: str) -> tuple[int, ...]:
@@ -118,14 +114,9 @@ def _cmd_check(args) -> int:
 
 def _cmd_decompose(args) -> int:
     state = io.load_state(args.state)
-    if args.cut is not None:
-        cut = parse_cut(args.cut, state.subsystem_count)
-        rank_tol = args.tol_rank
-        bi = schmidt_decompose_bipartite(state, cut, rank_tol)
-        _emit(io.decomposition_to_dict(bi.decomposition, cut), args.out)
-        return 0
-    if state.subsystem_count == 2:
-        cut = Bipartition((1,), (2,))
+    if args.cut is not None or state.subsystem_count == 2:
+        cut = (Bipartition((1,), (2,)) if args.cut is None
+               else parse_cut(args.cut, state.subsystem_count))
         bi = schmidt_decompose_bipartite(state, cut, args.tol_rank)
         _emit(io.decomposition_to_dict(bi.decomposition, cut), args.out)
         return 0
@@ -236,21 +227,8 @@ def _cmd_inequality(args) -> int:
 def _cmd_purify(args) -> int:
     rho = io.load_density(args.density)
     pur = purify(rho, args.ref_dim)
-    _emit(_state_doc(pur.state), args.out)
+    _emit(io.state_to_dict(pur.state), args.out)
     return 0
-
-
-def _cpairs(values) -> list[list[float]]:
-    flat = np.asarray(values, dtype=complex).reshape(-1)
-    return [[float(z.real), float(z.imag)] for z in flat]
-
-
-def _state_doc(state: StateTensor) -> dict:
-    doc = {"version": io.VERSION, "dims": list(state.dims),
-           "amplitudes": _cpairs(state.amplitudes)}
-    if state.label is not None:
-        doc["label"] = state.label
-    return doc
 
 
 def _as_purification(state: StateTensor, path: str) -> Purification:
@@ -268,7 +246,7 @@ def _cmd_link(args) -> int:
     moved = (second.state.amplitudes.reshape(-1, d) @ u.T
              - first.state.amplitudes.reshape(-1, d))
     _emit({"reference_dim": d,
-           "unitary": [_cpairs(row) for row in u],
+           "unitary": [io.complex_pairs(row) for row in u],
            "residual": float(np.linalg.norm(moved))},
           args.out)
     return 0
@@ -298,7 +276,7 @@ def _cmd_gen(args) -> int:
         raise InvalidArgs("gen needs --fixture or --dims")
     if args.label is not None:
         state = StateTensor(state.dims, state.amplitudes, args.label)
-    _emit(_state_doc(state), args.out)
+    _emit(io.state_to_dict(state), args.out)
     return 0
 
 

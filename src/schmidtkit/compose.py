@@ -17,6 +17,7 @@ import numpy as np
 
 from .bipartite import schmidt_number
 from .errors import DegenerateCombination, DimensionMismatch, GroupingMismatch, InvalidArgs, NotDecomposable
+from .linalg import row_kron
 from .multipartite import check_decomposable
 from .state import Bipartition, SchmidtDecomposition, StateTensor
 
@@ -104,28 +105,22 @@ def compose(
         raise GroupingMismatch(
             f"grouping {grouping.sizes} does not split {m} subsystems "
             f"into {n} blocks")
-    pairs = [(i, j) for i in range(left.rank) for j in range(right.rank)]
-    coeffs = np.array([left.coefficients[i] * right.coefficients[j]
-                       for i, j in pairs])
+    # pair (i, j) sits at flat index i * right.rank + j
+    coeffs = np.outer(left.coefficients, right.coefficients).reshape(-1)
     order = np.argsort(coeffs)[::-1]
-    pairs = [pairs[int(o)] for o in order]
+    ii, jj = np.divmod(order, right.rank)
     coeffs = coeffs[order]
 
     bounds = np.concatenate(([0], np.cumsum(grouping.sizes)))
-    dims = []
     families = []
     for g in range(n):
         block = range(int(bounds[g]), int(bounds[g + 1]))
-        dim = int(np.prod([left.dims[b] for b in block])) * right.dims[g]
-        rows = []
-        for i, j in pairs:
-            vec = left.vectors[block[0]][i]
-            for b in block[1:]:
-                vec = np.kron(vec, left.vectors[b][i])
-            rows.append(np.kron(vec, right.vectors[g][j]))
-        dims.append(dim)
-        families.append(np.array(rows))
-    return SchmidtDecomposition(tuple(dims), coeffs / np.linalg.norm(coeffs),
+        family = left.vectors[block[0]][ii]
+        for b in block[1:]:
+            family = row_kron(family, left.vectors[b][ii])
+        families.append(row_kron(family, right.vectors[g][jj]))
+    dims = tuple(f.shape[1] for f in families)
+    return SchmidtDecomposition(dims, coeffs / np.linalg.norm(coeffs),
                                 tuple(families))
 
 

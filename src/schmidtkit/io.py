@@ -29,6 +29,8 @@ from .state import DensityMatrix, SchmidtDecomposition, StateTensor, new_state
 __all__ = [
     "load_state",
     "save_state",
+    "state_to_dict",
+    "complex_pairs",
     "load_density",
     "save_density",
     "load_decomposition",
@@ -47,7 +49,8 @@ def dumps_canonical(document: dict) -> str:
                       allow_nan=False) + "\n"
 
 
-def _pairs(values: np.ndarray) -> list[list[float]]:
+def complex_pairs(values) -> list[list[float]]:
+    """Flatten an array row-major into [re, im] pairs."""
     flat = np.asarray(values, dtype=complex).reshape(-1)
     return [[float(z.real), float(z.imag)] for z in flat]
 
@@ -98,12 +101,16 @@ def load_state(path) -> StateTensor:
     return new_state(dims, amps, label)
 
 
-def save_state(path, state: StateTensor) -> None:
+def state_to_dict(state: StateTensor) -> dict:
     doc = {"version": VERSION, "dims": list(state.dims),
-           "amplitudes": _pairs(state.amplitudes)}
+           "amplitudes": complex_pairs(state.amplitudes)}
     if state.label is not None:
         doc["label"] = state.label
-    Path(path).write_text(dumps_canonical(doc))
+    return doc
+
+
+def save_state(path, state: StateTensor) -> None:
+    Path(path).write_text(dumps_canonical(state_to_dict(state)))
 
 
 def load_density(path) -> DensityMatrix:
@@ -120,7 +127,7 @@ def load_density(path) -> DensityMatrix:
 
 def save_density(path, rho: DensityMatrix) -> None:
     doc = {"version": VERSION, "dims": list(rho.dims),
-           "entries": _pairs(rho.entries)}
+           "entries": complex_pairs(rho.entries)}
     Path(path).write_text(dumps_canonical(doc))
 
 
@@ -129,7 +136,7 @@ def decomposition_to_dict(dec: SchmidtDecomposition, bipartition=None) -> dict:
         "version": VERSION,
         "dims": list(dec.dims),
         "coefficients": [float(c) for c in dec.coefficients],
-        "subsystems": [[_pairs(vec) for vec in family]
+        "subsystems": [[complex_pairs(vec) for vec in family]
                        for family in dec.vectors],
     }
     if bipartition is not None:
@@ -168,7 +175,7 @@ def save_decomposition(path, dec: SchmidtDecomposition) -> None:
 def _jsonable(value):
     if isinstance(value, np.ndarray):
         if np.iscomplexobj(value):
-            return [_pairs(row) for row in np.atleast_2d(value)]
+            return [complex_pairs(row) for row in np.atleast_2d(value)]
         return np.asarray(value, dtype=float).tolist()
     if isinstance(value, (np.floating, float)):
         return float(value)

@@ -70,6 +70,11 @@ def complete_orthonormal(rows: np.ndarray, dim: int) -> np.ndarray:
     return np.array(family)
 
 
+def row_kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Row-wise Kronecker product: row l is np.kron(a[l], b[l])."""
+    return (a[:, :, None] * b[:, None, :]).reshape(a.shape[0], -1)
+
+
 def haar_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:
     """Haar-distributed random unitary via QR of a complex Gaussian."""
     z = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
@@ -87,12 +92,16 @@ def common_hermitian_eigenbasis(matrices: list[np.ndarray],
     matrices one at a time.  Columns of the returned unitary are the
     shared eigenvectors; ordering is deterministic for a fixed input.
     """
+    def split(values):
+        scale = max(1.0, float(np.abs(values).max(initial=0.0)))
+        return _split_blocks(values, gap_tol * scale)
+
     d = matrices[0].shape[0]
     total = np.zeros((d, d), dtype=complex)
     for m in matrices:
         total = total + m
     vals, basis = np.linalg.eigh(total)
-    blocks = _split_blocks(vals, gap_tol)
+    blocks = split(vals)
     for m in matrices:
         if all(len(b) == 1 for b in blocks):
             break
@@ -106,18 +115,21 @@ def common_hermitian_eigenbasis(matrices: list[np.ndarray],
             proj = (proj + proj.conj().T) / 2
             w, v = np.linalg.eigh(proj)
             basis[:, block] = sub @ v
-            for piece in _split_blocks(w, gap_tol):
+            for piece in split(w):
                 new_blocks.append([block[i] for i in piece])
         blocks = new_blocks
     return basis
 
 
-def _split_blocks(values: np.ndarray, gap_tol: float) -> list[list[int]]:
-    scale = max(1.0, float(np.abs(values).max(initial=0.0)))
+def _split_blocks(values: np.ndarray, tol: float) -> list[list[int]]:
+    """Group runs of sorted values whose neighbours differ by at most tol.
+
+    Works for ascending and descending input alike; returns index lists.
+    """
     blocks: list[list[int]] = []
     current = [0]
     for i in range(1, len(values)):
-        if values[i] - values[i - 1] <= gap_tol * scale:
+        if abs(values[i] - values[i - 1]) <= tol:
             current.append(i)
         else:
             blocks.append(current)

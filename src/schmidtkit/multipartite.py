@@ -32,6 +32,7 @@ import numpy as np
 from . import tolerances
 from .errors import (
     CoefficientsMismatch,
+    DifferentStates,
     DimensionMismatch,
     InvalidAxis,
     NoPairFound,
@@ -40,7 +41,8 @@ from .errors import (
     SlicesNotDiagonal,
     TooFewSubsystems,
 )
-from .linalg import common_hermitian_eigenbasis, complete_orthonormal, gram_residual, phase_fix
+from .linalg import (_split_blocks, common_hermitian_eigenbasis,
+                     complete_orthonormal, gram_residual, phase_fix)
 from .state import SchmidtDecomposition, StateTensor, reconstruct
 from .bipartite import spectra
 
@@ -241,7 +243,7 @@ def _pair_attempt(
     u, sing, vh = np.linalg.svd(_random_combination(slices, rng), full_matrices=True)
     scale = sing[0] if sing.size and sing[0] > 0 else 1.0
     blocks = [
-        b for b in _degenerate_blocks(sing, scale)
+        b for b in _split_blocks(sing, 1e-6 * scale)
         if len(b) > 1 and sing[b[0]] > tolerances.RANK_TOL * scale
     ]
     if blocks:
@@ -253,20 +255,6 @@ def _pair_attempt(
             u[:, block] = u[:, block] @ u2
             vh[block, :] = vh2 @ vh[block, :]
     return u, vh
-
-
-def _degenerate_blocks(sing: np.ndarray, scale: float) -> list[list[int]]:
-    blocks: list[list[int]] = []
-    current = [0] if sing.size else []
-    for i in range(1, sing.size):
-        if sing[i - 1] - sing[i] <= 1e-6 * scale:
-            current.append(i)
-        else:
-            blocks.append(current)
-            current = [i]
-    if current:
-        blocks.append(current)
-    return blocks
 
 
 def _off_diagonal_residual(matrix: np.ndarray) -> float:
@@ -627,5 +615,6 @@ def local_unitary_link(
     overlap = np.vdot(target.amplitudes, mapped.amplitudes)
     aligned = mapped.amplitudes * np.conj(overlap) / max(abs(overlap), 1e-300)
     resid = float(np.abs(aligned - target.amplitudes).max())
-    assert resid <= tol, f"link verification failed (residual {resid:.3e})"
+    if resid > tol:
+        raise DifferentStates(f"link verification failed (residual {resid:.3e})")
     return unitaries

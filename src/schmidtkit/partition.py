@@ -4,14 +4,13 @@ The maximum Schmidt number attainable by any pure state on subsystems
 with dimensions d_1..d_n, maximized over bipartitions, is
 max over subsets of min(prod(left), prod(right)).  Finding it is a
 product-balancing problem (subset sum in the exponents), so the solver
-is exact and combinatorial: exhaustive enumeration up to 20 subsystems
-and meet-in-the-middle up to 30.  All products use exact integer
-arithmetic; nothing is compared through floating logs.
+is exact and combinatorial: one meet-in-the-middle search over the
+subset products of the two halves, up to 30 subsystems.  All products
+use exact integer arithmetic; nothing is compared through floating logs.
 """
 
 from __future__ import annotations
 
-import itertools
 from bisect import bisect_right
 from dataclasses import dataclass
 from math import isqrt, prod
@@ -21,6 +20,7 @@ from .errors import (
     InvalidArgs,
     OverflowRisk,
     ProductOverflow,
+    SchmidtError,
     TooFewSubsystems,
     TooManySubsystems,
 )
@@ -36,6 +36,7 @@ __all__ = [
     "qubit_bound",
 ]
 
+# unused by the solver: the n-band boundary `perfbench/run.py --trace 1` reports against
 BRUTE_FORCE_LIMIT = 20
 SUBSYSTEM_LIMIT = 30
 PRODUCT_BIT_LIMIT = 4096
@@ -106,10 +107,7 @@ def max_schmidt_number(dims) -> PartitionSolution:
     subsystem 1.
     """
     dims = _check_dims(dims)
-    if len(dims) <= BRUTE_FORCE_LIMIT:
-        best = _value_bruteforce(dims)
-    else:
-        best = _value_mitm(dims)
+    best = _value_mitm(dims)
     left = _lex_min_left(dims, best)
     total = prod(dims)
     left_prod = prod(dims[i - 1] for i in left)
@@ -128,27 +126,6 @@ def decide(dims, target: int) -> PartitionSolution | None:
         raise InvalidArgs(f"target must be a positive integer, got {target}")
     solution = max_schmidt_number(dims)
     return solution if solution.k >= int(target) else None
-
-
-def _value_bruteforce(dims: tuple[int, ...]) -> int:
-    # enumerate subsets of indices 2..n joined to index 1; incremental
-    # products via the lowest-set-bit recurrence
-    rest = dims[1:]
-    n1 = len(rest)
-    total = prod(dims)
-    table = [1] * (1 << n1)
-    for mask in range(1, 1 << n1):
-        low = (mask & -mask).bit_length() - 1
-        table[mask] = table[mask ^ (1 << low)] * rest[low]
-    best = 1
-    for mask in range(1 << n1):
-        left = dims[0] * table[mask]
-        if left == total:
-            continue
-        k = min(left, total // left)
-        if k > best:
-            best = k
-    return best
 
 
 def _value_mitm(dims: tuple[int, ...]) -> int:
@@ -198,7 +175,8 @@ def _lex_min_left(dims: tuple[int, ...], k: int) -> tuple[int, ...]:
         if _can_reach(prefix * dims[i], free, targets):
             chosen.append(i)
             prefix *= dims[i]
-    assert prefix in targets, "achieving set construction failed"
+    if prefix not in targets:
+        raise SchmidtError("achieving set construction failed")
     return tuple(i + 1 for i in chosen)
 
 

@@ -101,11 +101,9 @@ def purify(
     if reference_dim < rank:
         raise ReferenceTooSmall(
             f"reference dimension {reference_dim} is below the rank {rank}")
-    amps = np.zeros(dim * reference_dim, dtype=complex)
-    for i in range(rank):
-        ref = np.zeros(reference_dim)
-        ref[i] = 1.0
-        amps += np.sqrt(vals[i]) * np.kron(vecs[:, i], ref)
+    mat = np.zeros((dim, reference_dim), dtype=complex)
+    mat[:, :rank] = vecs * np.sqrt(vals)
+    amps = mat.reshape(-1)
     amps /= np.linalg.norm(amps)
     state = StateTensor(base_dims + (reference_dim,), amps)
     return Purification(state, base_dims, reference_dim)

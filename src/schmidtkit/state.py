@@ -27,6 +27,7 @@ from .errors import (
     NotPSD,
     RankTooLarge,
 )
+from .linalg import row_kron
 
 __all__ = [
     "StateTensor",
@@ -305,13 +306,18 @@ def partial_trace(density: DensityMatrix, keep) -> DensityMatrix:
 
 
 def reconstruct(decomposition: SchmidtDecomposition) -> StateTensor:
-    """Rebuild the state sum_l c_l (x)_k v_lk from a decomposition."""
-    total = np.zeros(prod(decomposition.dims), dtype=complex)
-    for l, coeff in enumerate(decomposition.coefficients):
-        term = decomposition.vectors[0][l]
-        for fam in decomposition.vectors[1:]:
-            term = np.kron(term, fam[l])
-        total += coeff * term
+    """Rebuild the state sum_l c_l (x)_k v_lk from a decomposition.
+
+    The coefficients are folded into the first family, the families
+    before the last are multiplied out row by row, and the last one is
+    contracted by a single matrix product, so no rank x total_dim array
+    is ever formed.
+    """
+    *leading, last = decomposition.vectors
+    head = decomposition.coefficients[:, None]
+    for fam in leading:
+        head = row_kron(head, fam)
+    total = (head.T @ last).reshape(-1)
     return StateTensor(decomposition.dims, total / np.linalg.norm(total))
 
 

@@ -1,11 +1,16 @@
 """Joint decomposability engine: slicing, diagonalization, verdicts."""
 
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
 from schmidtkit import (
     Bipartition,
     CoefficientsMismatch,
+    DifferentStates,
     DimensionMismatch,
     InvalidAxis,
     NoPairFound,
@@ -172,6 +177,8 @@ def test_check_w_report_full():
     assert rep.stage == "SNotScaledUnitary"
     gram = np.asarray(rep.witness["ss_dagger"])
     assert np.max(np.abs(gram - np.array([[1, 1], [1, 2]]) / 3)) < 1e-12
+    # best off-diagonal residual of the seeded pair search
+    assert abs(rep.residuals["max_off_diagonal"] - 0.2828028788442887) < 1e-9
     assert rep.decomposition is None
     assert rep.tolerances_used["seed"] == 0
 
@@ -182,6 +189,12 @@ def test_check_accepts_ghz_family():
         assert rep.decomposable and rep.stage is None
         assert np.allclose(rep.decomposition.coefficients, [RT2, RT2])
         assert rep.residuals["reconstruction"] < 1e-12
+    # four parts take the regrouped-tail path, which adds its own residuals
+    rep = check_decomposable(ghz(4))
+    assert set(rep.residuals) == {
+        "max_commutator", "max_ss_off_diagonal", "reconstruction",
+        "tail_orthonormality", "tail_product_ratio"}
+    assert all(abs(v) < 1e-9 for v in rep.residuals.values())
 
 
 def test_check_eqspec_state_fails_at_diagonalization():
@@ -292,6 +305,28 @@ def test_local_unitary_link_refusals():
         local_unitary_link(w_state(), phi)
     with pytest.raises(DimensionMismatch):
         local_unitary_link(ghz(4), phi)
+
+
+LINK_ZERO_TOL = """
+from schmidtkit import DifferentStates, local_unitary_link, random_decomposable_state
+st = random_decomposable_state((3, 3, 3), 3, seed=4)
+try:
+    local_unitary_link(st, st, tol=0.0)
+except DifferentStates:
+    print("raised")
+"""
+
+
+def test_local_unitary_link_verification_is_typed():
+    # the rebuilt link leaves a residual of order 1e-16, above tol=0
+    st = random_decomposable_state((3, 3, 3), 3, seed=4)
+    with pytest.raises(DifferentStates):
+        local_unitary_link(st, st, tol=0.0)
+    # and the check survives python -O, which strips asserts
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    out = subprocess.run([sys.executable, "-O", "-c", LINK_ZERO_TOL],
+                         env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "raised"
 
 
 def test_equal_spectra_fixture_is_exactly_balanced():

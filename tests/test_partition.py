@@ -11,6 +11,7 @@ from schmidtkit import (
     InvalidArgs,
     OverflowRisk,
     ProductOverflow,
+    SchmidtError,
     TooFewSubsystems,
     TooManySubsystems,
     decide,
@@ -18,7 +19,9 @@ from schmidtkit import (
     qubit_bound,
     subset_sum_to_partition,
 )
-from schmidtkit.partition import _value_bruteforce, _value_mitm
+from schmidtkit.partition import _lex_min_left, _value_mitm
+
+from partition_oracle import value_bruteforce
 
 
 def exhaustive_best(dims):
@@ -79,7 +82,17 @@ def test_value_searches_agree():
     for _ in range(100):
         n = rng.randint(2, 12)
         dims = tuple(sorted(rng.randint(1, 9) for _ in range(n)))
-        assert _value_bruteforce(dims) == _value_mitm(dims), dims
+        assert value_bruteforce(dims) == _value_mitm(dims), dims
+    # wider lists, up to the oracle's practical limit of n = 20
+    for n in (14, 16, 18, 20):
+        dims = tuple(rng.randint(1, 9) for _ in range(n))
+        assert value_bruteforce(dims) == _value_mitm(dims), dims
+
+
+def test_lex_min_left_rejects_unreachable_value():
+    # left sets containing subsystem 1 have product 2 or 6, never 5 or 6 // 5
+    with pytest.raises(SchmidtError):
+        _lex_min_left((2, 3), 5)
 
 
 def test_mitm_handles_wide_instances():
