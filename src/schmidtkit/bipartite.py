@@ -15,7 +15,7 @@ import numpy as np
 
 from . import tolerances
 from .linalg import phase_fix
-from .state import Bipartition, SchmidtDecomposition, StateTensor, flatten, reduced_density
+from .state import Bipartition, SchmidtDecomposition, StateTensor, _keep_set, flatten
 
 __all__ = [
     "BipartiteDecomposition",
@@ -91,9 +91,18 @@ def schmidt_number(
 def spectra(state: StateTensor, keep) -> np.ndarray:
     """Eigenvalues of the reduced density on the kept subsystems.
 
-    Returned descending; rounding noise below zero (within PSD_TOL,
-    guaranteed by the DensityMatrix type) is clamped to zero.
+    Computed as the squared singular values of the flattening
+    keep | rest, so no reduced density matrix is formed and no value is
+    negative.  Returned descending, padded with zeros to the kept
+    dimension; keeping every subsystem gives the pure spectrum [1, 0, ...].
     """
-    rho = reduced_density(state, keep)
-    vals = np.linalg.eigvalsh(rho.entries)[::-1]
-    return np.clip(vals, 0.0, None)
+    n = state.subsystem_count
+    keep = _keep_set(keep, n)
+    vals = np.zeros(prod(state.dims[i - 1] for i in keep))
+    if len(keep) == n:
+        vals[0] = 1.0
+        return vals
+    sing = np.linalg.svd(flatten(state, Bipartition.from_left(keep, n)),
+                         compute_uv=False)
+    vals[:sing.size] = sing ** 2
+    return vals

@@ -178,15 +178,20 @@ def positive_products_commute(
 
     Returns the verdict and the largest commutator Frobenius norm seen
     (the witness).  Commutation of both families is necessary for a
-    diagonalizing pair to exist.
+    diagonalizing pair to exist.  Each family is one batched product of
+    the slice stack; each of its matrices is then commuted with all
+    later ones in one batched call, so the C x C array of all pairwise
+    commutators is never formed.
     """
     tol = tolerances.DIAG_TOL if tol is None else tol
-    left = [m @ m.conj().T for m in slices.matrices]
-    right = [m.conj().T @ m for m in slices.matrices]
+    stack = np.stack(slices.matrices)
+    adjoint = stack.conj().transpose(0, 2, 1)
     worst = 0.0
-    for family in (left, right):
-        for a, b in itertools.combinations(family, 2):
-            worst = max(worst, float(np.linalg.norm(a @ b - b @ a)))
+    for family in (stack @ adjoint, adjoint @ stack):
+        for i in range(len(family) - 1):
+            a, rest = family[i], family[i + 1:]
+            norms = np.linalg.norm(a @ rest - rest @ a, axis=(1, 2))
+            worst = max(worst, float(norms.max()))
     return worst <= tol, worst
 
 
@@ -313,29 +318,39 @@ def scaled_unitary_check(
 
 
 def equal_spectra_check(
-    state: StateTensor, tol: float = 1e-8
+    state: StateTensor, tol: float | None = None
 ) -> tuple[bool, dict[tuple[int, ...], np.ndarray]]:
     """Necessary condition: all reduced spectra agree after dropping zeros.
 
     The returned table maps every nonempty proper subset of subsystems
-    to its reduced spectrum (descending).  The verdict compares the
-    nonzero parts as multisets; by the rank symmetry of pure states it
-    suffices to compare the subsets containing subsystem 1.
+    to its reduced spectrum (descending).  Only the subsets containing
+    subsystem 1 are computed, one SVD of the flattening each; a subset's
+    complement has the same nonzero spectrum, so its entry is the same
+    values padded or cut to the complement's dimension.  The verdict
+    compares the nonzero parts (above tol, SPECTRA_TOL by default) of
+    the subsets containing subsystem 1 against subset (1,).
     """
+    tol = tolerances.SPECTRA_TOL if tol is None else tol
     n = state.subsystem_count
+    subsets = [subset for size in range(1, n)
+               for subset in itertools.combinations(range(1, n + 1), size)]
+    computed = {subset: spectra(state, subset)
+                for subset in subsets if subset[0] == 1}
     table: dict[tuple[int, ...], np.ndarray] = {}
-    for size in range(1, n):
-        for subset in itertools.combinations(range(1, n + 1), size):
-            table[subset] = spectra(state, subset)
-    reference: np.ndarray | None = None
+    for subset in subsets:
+        if subset in computed:
+            table[subset] = computed[subset]
+            continue
+        spec = computed[tuple(i for i in range(1, n + 1) if i not in subset)]
+        entry = np.zeros(prod(state.dims[i - 1] for i in subset))
+        count = min(entry.size, spec.size)
+        entry[:count] = spec[:count]
+        table[subset] = entry
+    first = computed[(1,)]
+    reference = first[first > tol]
     ok = True
-    for subset, spec in table.items():
-        if 1 not in subset:
-            continue
+    for spec in computed.values():
         nonzero = spec[spec > tol]
-        if reference is None:
-            reference = nonzero
-            continue
         if nonzero.size != reference.size or \
                 float(np.abs(nonzero - reference).max(initial=0.0)) > tol:
             ok = False

@@ -258,6 +258,14 @@ def flatten(state: StateTensor, bipartition: Bipartition) -> np.ndarray:
     return np.transpose(tensor, perm).reshape(d_left, -1)
 
 
+def _keep_set(keep, n: int) -> tuple[int, ...]:
+    """Sorted, deduplicated 1-based kept subsystems, checked against 1..n."""
+    keep = tuple(sorted(set(int(i) for i in keep)))
+    if not keep or any(i < 1 or i > n for i in keep):
+        raise InvalidPartition(f"keep set {keep} invalid for {n} subsystems")
+    return keep
+
+
 def reduced_density(state: StateTensor, keep) -> DensityMatrix:
     """Reduced density matrix of the kept subsystems.
 
@@ -265,10 +273,8 @@ def reduced_density(state: StateTensor, keep) -> DensityMatrix:
     set of 1-based subsystem indices; the kept dimensions stay in
     ascending order.
     """
-    keep = tuple(sorted(set(int(i) for i in keep)))
     n = state.subsystem_count
-    if not keep or any(i < 1 or i > n for i in keep):
-        raise InvalidPartition(f"keep set {keep} invalid for {n} subsystems")
+    keep = _keep_set(keep, n)
     if len(keep) == n:
         amps = state.amplitudes
         return DensityMatrix(state.dims, np.outer(amps, amps.conj()))
@@ -284,10 +290,8 @@ def partial_trace(density: DensityMatrix, keep) -> DensityMatrix:
     is an independent route from reduced_density and usable as an oracle
     against it.
     """
-    keep = tuple(sorted(set(int(i) for i in keep)))
     n = len(density.dims)
-    if not keep or any(i < 1 or i > n for i in keep):
-        raise InvalidPartition(f"keep set {keep} invalid for {n} subsystems")
+    keep = _keep_set(keep, n)
     letters = string.ascii_letters
     if 2 * n > len(letters):
         raise DimensionMismatch("too many subsystems for contraction labels")

@@ -23,6 +23,11 @@ PSD_TOL = 1e-9
 # singular values below RANK_TOL * sigma_max count as zero
 RANK_TOL = 1e-9
 
+# equal-spectra check (absolute: reduced spectra sum to 1): eigenvalues
+# above SPECTRA_TOL count as nonzero, and two cuts' nonzero spectra agree
+# when no entry differs by more
+SPECTRA_TOL = 1e-8
+
 # off-diagonal magnitude allowed in "diagonal" rotated slices
 DIAG_TOL = 1e-8
 

@@ -5,11 +5,15 @@ import pytest
 
 from schmidtkit import (
     Bipartition,
+    InvalidPartition,
     basis_state,
     bell,
     flatten,
     ghz,
     haar_random_state,
+    partial_trace,
+    pure_density,
+    random_decomposable_state,
     reconstruct,
     schmidt_decompose_bipartite,
     schmidt_number,
@@ -106,3 +110,48 @@ def test_spectra_descending_and_clipped():
     assert np.allclose(vals, [0.5, 0.5])
     assert np.all(np.diff(vals) <= 0)
     assert np.all(vals >= 0)
+
+
+ORACLE_DIMS = [(2, 2, 2), (2, 3, 4), (3, 3, 3), (2, 2, 2, 2), (3, 2, 4, 2),
+               (2,) * 5]
+
+
+def trace_spectrum(state, keep):
+    """Independent route: eigenvalues of the partial trace of |psi><psi|."""
+    rho = partial_trace(pure_density(state), keep)
+    return np.linalg.eigvalsh(rho.entries)[::-1]
+
+
+def oracle_states(dims):
+    yield haar_random_state(dims, seed=3)
+    yield random_decomposable_state(dims, min(dims), seed=3)
+    yield random_decomposable_state(dims, 1, seed=3)
+
+
+@pytest.mark.parametrize("dims", ORACLE_DIMS, ids=str)
+def test_spectra_match_partial_trace_oracle(dims):
+    n = len(dims)
+    for state in oracle_states(dims):
+        for mask in range(1, 2 ** n - 1):
+            keep = tuple(i + 1 for i in range(n) if mask >> i & 1)
+            got = spectra(state, keep)
+            want = trace_spectrum(state, keep)
+            assert got.shape == want.shape
+            assert np.max(np.abs(got - want)) < 1e-12, keep
+
+
+def test_spectra_keep_set_handling():
+    s = haar_random_state((2, 3, 4), seed=1)
+    # kept indices are sorted and deduplicated
+    assert np.array_equal(spectra(s, (3, 1, 3)), spectra(s, (1, 3)))
+    # a kept side larger than the rest is padded with exact zeros
+    vals = spectra(s, (2, 3))
+    assert vals.shape == (12,)
+    assert np.all(vals[2:] == 0.0)
+    # keeping everything gives the pure spectrum
+    whole = spectra(s, (1, 2, 3))
+    assert whole.shape == (24,)
+    assert whole[0] == 1.0 and np.all(whole[1:] == 0.0)
+    for bad in [(), (0,), (4,), (1, 4)]:
+        with pytest.raises(InvalidPartition):
+            spectra(s, bad)

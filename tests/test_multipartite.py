@@ -7,9 +7,12 @@ import sys
 import numpy as np
 import pytest
 
+import schmidtkit.multipartite as multipartite
+from schmidtkit import tolerances
 from schmidtkit import (
     Bipartition,
     CoefficientsMismatch,
+    DensityMatrix,
     DifferentStates,
     DimensionMismatch,
     InvalidAxis,
@@ -29,7 +32,9 @@ from schmidtkit import (
     ghz,
     haar_random_state,
     local_unitary_link,
+    partial_trace,
     positive_products_commute,
+    pure_density,
     random_decomposable_state,
     reconstruct,
     scaled_unitary_check,
@@ -42,6 +47,8 @@ from schmidtkit.multipartite import (
     SliceSet,
     random_decomposition,
 )
+
+from commute_oracle import commutator_pairwise
 
 RT2 = 1.0 / np.sqrt(2.0)
 RT3 = 1.0 / np.sqrt(3.0)
@@ -346,3 +353,63 @@ def test_reconstruct_decomposition_of_w_cut():
     rep = check_decomposable(st)
     rebuilt = reconstruct(rep.decomposition)
     assert np.max(np.abs(rebuilt.amplitudes - st.amplitudes)) < 1e-9
+
+
+@pytest.mark.parametrize("dims", [(2, 2, 2), (2, 3, 4), (3, 3, 3), (2, 2, 2, 2),
+                                  (3, 2, 4, 2), (2,) * 5], ids=str)
+def test_equal_spectra_table_matches_partial_trace_oracle(dims):
+    # complements are filled from their partner's SVD, so check them too
+    n = len(dims)
+    subsets = [tuple(i + 1 for i in range(n) if mask >> i & 1)
+               for mask in range(1, 2 ** n - 1)]
+    for state in (haar_random_state(dims, seed=5),
+                  random_decomposable_state(dims, min(dims), seed=5)):
+        _, table = equal_spectra_check(state)
+        assert sorted(table) == sorted(subsets)
+        for keep in subsets:
+            rho = partial_trace(pure_density(state), keep)
+            want = np.linalg.eigvalsh(rho.entries)[::-1]
+            assert table[keep].shape == want.shape
+            assert np.max(np.abs(table[keep] - want)) < 1e-12, keep
+
+
+COMMUTE_CASES = {
+    "W": w_state,
+    "eqspec": eqspec_state,
+    # 16 slices of the grouped tail
+    "decomposable-2x6": lambda: random_decomposable_state((2,) * 6, 2, seed=3),
+    "haar-333": lambda: haar_random_state((3, 3, 3), seed=3),
+}
+
+
+@pytest.mark.parametrize("name", sorted(COMMUTE_CASES))
+def test_commutator_matches_pairwise_oracle(name):
+    slices = slice_tensor(COMMUTE_CASES[name]())
+    want = commutator_pairwise(slices.matrices)
+    ok, got = positive_products_commute(slices)
+    assert abs(got - want) < 1e-12
+    assert ok == (want <= tolerances.DIAG_TOL)
+
+
+def test_equal_spectra_work_is_linear_in_cuts(monkeypatch):
+    # one SVD per subset containing subsystem 1: 2^5 - 1 on six qubits,
+    # and no reduced density matrix anywhere
+    calls = []
+    densities = []
+    real_spectra = multipartite.spectra
+
+    def counting(state, keep):
+        calls.append(tuple(keep))
+        return real_spectra(state, keep)
+
+    def no_density(self):
+        densities.append(self.dims)
+
+    state = random_decomposable_state((2,) * 6, 2, seed=1)
+    monkeypatch.setattr(multipartite, "spectra", counting)
+    monkeypatch.setattr(DensityMatrix, "__post_init__", no_density)
+    ok, table = equal_spectra_check(state)
+    assert ok
+    assert len(calls) == 31 and all(keep[0] == 1 for keep in calls)
+    assert len(table) == 62
+    assert densities == []
