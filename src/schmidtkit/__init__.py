@@ -31,7 +31,6 @@ from .errors import (
     GroupingMismatch,
     IndicesOutOfRange,
     InvalidArgs,
-    InvalidAxis,
     InvalidPartition,
     MalformedCut,
     NoPairFound,
@@ -180,7 +179,6 @@ __all__ = [
     "DimensionMismatch",
     "NotNormalizable",
     "InvalidPartition",
-    "InvalidAxis",
     "TooFewSubsystems",
     "TooManySubsystems",
     "NoPairFound",

@@ -100,8 +100,6 @@ def _tol_kwargs(args) -> dict:
         kw["rank_tol"] = args.tol_rank
     if args.tol_diag is not None:
         kw["diag_tol"] = args.tol_diag
-    if args.tol_orth is not None:
-        kw["orth_tol"] = args.tol_orth
     return kw
 
 
@@ -280,14 +278,11 @@ def _cmd_gen(args) -> int:
     return 0
 
 
-def _add_tolerance_flags(sub, orth: bool = True) -> None:
+def _add_tolerance_flags(sub) -> None:
     sub.add_argument("--tol-rank", type=float, default=None,
                      help="relative cutoff for discarding coefficients")
     sub.add_argument("--tol-diag", type=float, default=None,
                      help="off-diagonal residual bound")
-    if orth:
-        sub.add_argument("--tol-orth", type=float, default=None,
-                         help="orthonormality residual bound")
 
 
 def build_parser() -> argparse.ArgumentParser:

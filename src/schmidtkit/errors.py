@@ -24,10 +24,6 @@ class InvalidPartition(SchmidtError):
     """Bipartition sides are empty, overlapping, or do not cover 1..n."""
 
 
-class InvalidAxis(SchmidtError):
-    """Slicing axis is out of range or unsupported for this arity."""
-
-
 class TooFewSubsystems(SchmidtError):
     """Operation requires more subsystems than were provided."""
 

@@ -59,7 +59,7 @@ def complete_orthonormal(rows: np.ndarray, dim: int) -> np.ndarray:
             cand = cand - np.vdot(v, cand) * v
         norm = np.linalg.norm(cand)
         # anything above sqrt-eps survives two orthogonalization passes
-        if norm > 1e-7:
+        if norm > tolerances.COMPLETION_TOL:
             cand = cand / norm
             for v in family:
                 cand = cand - np.vdot(v, cand) * v
@@ -83,18 +83,18 @@ def haar_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:
     return q * (np.diag(r) / np.abs(np.diag(r)))
 
 
-def common_hermitian_eigenbasis(matrices: list[np.ndarray],
-                                gap_tol: float = 1e-10) -> np.ndarray:
+def common_hermitian_eigenbasis(matrices: list[np.ndarray]) -> np.ndarray:
     """Joint eigenbasis of a family of commuting Hermitian matrices.
 
     Starts from the eigendecomposition of the sum (ascending eigenvalues)
     and refines within each degenerate block using the individual
     matrices one at a time.  Columns of the returned unitary are the
     shared eigenvectors; ordering is deterministic for a fixed input.
+    Eigenvalues within EIGEN_GAP_TOL * max(1, max|v|) count as degenerate.
     """
     def split(values):
         scale = max(1.0, float(np.abs(values).max(initial=0.0)))
-        return _split_blocks(values, gap_tol * scale)
+        return _split_blocks(values, tolerances.EIGEN_GAP_TOL * scale)
 
     d = matrices[0].shape[0]
     total = np.zeros((d, d), dtype=complex)

@@ -5,13 +5,18 @@ sum_l c_l |l_1>|l_2>...|l_n> with one orthonormal family per subsystem.
 Unlike the bipartite case this is a real property: the W state has no
 such form while GHZ states do.
 
-The decision pipeline slices the amplitude tensor into matrices A_c
-(rows = subsystem 1, columns = subsystem 2, one slice per grouped
-remaining index c), looks for a unitary pair (P, Q) making every
-P+ A_c Q+ diagonal, collects the diagonals into the coefficient matrix
-S, and requires S S+ to be diagonal (rows of S orthogonal).  Candidate
+The decision pipeline runs one code path for every n >= 3.  It slices
+the amplitude tensor into one stack of matrices A_c (rows = subsystem
+1, columns = subsystem 2, one slice per grouped index c of subsystems
+3..n), looks for a unitary pair (P, Q) making every P+ A_c Q+
+diagonal, collects the diagonals into the coefficient matrix S, and
+requires S S+ to be diagonal (rows of S orthogonal).  The normalised
+rows of S are the tail vectors; each must factor into one vector per
+tail subsystem (for n = 3 it already is that vector).  Candidate
 decompositions are only accepted after rebuilding the input within
-RECONSTRUCT_TOL, so the accept path is sound by construction.
+RECONSTRUCT_TOL, so the accept path is sound by construction; that
+rebuild, not a separate threshold, also settles whether the tail
+families are orthonormal enough.
 
 When no diagonalizing pair exists the rejection report still carries an
 S-matrix diagnostic built from the commuting positive products
@@ -34,7 +39,6 @@ from .errors import (
     CoefficientsMismatch,
     DifferentStates,
     DimensionMismatch,
-    InvalidAxis,
     NoPairFound,
     NotDecomposable,
     RankTooLarge,
@@ -75,26 +79,23 @@ STAGE_TAIL = "TailNotProduct"
 class SliceSet:
     """The amplitude tensor viewed as a stack of matrices.
 
-    matrices[c][i][j] is the amplitude at (i, j, c) under the grouped
-    three-way reshape: rows follow one subsystem, columns another, and
-    the slice index c runs over the remaining (grouped) subsystems
-    whose dimensions are recorded in tail_dims.
+    matrices is a (C, d1, d2) array: matrices[c][i][j] is the amplitude
+    at (i, j, c), with rows following subsystem 1, columns subsystem 2,
+    and the slice index c running row-major over subsystems 3..n, whose
+    dimensions are recorded in tail_dims.
     """
 
-    matrices: tuple[np.ndarray, ...]
+    matrices: np.ndarray
     dims: tuple[int, ...]
-    axis: int
     tail_dims: tuple[int, ...]
 
     def __post_init__(self):
-        mats = tuple(np.asarray(m, dtype=complex) for m in self.matrices)
-        if len(mats) != prod(self.tail_dims):
+        mats = np.asarray(self.matrices, dtype=complex)
+        if mats.ndim != 3 or len(mats) != prod(self.tail_dims):
             raise DimensionMismatch(
-                f"{len(mats)} slices do not match tail dims {self.tail_dims}")
-        shape = mats[0].shape
-        if any(m.shape != shape for m in mats):
-            raise DimensionMismatch("slices must share one shape")
-        total = sum(float(np.sum(np.abs(m) ** 2)) for m in mats)
+                f"slice stack of shape {mats.shape} does not match "
+                f"tail dims {self.tail_dims}")
+        total = float(np.sum(np.abs(mats) ** 2))
         if abs(total - 1.0) > 1e-8:
             raise DimensionMismatch(
                 f"slice norms sum to {total!r}, expected 1 for a normalized state")
@@ -104,11 +105,11 @@ class SliceSet:
 
     @property
     def row_dim(self) -> int:
-        return self.matrices[0].shape[0]
+        return self.matrices.shape[1]
 
     @property
     def col_dim(self) -> int:
-        return self.matrices[0].shape[1]
+        return self.matrices.shape[2]
 
 
 @dataclass(frozen=True)
@@ -140,35 +141,19 @@ class DecomposabilityReport:
         return "Decomposable" if self.decomposable else "NotDecomposable"
 
 
-def slice_tensor(state: StateTensor, axis: int | None = None) -> SliceSet:
+def slice_tensor(state: StateTensor) -> SliceSet:
     """Slice a state on >= 3 subsystems into its matrix stack.
 
-    By default the slice index is the last subsystem; for more than
-    three subsystems the middle is never regrouped, so rows follow
-    subsystem 1, columns subsystem 2, and slices the grouped tail
-    3..n.  A non-default axis is only supported for exactly three
-    subsystems, where it picks which subsystem becomes the slice index
-    (the remaining two stay in ascending order as rows and columns).
+    Rows follow subsystem 1, columns subsystem 2, and the slice index
+    runs over the grouped tail 3..n.  The stack is a view of the
+    amplitudes; no slice is copied.
     """
     n = state.subsystem_count
     if n < 3:
         raise TooFewSubsystems(f"slicing needs >= 3 subsystems, got {n}")
-    if axis is None:
-        axis = n
-    if axis < 1 or axis > n:
-        raise InvalidAxis(f"axis {axis} out of range 1..{n}")
-    if n > 3 and axis != n:
-        raise InvalidAxis("custom slice axis is only supported for 3 subsystems")
-    if n == 3:
-        rows, cols = [k for k in (1, 2, 3) if k != axis]
-        tensor = np.transpose(state.tensor(), (rows - 1, cols - 1, axis - 1))
-        tail: tuple[int, ...] = (state.dims[axis - 1],)
-    else:
-        tensor = state.amplitudes.reshape(
-            state.dims[0], state.dims[1], prod(state.dims[2:]))
-        tail = state.dims[2:]
-    mats = tuple(tensor[:, :, c].copy() for c in range(tensor.shape[2]))
-    return SliceSet(mats, state.dims, axis, tail)
+    d1, d2 = state.dims[:2]
+    stack = np.moveaxis(state.amplitudes.reshape(d1, d2, -1), 2, 0)
+    return SliceSet(stack, state.dims, state.dims[2:])
 
 
 def positive_products_commute(
@@ -184,7 +169,7 @@ def positive_products_commute(
     commutators is never formed.
     """
     tol = tolerances.DIAG_TOL if tol is None else tol
-    stack = np.stack(slices.matrices)
+    stack = slices.matrices
     adjoint = stack.conj().transpose(0, 2, 1)
     worst = 0.0
     for family in (stack @ adjoint, adjoint @ stack):
@@ -212,8 +197,7 @@ def find_diagonalizing_pair(
     NoPairFound (with the best residual seen) when all fail.
     """
     diag_tol = tolerances.DIAG_TOL if diag_tol is None else diag_tol
-    fast = max(_off_diagonal_residual(m) for m in slices.matrices)
-    if fast <= diag_tol:
+    if _off_diagonal_residual(slices.matrices) <= diag_tol:
         return DiagonalizationPair(
             np.eye(slices.row_dim, dtype=complex),
             np.eye(slices.col_dim, dtype=complex))
@@ -221,9 +205,7 @@ def find_diagonalizing_pair(
     for attempt in range(MAX_PAIR_ATTEMPTS):
         rng = np.random.default_rng((int(seed), attempt))
         p, q = _pair_attempt(slices, rng)
-        resid = max(
-            _off_diagonal_residual(p.conj().T @ m @ q.conj().T)
-            for m in slices.matrices)
+        resid = _off_diagonal_residual(p.conj().T @ slices.matrices @ q.conj().T)
         if resid <= diag_tol:
             return DiagonalizationPair(p, q)
         best = min(best, resid)
@@ -235,12 +217,10 @@ def find_diagonalizing_pair(
 
 
 def _random_combination(slices: SliceSet, rng: np.random.Generator) -> np.ndarray:
-    coeffs = rng.standard_normal(len(slices.matrices)) \
-        + 1j * rng.standard_normal(len(slices.matrices))
-    total = np.zeros((slices.row_dim, slices.col_dim), dtype=complex)
-    for r, m in zip(coeffs, slices.matrices):
-        total += r * m
-    return total
+    count = len(slices.matrices)
+    coeffs = rng.standard_normal(count) + 1j * rng.standard_normal(count)
+    return np.tensordot(coeffs, slices.matrices, axes=1)
+
 
 def _pair_attempt(
     slices: SliceSet, rng: np.random.Generator
@@ -248,7 +228,7 @@ def _pair_attempt(
     u, sing, vh = np.linalg.svd(_random_combination(slices, rng), full_matrices=True)
     scale = sing[0] if sing.size and sing[0] > 0 else 1.0
     blocks = [
-        b for b in _split_blocks(sing, 1e-6 * scale)
+        b for b in _split_blocks(sing, tolerances.PAIR_GAP_TOL * scale)
         if len(b) > 1 and sing[b[0]] > tolerances.RANK_TOL * scale
     ]
     if blocks:
@@ -262,12 +242,10 @@ def _pair_attempt(
     return u, vh
 
 
-def _off_diagonal_residual(matrix: np.ndarray) -> float:
-    mask = np.ones(matrix.shape, dtype=bool)
-    np.fill_diagonal(mask, False)
-    if not mask.any():
-        return 0.0
-    return float(np.abs(matrix[mask]).max())
+def _off_diagonal_residual(matrices: np.ndarray) -> float:
+    """Largest off-diagonal magnitude of a matrix or a stack of matrices."""
+    mask = ~np.eye(*matrices.shape[-2:], dtype=bool)
+    return float(np.abs(matrices[..., mask]).max(initial=0.0))
 
 
 def build_s_matrix(
@@ -283,17 +261,12 @@ def build_s_matrix(
     SlicesNotDiagonal instead.
     """
     diag_tol = tolerances.DIAG_TOL if diag_tol is None else diag_tol
-    rows = min(slices.row_dim, slices.col_dim)
-    s = np.zeros((rows, len(slices.matrices)), dtype=complex)
-    worst = 0.0
-    for c, m in enumerate(slices.matrices):
-        rotated = pair.p.conj().T @ m @ pair.q.conj().T
-        worst = max(worst, _off_diagonal_residual(rotated))
-        s[:, c] = np.diagonal(rotated)[:rows]
+    rotated = pair.p.conj().T @ slices.matrices @ pair.q.conj().T
+    worst = _off_diagonal_residual(rotated)
     if worst > diag_tol:
         raise SlicesNotDiagonal(
             f"max off-diagonal magnitude {worst:.3e} exceeds {diag_tol}")
-    return s
+    return np.diagonal(rotated, axis1=1, axis2=2).T.copy()
 
 
 def scaled_unitary_check(
@@ -365,13 +338,11 @@ def _positive_product_s(slices: SliceSet) -> np.ndarray:
     For a decomposable state this equals |S| of the true S-matrix; it
     is used for reject reports when no diagonalizing pair exists.
     """
-    products = [m @ m.conj().T for m in slices.matrices]
+    stack = slices.matrices
+    products = stack @ stack.conj().transpose(0, 2, 1)
     basis = common_hermitian_eigenbasis(products)
-    s = np.zeros((slices.row_dim, len(products)))
-    for c, prod_c in enumerate(products):
-        s[:, c] = np.sqrt(np.real(np.diagonal(
-            basis.conj().T @ prod_c @ basis)).clip(0.0))
-    return s
+    rotated = basis.conj().T @ products @ basis
+    return np.sqrt(np.real(np.diagonal(rotated, axis1=1, axis2=2)).clip(0.0)).T
 
 
 def check_decomposable(
@@ -380,93 +351,68 @@ def check_decomposable(
     *,
     rank_tol: float | None = None,
     diag_tol: float | None = None,
-    orth_tol: float | None = None,
 ) -> DecomposabilityReport:
     """Decide whether a state on >= 3 subsystems has a joint Schmidt form.
 
     Pipeline: equal-spectra necessary condition, slice, commuting
     positive products, diagonalizing pair search, S-matrix scaled
-    unitarity, tail factorization (for more than three subsystems),
-    and a final rebuild of the input from the candidate decomposition.
-    The verdict Decomposable therefore implies
-    reconstruct(decomposition) matches the input within RECONSTRUCT_TOL.
+    unitarity, tail factorization (no tail cut for three subsystems),
+    and a final rebuild of the input from the candidate decomposition,
+    which also settles whether the tail families are orthonormal.  The
+    verdict Decomposable therefore implies reconstruct(decomposition)
+    matches the input within RECONSTRUCT_TOL.
     """
     rank_tol = tolerances.RANK_TOL if rank_tol is None else rank_tol
     diag_tol = tolerances.DIAG_TOL if diag_tol is None else diag_tol
-    orth_tol = tolerances.ORTH_TOL if orth_tol is None else orth_tol
     used = {"rank_tol": rank_tol, "diag_tol": diag_tol,
-            "orth_tol": orth_tol, "seed": int(seed)}
+            "orth_tol": tolerances.ORTH_TOL, "seed": int(seed)}
     n = state.subsystem_count
     if n < 3:
         raise TooFewSubsystems(f"need >= 3 subsystems, got {n}")
 
     residuals: dict[str, float] = {}
+
+    def reject(stage: str, witness: dict) -> DecomposabilityReport:
+        return DecomposabilityReport(False, stage, witness, residuals,
+                                     tolerances_used=used)
+
     ok, table = equal_spectra_check(state)
     if not ok:
-        spectra_table = {",".join(map(str, s)): t.tolist()
-                         for s, t in table.items()}
-        return DecomposabilityReport(
-            False, STAGE_SPECTRA,
-            witness={"spectra": spectra_table},
-            residuals=residuals, tolerances_used=used)
+        return reject(STAGE_SPECTRA, {"spectra": {
+            ",".join(map(str, s)): t.tolist() for s, t in table.items()}})
 
     slices = slice_tensor(state)
     commute, comm_resid = positive_products_commute(slices, diag_tol)
     residuals["max_commutator"] = comm_resid
     if not commute:
-        return DecomposabilityReport(
-            False, STAGE_DIAG,
-            witness={"max_commutator": comm_resid},
-            residuals=residuals, tolerances_used=used)
+        return reject(STAGE_DIAG, {"max_commutator": comm_resid})
 
     try:
         pair = find_diagonalizing_pair(slices, seed, diag_tol)
     except NoPairFound as err:
         residuals["max_off_diagonal"] = err.residual
         s_diag = _positive_product_s(slices)
-        gram = s_diag @ s_diag.T
-        scaled_ok, _ = scaled_unitary_check(s_diag, diag_tol)
-        if not scaled_ok:
-            return DecomposabilityReport(
-                False, STAGE_SCALED,
-                witness={"ss_dagger": gram},
-                residuals=residuals, tolerances_used=used)
-        return DecomposabilityReport(
-            False, STAGE_DIAG,
-            witness={"max_off_diagonal": err.residual},
-            residuals=residuals, tolerances_used=used)
+        if not scaled_unitary_check(s_diag, diag_tol)[0]:
+            return reject(STAGE_SCALED, {"ss_dagger": s_diag @ s_diag.T})
+        return reject(STAGE_DIAG, {"max_off_diagonal": err.residual})
 
     s = build_s_matrix(slices, pair, diag_tol)
     gram = s @ s.conj().T
     residuals["max_ss_off_diagonal"] = _off_diagonal_residual(gram)
-    scaled_ok, _ = scaled_unitary_check(s, diag_tol)
-    if not scaled_ok:
-        return DecomposabilityReport(
-            False, STAGE_SCALED,
-            witness={"ss_dagger": gram},
-            residuals=residuals, tolerances_used=used)
+    if not scaled_unitary_check(s, diag_tol)[0]:
+        return reject(STAGE_SCALED, {"ss_dagger": gram})
 
-    outcome = _assemble(state, slices, pair, s, rank_tol, orth_tol, residuals)
-    if isinstance(outcome, DecomposabilityReport):
-        report = outcome
-        return DecomposabilityReport(
-            report.decomposable, report.stage, report.witness,
-            residuals, report.decomposition, used)
-    candidate = outcome
-
+    candidate = _assemble(state, slices, pair, s, rank_tol, residuals)
+    if isinstance(candidate, tuple):
+        return reject(*candidate)
     rebuilt = reconstruct(candidate)
     resid = float(np.abs(rebuilt.amplitudes - state.amplitudes).max())
     residuals["reconstruction"] = resid
     if resid > tolerances.RECONSTRUCT_TOL:
         # the discarded off-diagonal mass was too large to represent the
         # state after all; report it at the diagonalization stage
-        return DecomposabilityReport(
-            False, STAGE_DIAG,
-            witness={"reconstruction": resid},
-            residuals=residuals, tolerances_used=used)
-    return DecomposabilityReport(
-        True, None, witness={}, residuals=residuals,
-        decomposition=candidate, tolerances_used=used)
+        return reject(STAGE_DIAG, {"reconstruction": resid})
+    return DecomposabilityReport(True, None, {}, residuals, candidate, used)
 
 
 def _assemble(
@@ -475,85 +421,54 @@ def _assemble(
     pair: DiagonalizationPair,
     s: np.ndarray,
     rank_tol: float,
-    orth_tol: float,
     residuals: dict,
 ):
     """Turn a scaled-unitary S into a candidate decomposition.
 
-    Returns a SchmidtDecomposition, or a partial DecomposabilityReport
-    when the grouped tail fails to factor into per-subsystem families.
+    The rows of S above rank_tol, at most min(dims) of them and largest
+    first, give the coefficients; their normalised rows are the tail
+    vectors.  Each is split into one factor per tail subsystem by a
+    rank-one SVD at every tail cut (none for three subsystems); a
+    relative second singular value above DIAG_TOL means the tail vector
+    is not a product.  A tail family further than ORTH_TOL from
+    orthonormal is replaced by the polar factor of its
+    coefficient-weighted rows, so a vector with a tiny coefficient takes
+    the correction.  The caller's rebuild decides whether dropped rows
+    and corrected families still represent the state.  Returns the
+    decomposition, or (stage, witness) when a tail vector is no product.
     """
     norms = np.sqrt(np.real(np.diagonal(s @ s.conj().T)).clip(0.0))
     keep = np.flatnonzero(norms > rank_tol * norms.max())
-    order = keep[np.argsort(norms[keep])[::-1]]
-    coeffs = norms[order]
-    coeffs = coeffs / np.linalg.norm(coeffs)
+    order = keep[np.argsort(norms[keep])[::-1]][:min(state.dims)]
+    coeffs = norms[order] / np.linalg.norm(norms[order])
 
     first = pair.p[:, order].T.copy()
     second = pair.q[order, :].copy()
     chis = s[order, :] / norms[order, None]
+    tails = [np.empty((coeffs.size, d), dtype=complex) for d in slices.tail_dims]
     for l in range(coeffs.size):
         first[l], ph1 = phase_fix(first[l])
         second[l], ph2 = phase_fix(second[l])
-        chis[l] = chis[l] * (ph1 * ph2)
-
-    if len(slices.tail_dims) == 1:
-        resid = gram_residual(chis)
-        residuals["tail_orthonormality"] = resid
-        if resid > orth_tol:
-            return DecomposabilityReport(
-                False, STAGE_SCALED, witness={"tail_overlap": resid})
-        families = (first, second, chis)
-    else:
-        tails, fail = _factor_tails(chis, slices.tail_dims, residuals, orth_tol)
-        if tails is None:
-            return DecomposabilityReport(False, STAGE_TAIL, witness=fail)
-        families = (first, second, *tails)
-    return SchmidtDecomposition(state.dims, coeffs, families)
-
-
-def _factor_tails(
-    chis: np.ndarray,
-    tail_dims: tuple[int, ...],
-    residuals: dict,
-    orth_tol: float,
-):
-    """Split each tail vector into one factor per tail subsystem.
-
-    Factors out the leading subsystem by rank-one SVD and recurses on
-    the remainder; any cut with a relative second singular value above
-    DIAG_TOL means the tail is not a product.  The resulting families
-    must each be orthonormal across l.
-    """
-    count = chis.shape[0]
-    factors: list[list[np.ndarray]] = [[] for _ in tail_dims]
-    worst_ratio = 0.0
-    for l in range(count):
-        remainder = chis[l]
-        for k, d in enumerate(tail_dims[:-1]):
-            m = remainder.reshape(d, -1)
-            u, sing, vh = np.linalg.svd(m, full_matrices=False)
+        remainder = chis[l] * (ph1 * ph2)
+        for k, d in enumerate(slices.tail_dims[:-1]):
+            u, sing, vh = np.linalg.svd(remainder.reshape(d, -1),
+                                        full_matrices=False)
             ratio = float(sing[1] / sing[0]) if sing.size > 1 else 0.0
-            worst_ratio = max(worst_ratio, ratio)
+            residuals["tail_product_ratio"] = max(
+                residuals.get("tail_product_ratio", 0.0), ratio)
             if ratio > tolerances.DIAG_TOL:
-                residuals["tail_product_ratio"] = worst_ratio
-                return None, {"tail_index": l, "second_singular_ratio": ratio}
-            head, ph = phase_fix(u[:, 0])
-            factors[k].append(head)
-            remainder = sing[0] * vh[0, :] * ph
-        last = remainder / np.linalg.norm(remainder)
-        factors[-1].append(last)
-    residuals["tail_product_ratio"] = worst_ratio
-    worst_gram = 0.0
-    families = []
-    for fam in factors:
-        rows = np.array(fam)
-        worst_gram = max(worst_gram, gram_residual(rows))
-        families.append(rows)
-    residuals["tail_orthonormality"] = worst_gram
-    if worst_gram > orth_tol:
-        return None, {"family_overlap": worst_gram}
-    return tuple(families), None
+                return STAGE_TAIL, {"tail_index": l, "second_singular_ratio": ratio}
+            tails[k][l], ph = phase_fix(u[:, 0])
+            remainder = vh[0, :] * ph
+        tails[-1][l] = remainder
+
+    resids = [gram_residual(t) for t in tails]
+    residuals["tail_orthonormality"] = max(resids)
+    for k, tail in enumerate(tails):
+        if resids[k] > tolerances.ORTH_TOL:
+            u, _, vh = np.linalg.svd(coeffs[:, None] * tail, full_matrices=False)
+            tails[k] = u @ vh
+    return SchmidtDecomposition(state.dims, coeffs, (first, second, *tails))
 
 
 def random_decomposition(dims, rank: int, seed: int = 0) -> SchmidtDecomposition:

@@ -31,6 +31,18 @@ SPECTRA_TOL = 1e-8
 # off-diagonal magnitude allowed in "diagonal" rotated slices
 DIAG_TOL = 1e-8
 
+# pair search: combined singular values within PAIR_GAP_TOL * sigma_max
+# of each other form one block, which a second combination splits
+PAIR_GAP_TOL = 1e-6
+
+# common eigenbasis: eigenvalues within EIGEN_GAP_TOL * max(1, max|v|)
+# of each other count as degenerate and are refined by the next matrix
+EIGEN_GAP_TOL = 1e-10
+
+# orthonormal completion: a candidate whose residual norm after
+# projection is at most COMPLETION_TOL counts as dependent and is skipped
+COMPLETION_TOL = 1e-7
+
 # inputs within this distance of unit norm are silently renormalized
 REPAIR_WINDOW = 1e-6
 

@@ -15,7 +15,6 @@ from schmidtkit import (
     DensityMatrix,
     DifferentStates,
     DimensionMismatch,
-    InvalidAxis,
     NoPairFound,
     NotDecomposable,
     RankTooLarge,
@@ -65,6 +64,7 @@ def eqspec_state():
 
 def test_w_slices_pinned_exactly():
     s = slice_tensor(w_state())
+    assert s.matrices.shape == (2, 2, 2)
     a0, a1 = s.matrices
     assert np.array_equal(a0, RT3 * np.array([[0, 1], [1, 0]]))
     assert np.array_equal(a1, RT3 * np.array([[1, 0], [0, 0]]))
@@ -72,6 +72,7 @@ def test_w_slices_pinned_exactly():
 
 def test_ghz_slices_pinned():
     s = slice_tensor(ghz(3))
+    assert s.matrices.shape == (2, 2, 2)
     a0, a1 = s.matrices
     assert np.array_equal(a0, RT2 * np.diag([1.0, 0.0]))
     assert np.array_equal(a1, RT2 * np.diag([0.0, 1.0]))
@@ -80,6 +81,7 @@ def test_ghz_slices_pinned():
 def test_slice_grouping_for_four_parts():
     s = slice_tensor(ghz(4))
     assert len(s.matrices) == 4
+    assert s.matrices.shape == (4, 2, 2)
     assert s.tail_dims == (2, 2)
     assert np.array_equal(s.matrices[0], RT2 * np.diag([1.0, 0.0]))
     assert np.array_equal(s.matrices[3], RT2 * np.diag([0.0, 1.0]))
@@ -90,23 +92,15 @@ def test_slice_axis_selection():
     st = haar_random_state((2, 3, 4), seed=0)
     t = st.tensor()
     default = slice_tensor(st)
-    assert len(default.matrices) == 4 and default.matrices[0].shape == (2, 3)
+    assert default.matrices.shape == (4, 2, 3)
     assert np.array_equal(default.matrices[1], t[:, :, 1])
-    first = slice_tensor(st, axis=1)
-    # remaining subsystems 2, 3 in ascending order form rows and columns
-    assert first.matrices[0].shape == (3, 4)
-    assert np.array_equal(first.matrices[1], t[1, :, :])
-    with pytest.raises(InvalidAxis):
-        slice_tensor(st, axis=4)
-    with pytest.raises(InvalidAxis):
-        slice_tensor(haar_random_state((2, 2, 2, 2), seed=0), axis=2)
     with pytest.raises(TooFewSubsystems):
         slice_tensor(bell())
 
 
 def test_sliceset_requires_unit_weight():
     with pytest.raises(Exception):
-        SliceSet((np.eye(2),), (2, 2, 1), 3, (1,))
+        SliceSet((np.eye(2),), (2, 2, 1), (1,))
 
 
 def test_positive_products_commute_cases():
@@ -202,6 +196,13 @@ def test_check_accepts_ghz_family():
         "max_commutator", "max_ss_off_diagonal", "reconstruction",
         "tail_orthonormality", "tail_product_ratio"}
     assert all(abs(v) < 1e-9 for v in rep.residuals.values())
+    # three parts have no tail cut, so no product ratio is recorded
+    for st in (ghz(3), random_decomposable_state((3, 3, 3), 3, seed=2)):
+        rep = check_decomposable(st)
+        assert rep.decomposable
+        assert set(rep.residuals) == {
+            "max_commutator", "max_ss_off_diagonal", "reconstruction",
+            "tail_orthonormality"}
 
 
 def test_check_eqspec_state_fails_at_diagonalization():

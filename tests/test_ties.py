@@ -13,10 +13,13 @@ from hypothesis import strategies as st
 
 from schmidtkit import (
     SchmidtDecomposition,
+    StateTensor,
     apply_local_unitaries,
     check_decomposable,
     ghz,
+    random_decomposition,
     reconstruct,
+    tolerances,
 )
 from schmidtkit.linalg import haar_unitary
 
@@ -69,3 +72,56 @@ def test_coefficient_gaps_accept(gap, dims, rank, seed):
     # neighbouring coefficients differ by gap before normalization
     coeffs = 1.0 + gap * np.arange(rank)[::-1]
     assert_accepts(with_coefficients(dims, coeffs, seed), rank)
+
+
+def tiny_coefficient_state(seed):
+    """Rank 3 on (3,3,3) with coefficients (a, b, 1e-9), a > b in [0.2, 1).
+
+    Summed term by term and normalised afterwards, so the 1e-9 term is
+    not rescaled into a clean unit-norm decomposition first.
+    """
+    rng = np.random.default_rng(seed)
+    top = np.sort(rng.uniform(0.2, 1.0, 2))[::-1]
+    coeffs = np.array([top[0], top[1], 1e-9])
+    families = random_decomposition((3, 3, 3), 3, int(rng.integers(2**31))).vectors
+    amps = sum(c * np.multiply.outer(np.multiply.outer(
+        families[0][l], families[1][l]), families[2][l]).reshape(-1)
+        for l, c in enumerate(coeffs))
+    return StateTensor((3, 3, 3), amps / np.linalg.norm(amps))
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_tiny_coefficient_accepts(seed):
+    # the third family is read off a row of S scaled up by 1e9, so it is
+    # only orthonormal to about 1e-7; the rebuild gate must still accept
+    state = tiny_coefficient_state(seed)
+    rep = check_decomposable(state)
+    assert rep.decomposable, (rep.stage, rep.witness)
+    rebuilt = reconstruct(rep.decomposition)
+    assert np.abs(rebuilt.amplitudes - state.amplitudes).max() \
+        <= tolerances.RECONSTRUCT_TOL
+
+
+def ghz_plus_stray(dims, eps):
+    """GHZ on dims plus eps |2,2,0,...,0>, a term beyond the tail rank."""
+    amps = np.zeros(dims, dtype=complex)
+    amps[(0,) * len(dims)] = amps[(1,) * len(dims)] = 1 / np.sqrt(2)
+    amps[(2, 2) + (0,) * (len(dims) - 2)] = eps
+    flat = amps.reshape(-1)
+    return StateTensor(dims, flat / np.linalg.norm(flat))
+
+
+@pytest.mark.parametrize("dims", [(3, 3, 2), (3, 3, 2, 2)])
+@pytest.mark.parametrize("eps", [2e-9, 5e-9, 6.5e-9])
+def test_stray_row_beyond_tail_dim_accepts(dims, eps):
+    # S keeps three rows above RANK_TOL but a tail subsystem has only two
+    # dimensions; the candidate is capped at min(dims) terms and the
+    # rebuild gate accepts it, where an uncapped candidate cannot even
+    # be built
+    state = ghz_plus_stray(dims, eps)
+    rep = check_decomposable(state)
+    assert rep.decomposable, (rep.stage, rep.witness)
+    assert rep.decomposition.coefficients.size == 2
+    rebuilt = reconstruct(rep.decomposition)
+    assert np.abs(rebuilt.amplitudes - state.amplitudes).max() \
+        <= tolerances.RECONSTRUCT_TOL
