@@ -5,7 +5,6 @@ from __future__ import annotations
 import numpy as np
 
 from . import tolerances
-from .errors import DimensionMismatch
 
 
 def phase_fix(vector: np.ndarray, cutoff: float = 1e-12) -> tuple[np.ndarray, complex]:
@@ -31,43 +30,15 @@ def gram_residual(rows: np.ndarray) -> float:
     return float(np.abs(gram - np.eye(rows.shape[0])).max())
 
 
-def is_unitary(matrix: np.ndarray, tol: float | None = None) -> bool:
-    tol = tolerances.ORTH_TOL if tol is None else tol
-    d = matrix.shape[0]
-    if matrix.shape != (d, d):
-        return False
-    return bool(np.abs(matrix @ matrix.conj().T - np.eye(d)).max() <= tol)
+def polar(m: np.ndarray) -> np.ndarray:
+    """Polar factor u @ vh of the thin SVD of m.
 
-
-def complete_orthonormal(rows: np.ndarray, dim: int) -> np.ndarray:
-    """Extend a family of orthonormal row vectors to a full basis of C^dim.
-
-    The completion is deterministic: standard basis vectors are folded in
-    by Gram-Schmidt in index order, skipping those that are (nearly)
-    dependent on the span so far.
+    It is the nearest matrix to m with orthonormal rows or columns, so
+    polar(B+ A) is the unitary X minimising ||B X - A|| (orthogonal
+    Procrustes).
     """
-    family = [np.asarray(r, dtype=complex) for r in rows]
-    if len(family) > dim:
-        raise DimensionMismatch(
-            f"cannot complete {len(family)} vectors in dimension {dim}")
-    for j in range(dim):
-        if len(family) == dim:
-            break
-        cand = np.zeros(dim, dtype=complex)
-        cand[j] = 1.0
-        for v in family:
-            cand = cand - np.vdot(v, cand) * v
-        norm = np.linalg.norm(cand)
-        # anything above sqrt-eps survives two orthogonalization passes
-        if norm > tolerances.COMPLETION_TOL:
-            cand = cand / norm
-            for v in family:
-                cand = cand - np.vdot(v, cand) * v
-            cand = cand / np.linalg.norm(cand)
-            family.append(cand)
-    if len(family) != dim:
-        raise DimensionMismatch("orthonormal completion failed")
-    return np.array(family)
+    u, _, vh = np.linalg.svd(m, full_matrices=False)
+    return u @ vh
 
 
 def row_kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:

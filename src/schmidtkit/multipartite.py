@@ -46,7 +46,7 @@ from .errors import (
     TooFewSubsystems,
 )
 from .linalg import (_split_blocks, common_hermitian_eigenbasis,
-                     complete_orthonormal, gram_residual, phase_fix)
+                     gram_residual, phase_fix, polar)
 from .state import SchmidtDecomposition, StateTensor, reconstruct
 from .bipartite import spectra
 
@@ -466,8 +466,7 @@ def _assemble(
     residuals["tail_orthonormality"] = max(resids)
     for k, tail in enumerate(tails):
         if resids[k] > tolerances.ORTH_TOL:
-            u, _, vh = np.linalg.svd(coeffs[:, None] * tail, full_matrices=False)
-            tails[k] = u @ vh
+            tails[k] = polar(coeffs[:, None] * tail)
     return SchmidtDecomposition(state.dims, coeffs, (first, second, *tails))
 
 
@@ -513,7 +512,7 @@ def local_unitary_link(
     target: StateTensor,
     source: StateTensor,
     seed: int = 0,
-    tol: float = 1e-8,
+    tol: float | None = None,
 ) -> list[np.ndarray]:
     """Unitaries U_k with (U_1 x ... x U_n)|source> = |target>.
 
@@ -521,7 +520,10 @@ def local_unitary_link(
     multisets; the link maps the source's l-th Schmidt vector onto the
     target's for every subsystem, which reproduces the target exactly
     because the pairing is shared across subsystems (ties included).
+    Each U_k is the polar factor of sum_l t_l s_l+; coefficients and the
+    rebuilt target must agree within tol (default LINK_TOL).
     """
+    tol = tolerances.LINK_TOL if tol is None else tol
     if target.dims != source.dims:
         raise DimensionMismatch(
             f"states live on different dims {target.dims} vs {source.dims}")
@@ -536,11 +538,8 @@ def local_unitary_link(
     if ct.size != cs.size or float(np.abs(ct - cs).max()) > tol:
         raise CoefficientsMismatch(
             f"coefficients differ: {ct.tolist()} vs {cs.tolist()}")
-    unitaries = []
-    for k, d in enumerate(target.dims):
-        basis_t = complete_orthonormal(rep_t.decomposition.vectors[k], d)
-        basis_s = complete_orthonormal(rep_s.decomposition.vectors[k], d)
-        unitaries.append(basis_t.T @ basis_s.conj())
+    unitaries = [polar(ft.T @ fs.conj()) for ft, fs in
+                 zip(rep_t.decomposition.vectors, rep_s.decomposition.vectors)]
     mapped = apply_local_unitaries(source, unitaries)
     overlap = np.vdot(target.amplitudes, mapped.amplitudes)
     aligned = mapped.amplitudes * np.conj(overlap) / max(abs(overlap), 1e-300)

@@ -4,9 +4,10 @@ A rank-r density matrix rho on system A extends to a pure state
 |AR> = sum_i sqrt(p_i) |i_A>|i_R> on A plus a reference R of dimension
 at least r; tracing R back out returns rho.  Any two purifications of
 the same rho with equal reference dimension differ by a unitary acting
-on R alone.  When A is itself multipartite, whether the purification
-admits a joint Schmidt form is a property of rho, not of the chosen
-purification.
+on R alone: the polar factor of B+ A, where A and B are their base x
+reference matrices.  When A is itself multipartite, whether the
+purification admits a joint Schmidt form is a property of rho, not of
+the chosen purification.
 """
 
 from __future__ import annotations
@@ -17,9 +18,9 @@ import numpy as np
 
 from . import tolerances
 from .errors import DifferentStates, DimensionMismatch, ReferenceTooSmall, TooFewSubsystems
-from .linalg import complete_orthonormal, phase_fix
+from .linalg import phase_fix, polar
 from .multipartite import DecomposabilityReport, check_decomposable
-from .state import DensityMatrix, StateTensor, reduced_density
+from .state import DensityMatrix, StateTensor
 
 __all__ = [
     "Purification",
@@ -55,8 +56,8 @@ class Purification:
         return len(self.base_dims) + 1
 
 
-def _spectral(rho: DensityMatrix, rank_tol: float):
-    """Eigenpairs of rho sorted descending, zero modes dropped.
+def _spectral(rho: DensityMatrix):
+    """Eigenpairs of rho sorted descending, modes at or below RANK_TOL dropped.
 
     Eigenvectors are phase fixed so repeated runs produce identical
     purifications.
@@ -64,7 +65,7 @@ def _spectral(rho: DensityMatrix, rank_tol: float):
     vals, vecs = np.linalg.eigh(rho.entries)
     order = np.argsort(vals)[::-1]
     vals, vecs = vals[order], vecs[:, order]
-    keep = vals > rank_tol * max(vals[0], 1.0)
+    keep = vals > tolerances.RANK_TOL * max(vals[0], 1.0)
     vals, vecs = vals[keep], vecs[:, keep]
     fixed = np.empty_like(vecs)
     for i in range(vecs.shape[1]):
@@ -76,7 +77,6 @@ def purify(
     rho: DensityMatrix,
     reference_dim: int | None = None,
     base_dims: tuple[int, ...] | None = None,
-    rank_tol: float | None = None,
 ) -> Purification:
     """Standard purification |AR> = sum_i sqrt(p_i) |i_A>|i_R>.
 
@@ -84,8 +84,6 @@ def purify(
     least that.  base_dims lets a composite A keep its subsystem
     structure; it defaults to treating A as a single subsystem.
     """
-    if rank_tol is None:
-        rank_tol = tolerances.RANK_TOL
     dim = rho.entries.shape[0]
     if base_dims is None:
         base_dims = rho.dims
@@ -94,7 +92,7 @@ def purify(
         if int(np.prod(base_dims)) != dim:
             raise DimensionMismatch(
                 f"base dims {base_dims} do not multiply to {dim}")
-    vals, vecs = _spectral(rho, rank_tol)
+    vals, vecs = _spectral(rho)
     rank = len(vals)
     if reference_dim is None:
         reference_dim = rank
@@ -111,64 +109,34 @@ def purify(
 
 def trace_out_reference(purification: Purification) -> DensityMatrix:
     """Recover the purified density matrix by tracing the reference."""
-    n = purification.state.subsystem_count
-    rho = reduced_density(purification.state, tuple(range(1, n)))
-    flat_dim = int(np.prod(purification.base_dims))
-    return DensityMatrix((flat_dim,), rho.entries)
+    m = purification.state.amplitudes.reshape(-1, purification.reference_dim)
+    return DensityMatrix((m.shape[0],), m @ m.conj().T)
 
 
-def _extract_refs(purification: Purification, vals, vecs) -> np.ndarray:
-    """Reference-side vectors |i_R> = (<i_A| x I)|AR> / sqrt(p_i).
-
-    Rows are orthonormal whenever |AR> purifies the matrix whose
-    eigenpairs (vals, vecs) were supplied.
-    """
-    mat = purification.state.amplitudes.reshape(
-        int(np.prod(purification.base_dims)), purification.reference_dim)
-    return (vecs.conj().T @ mat) / np.sqrt(vals)[:, None]
-
-
-def linking_unitary(
-    first: Purification,
-    second: Purification,
-    rank_tol: float | None = None,
-    tol: float = 1e-8,
-) -> np.ndarray:
+def linking_unitary(first: Purification, second: Purification) -> np.ndarray:
     """Unitary U on the reference with (I x U)|second> = |first>.
 
-    Both purifications must share base and reference dimensions and
-    trace back to the same density matrix; otherwise no reference-only
-    unitary can link them and DifferentStates is raised.
+    Both purifications must share base and reference dimensions.  U is
+    the transpose of the best unitary X = polar(B+ A), where A and B are
+    the base x reference matrices of first and second; if B X misses A
+    by more than LINK_TOL, no reference-only unitary links the two and
+    DifferentStates is raised.
     """
-    if rank_tol is None:
-        rank_tol = tolerances.RANK_TOL
     if (first.base_dims != second.base_dims
             or first.reference_dim != second.reference_dim):
         raise DimensionMismatch(
             f"purifications live on different spaces: "
             f"{first.state.dims} vs {second.state.dims}")
-    rho1 = trace_out_reference(first)
-    rho2 = trace_out_reference(second)
-    gap = np.max(np.abs(rho1.entries - rho2.entries))
-    if gap > tol:
-        raise DifferentStates(
-            f"traced-out matrices differ by {gap:.3e} > {tol:.1e}")
-    # one shared eigenbasis for both extractions; with degenerate
-    # spectra separate eigh calls could land in rotated bases
-    vals, vecs = _spectral(rho1, rank_tol)
-    refs1 = _extract_refs(first, vals, vecs)
-    refs2 = _extract_refs(second, vals, vecs)
     d = first.reference_dim
-    basis1 = complete_orthonormal(refs1, d)
-    basis2 = complete_orthonormal(refs2, d)
-    u = basis1.T @ basis2.conj()
-    moved = (second.state.amplitudes.reshape(-1, d) @ u.T
-             - first.state.amplitudes.reshape(-1, d))
-    resid = np.linalg.norm(moved)
-    if resid > tol:
+    a = first.state.amplitudes.reshape(-1, d)
+    b = second.state.amplitudes.reshape(-1, d)
+    x = polar(b.conj().T @ a)
+    resid = np.linalg.norm(b @ x - a)
+    if resid > tolerances.LINK_TOL:
         raise DifferentStates(
-            f"linking unitary leaves residual {resid:.3e} > {tol:.1e}")
-    return u
+            f"linking unitary leaves residual {resid:.3e} > "
+            f"{tolerances.LINK_TOL:.1e}")
+    return x.T
 
 
 def purification_class(

@@ -3,7 +3,7 @@
 All comparisons that have a natural scale (singular values, eigenvalues)
 are taken relative to the largest one; norm and trace checks are
 absolute because states and densities are unit-normalized.  Functions
-accept an explicit tolerance argument and fall back to these module
+that accept an explicit tolerance argument fall back to these module
 constants when given None, so overriding a constant here affects every
 default-path call.
 """
@@ -39,9 +39,9 @@ PAIR_GAP_TOL = 1e-6
 # of each other count as degenerate and are refined by the next matrix
 EIGEN_GAP_TOL = 1e-10
 
-# orthonormal completion: a candidate whose residual norm after
-# projection is at most COMPLETION_TOL counts as dependent and is skipped
-COMPLETION_TOL = 1e-7
+# links: the polar-factor unitary must map source onto target, and
+# local_unitary_link's coefficients must agree, within LINK_TOL
+LINK_TOL = 1e-8
 
 # inputs within this distance of unit norm are silently renormalized
 REPAIR_WINDOW = 1e-6

@@ -283,9 +283,12 @@ def test_apply_local_unitaries_matches_kron():
 
 
 def test_local_unitary_link_round_trip():
-    for seed in range(8):
-        dims = [(2, 2, 2), (2, 3, 4), (3, 3, 3)][seed % 3]
-        phi = random_decomposable_state(dims, 2, seed)
+    cases = [([(2, 2, 2), (2, 3, 4), (3, 3, 3)][seed % 3], 2, seed)
+             for seed in range(8)]
+    cases += [(dims, rank, 8) for dims in ((4, 4, 4), (3, 3, 2, 2))
+              for rank in (1, min(dims))]
+    for dims, rank, seed in cases:
+        phi = random_decomposable_state(dims, rank, seed)
         rng = np.random.default_rng((seed, 5))
         vs = [haar_unitary(d, rng) for d in dims]
         psi = apply_local_unitaries(phi, vs)
@@ -295,6 +298,8 @@ def test_local_unitary_link_round_trip():
         resid = np.linalg.norm(
             psi.amplitudes - overlap / abs(overlap) * moved.amplitudes)
         assert resid < 1e-8
+        for u, d in zip(us, dims):
+            assert np.abs(u @ u.conj().T - np.eye(d)).max() < 1e-12
 
 
 def test_local_unitary_link_ghz_identity():

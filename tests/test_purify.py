@@ -108,19 +108,29 @@ def test_linking_identity_case():
 
 
 def test_linking_random_reference_rotations():
+    # wider references leave U free on the unused part of R, and fully
+    # degenerate spectra leave the eigenbasis free; where U is unique
+    # (reference_dim = rank) it must equal the least-squares pinv(B) A
     rng = np.random.default_rng(15)
-    for _ in range(10):
+    for trial in range(12):
         dim = int(rng.integers(2, 9))
         rank = int(rng.integers(1, dim + 1))
-        rho = random_density(dim, rank, rng)
-        base = purify(rho)
-        alt = rotate_reference(base, haar_unitary(base.reference_dim, rng))
-        u = linking_unitary(base, alt)
-        d = base.reference_dim
-        moved = alt.state.amplitudes.reshape(-1, d) @ u.T
-        assert np.linalg.norm(
-            moved - base.state.amplitudes.reshape(-1, d)) < 1e-8
-        assert np.allclose(u @ u.conj().T, np.eye(d), atol=1e-8)
+        if trial % 3 == 2:
+            v = haar_unitary(dim, rng)[:, :rank]
+            rho = DensityMatrix((dim,), v @ v.conj().T / rank)
+        else:
+            rho = random_density(dim, rank, rng)
+        for extra in range(3):
+            base = purify(rho, rank + extra)
+            d = base.reference_dim
+            alt = rotate_reference(base, haar_unitary(d, rng))
+            u = linking_unitary(base, alt)
+            a = base.state.amplitudes.reshape(-1, d)
+            b = alt.state.amplitudes.reshape(-1, d)
+            assert np.linalg.norm(b @ u.T - a) < 1e-8
+            assert np.abs(u @ u.conj().T - np.eye(d)).max() < 1e-12
+            if extra == 0:
+                assert np.abs(u.T - np.linalg.pinv(b) @ a).max() < 1e-10
 
 
 def test_linking_refusals():
