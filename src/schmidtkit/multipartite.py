@@ -5,29 +5,26 @@ sum_l c_l |l_1>|l_2>...|l_n> with one orthonormal family per subsystem.
 Unlike the bipartite case this is a real property: the W state has no
 such form while GHZ states do.
 
-The decision pipeline runs one code path for every n >= 3.  It slices
-the amplitude tensor into one stack of matrices A_c (rows = subsystem
-1, columns = subsystem 2, one slice per grouped index c of subsystems
-3..n), looks for a unitary pair (P, Q) making every P+ A_c Q+
-diagonal, collects the diagonals into the coefficient matrix S, and
-requires S S+ to be diagonal (rows of S orthogonal).  The normalised
-rows of S are the tail vectors; each must factor into one vector per
-tail subsystem (for n = 3 it already is that vector).  Candidate
-decompositions are only accepted after rebuilding the input within
-RECONSTRUCT_TOL, so the accept path is sound by construction; that
-rebuild, not a separate threshold, also settles whether the tail
-families are orthonormal enough.
-
-When no diagonalizing pair exists the rejection report still carries an
-S-matrix diagnostic built from the commuting positive products
-C_c = A_c A_c+: with P the common eigenbasis of the C_c (ascending in
-their sum), S[l][c] = sqrt((P+ C_c P)_ll).  For a decomposable state
-this reproduces the coefficient magnitudes, and for states like W it
-pinpoints the scaled-unitarity failure quantitatively.
+The decision runs one code path for every n >= 3.  The n single-site
+spectra must agree.  The amplitude tensor is sliced into one stack of
+matrices A_c (rows = subsystem 1, columns = subsystem 2, one slice per
+grouped index c of subsystems 3..n); a unitary pair (P, Q) making
+every P+ A_c Q+ diagonal gives the coefficient matrix S, whose rows
+must be orthogonal; each normalised row, a tail vector, must factor
+into one vector per tail subsystem.  The candidate is accepted only if
+it rebuilds the input within RECONSTRUCT_TOL, which also settles
+whether the tail families are orthonormal enough; the accept is thus
+its own proof.  A reject is explained by the earlier necessary
+conditions, run only then: the full reduced-spectra table and the
+commutation of the positive products C_c = A_c A_c+ (and A_c+ A_c).
+When no diagonalizing pair exists, S is read off the common eigenbasis
+P of the C_c: S[l][c] = sqrt((P+ C_c P)_ll), the coefficient magnitudes
+for a decomposable state, and for W the scaled-unitarity failure.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass, field
 from math import prod
@@ -95,21 +92,13 @@ class SliceSet:
             raise DimensionMismatch(
                 f"slice stack of shape {mats.shape} does not match "
                 f"tail dims {self.tail_dims}")
-        total = float(np.sum(np.abs(mats) ** 2))
+        total = float(np.vdot(mats, mats).real)
         if abs(total - 1.0) > 1e-8:
             raise DimensionMismatch(
                 f"slice norms sum to {total!r}, expected 1 for a normalized state")
         object.__setattr__(self, "matrices", mats)
         object.__setattr__(self, "dims", tuple(int(d) for d in self.dims))
         object.__setattr__(self, "tail_dims", tuple(int(d) for d in self.tail_dims))
-
-    @property
-    def row_dim(self) -> int:
-        return self.matrices.shape[1]
-
-    @property
-    def col_dim(self) -> int:
-        return self.matrices.shape[2]
 
 
 @dataclass(frozen=True)
@@ -152,32 +141,38 @@ def slice_tensor(state: StateTensor) -> SliceSet:
     if n < 3:
         raise TooFewSubsystems(f"slicing needs >= 3 subsystems, got {n}")
     d1, d2 = state.dims[:2]
-    stack = np.moveaxis(state.amplitudes.reshape(d1, d2, -1), 2, 0)
+    stack = state.amplitudes.reshape(d1, d2, -1).transpose(2, 0, 1)
     return SliceSet(stack, state.dims, state.dims[2:])
 
 
 def positive_products_commute(
     slices: SliceSet, tol: float | None = None
 ) -> tuple[bool, float]:
-    """Do {A_c A_c+} and {A_c+ A_c} each commute pairwise?
+    """Do {A_c A_c+} and {A_c+ A_c} each commute?  A necessary condition.
 
-    Returns the verdict and the largest commutator Frobenius norm seen
-    (the witness).  Commutation of both families is necessary for a
-    diagonalizing pair to exist.  Each family is one batched product of
-    the slice stack; each of its matrices is then commuted with all
-    later ones in one batched call, so the C x C array of all pairwise
-    commutators is never formed.
+    Each family is rotated into the eigenbasis of one fixed pseudo-random
+    positive combination of its members: if they commute, that is a
+    common eigenbasis, with gaps as wide as the members' even where
+    their sum's eigenvalues nearly meet.  Returns the verdict and the
+    largest off-diagonal magnitude of the rotated stacks (the witness).
     """
     tol = tolerances.DIAG_TOL if tol is None else tol
     stack = slices.matrices
     adjoint = stack.conj().transpose(0, 2, 1)
+    weights = _commute_weights(len(stack))
     worst = 0.0
-    for family in (stack @ adjoint, adjoint @ stack):
-        for i in range(len(family) - 1):
-            a, rest = family[i], family[i + 1:]
-            norms = np.linalg.norm(a @ rest - rest @ a, axis=(1, 2))
-            worst = max(worst, float(norms.max()))
+    for first, second in ((stack, adjoint), (adjoint, stack)):
+        family = first @ second
+        combined = (weights @ family.reshape(len(family), -1)).reshape(family.shape[1:])
+        basis = np.linalg.eigh(combined)[1]
+        worst = max(worst, _off_diagonal_residual(basis.conj().T @ family @ basis))
     return worst <= tol, worst
+
+
+@functools.lru_cache(maxsize=None)
+def _commute_weights(count: int) -> np.ndarray:
+    """positive_products_commute's weights: default_rng(0), uniform in [1, 2]."""
+    return np.random.default_rng(0).uniform(1.0, 2.0, count)
 
 
 def find_diagonalizing_pair(
@@ -197,10 +192,9 @@ def find_diagonalizing_pair(
     NoPairFound (with the best residual seen) when all fail.
     """
     diag_tol = tolerances.DIAG_TOL if diag_tol is None else diag_tol
+    _, d1, d2 = slices.matrices.shape
     if _off_diagonal_residual(slices.matrices) <= diag_tol:
-        return DiagonalizationPair(
-            np.eye(slices.row_dim, dtype=complex),
-            np.eye(slices.col_dim, dtype=complex))
+        return DiagonalizationPair(np.eye(d1, dtype=complex), np.eye(d2, dtype=complex))
     best = np.inf
     for attempt in range(MAX_PAIR_ATTEMPTS):
         rng = np.random.default_rng((int(seed), attempt))
@@ -291,53 +285,51 @@ def scaled_unitary_check(
 
 
 def equal_spectra_check(
-    state: StateTensor, tol: float | None = None
+    state: StateTensor, tol: float | None = None, cuts: dict | None = None
 ) -> tuple[bool, dict[tuple[int, ...], np.ndarray]]:
     """Necessary condition: all reduced spectra agree after dropping zeros.
 
     The returned table maps every nonempty proper subset of subsystems
     to its reduced spectrum (descending).  Only the subsets containing
-    subsystem 1 are computed, one SVD of the flattening each; a subset's
-    complement has the same nonzero spectrum, so its entry is the same
-    values padded or cut to the complement's dimension.  The verdict
+    subsystem 1 are computed, one SVD of the flattening each, unless
+    cuts (a dict of such spectra) holds them; a complement's entry is
+    the same values padded or cut to its dimension.  The verdict
     compares the nonzero parts (above tol, SPECTRA_TOL by default) of
     the subsets containing subsystem 1 against subset (1,).
     """
     tol = tolerances.SPECTRA_TOL if tol is None else tol
-    n = state.subsystem_count
-    subsets = [subset for size in range(1, n)
-               for subset in itertools.combinations(range(1, n + 1), size)]
-    computed = {subset: spectra(state, subset)
-                for subset in subsets if subset[0] == 1}
+    cuts = {} if cuts is None else cuts
+    everyone = range(1, state.subsystem_count + 1)
     table: dict[tuple[int, ...], np.ndarray] = {}
-    for subset in subsets:
-        if subset in computed:
-            table[subset] = computed[subset]
-            continue
-        spec = computed[tuple(i for i in range(1, n + 1) if i not in subset)]
-        entry = np.zeros(prod(state.dims[i - 1] for i in subset))
-        count = min(entry.size, spec.size)
-        entry[:count] = spec[:count]
-        table[subset] = entry
-    first = computed[(1,)]
-    reference = first[first > tol]
-    ok = True
-    for spec in computed.values():
-        nonzero = spec[spec > tol]
-        if nonzero.size != reference.size or \
-                float(np.abs(nonzero - reference).max(initial=0.0)) > tol:
-            ok = False
+    for size in range(1, len(everyone)):
+        for subset in itertools.combinations(everyone, size):
+            if subset[0] == 1:
+                table[subset] = _cut(state, cuts, subset)
+                continue
+            spec = _cut(state, cuts, tuple(i for i in everyone if i not in subset))
+            table[subset] = np.zeros(prod(state.dims[i - 1] for i in subset))
+            table[subset][:spec.size] = spec[:table[subset].size]
+    ok = all(_same_nonzero(table[(1,)], spec, tol)
+             for subset, spec in table.items() if subset[0] == 1)
     return ok, table
 
 
-def _positive_product_s(slices: SliceSet) -> np.ndarray:
-    """Coefficient-magnitude diagnostic from the positive products.
+def _cut(state: StateTensor, cuts: dict, subset: tuple[int, ...]) -> np.ndarray:
+    """The reduced spectrum of subset, computed once and kept in cuts."""
+    if subset not in cuts:
+        cuts[subset] = spectra(state, subset)
+    return cuts[subset]
 
-    With P the common eigenbasis of the commuting C_c = A_c A_c+
-    (ascending in their sum), entry (l, c) is sqrt((P+ C_c P)_ll).
-    For a decomposable state this equals |S| of the true S-matrix; it
-    is used for reject reports when no diagonalizing pair exists.
-    """
+
+def _same_nonzero(first: np.ndarray, spec: np.ndarray, tol: float) -> bool:
+    """Do two spectra agree within tol on their entries above tol?"""
+    reference, nonzero = first[first > tol], spec[spec > tol]
+    return nonzero.size == reference.size and \
+        float(np.abs(nonzero - reference).max(initial=0.0)) <= tol
+
+
+def _positive_product_s(slices: SliceSet) -> np.ndarray:
+    """S[l][c] = sqrt((P+ C_c P)_ll), P the common eigenbasis of the C_c."""
     stack = slices.matrices
     products = stack @ stack.conj().transpose(0, 2, 1)
     basis = common_hermitian_eigenbasis(products)
@@ -354,13 +346,13 @@ def check_decomposable(
 ) -> DecomposabilityReport:
     """Decide whether a state on >= 3 subsystems has a joint Schmidt form.
 
-    Pipeline: equal-spectra necessary condition, slice, commuting
-    positive products, diagonalizing pair search, S-matrix scaled
-    unitarity, tail factorization (no tail cut for three subsystems),
-    and a final rebuild of the input from the candidate decomposition,
-    which also settles whether the tail families are orthonormal.  The
-    verdict Decomposable therefore implies reconstruct(decomposition)
-    matches the input within RECONSTRUCT_TOL.
+    Decision path: the n single-site spectra agree (stopping at the
+    first mismatch), pair search, S-matrix scaled unitarity, tail
+    factorization (none for three subsystems), and a rebuild of the
+    input from the candidate, which accepts within RECONSTRUCT_TOL.
+    Every reject then runs the explain pass: the full equal-spectra
+    table (from the cuts already taken), then the commutation test; the
+    first that fails is the stage reported, else the decision's stage.
     """
     rank_tol = tolerances.RANK_TOL if rank_tol is None else rank_tol
     diag_tol = tolerances.DIAG_TOL if diag_tol is None else diag_tol
@@ -371,21 +363,28 @@ def check_decomposable(
         raise TooFewSubsystems(f"need >= 3 subsystems, got {n}")
 
     residuals: dict[str, float] = {}
+    cuts: dict[tuple[int, ...], np.ndarray] = {}
 
     def reject(stage: str, witness: dict) -> DecomposabilityReport:
-        return DecomposabilityReport(False, stage, witness, residuals,
+        ok, table = equal_spectra_check(state, cuts=cuts)
+        if not ok:
+            return DecomposabilityReport(False, STAGE_SPECTRA, {"spectra": {
+                ",".join(map(str, s)): t.tolist() for s, t in table.items()}},
+                tolerances_used=used)
+        commute, comm_resid = positive_products_commute(slices, diag_tol)
+        found = {"max_commutator": comm_resid}
+        if not commute:
+            return DecomposabilityReport(False, STAGE_DIAG, dict(found), found,
+                                         tolerances_used=used)
+        return DecomposabilityReport(False, stage, witness, {**found, **residuals},
                                      tolerances_used=used)
 
-    ok, table = equal_spectra_check(state)
-    if not ok:
-        return reject(STAGE_SPECTRA, {"spectra": {
-            ",".join(map(str, s)): t.tolist() for s, t in table.items()}})
-
+    # site k's spectrum is that of the cut of all other sites; the table reuses it
+    sites = [tuple(i for i in range(1, n + 1) if i != k) for k in range(2, n + 1)]
+    if not all(_same_nonzero(_cut(state, cuts, (1,)), _cut(state, cuts, site),
+                             tolerances.SPECTRA_TOL) for site in sites):
+        return reject(STAGE_SPECTRA, {})  # the table fails too, before slices exist
     slices = slice_tensor(state)
-    commute, comm_resid = positive_products_commute(slices, diag_tol)
-    residuals["max_commutator"] = comm_resid
-    if not commute:
-        return reject(STAGE_DIAG, {"max_commutator": comm_resid})
 
     try:
         pair = find_diagonalizing_pair(slices, seed, diag_tol)
@@ -405,14 +404,15 @@ def check_decomposable(
     candidate = _assemble(state, slices, pair, s, rank_tol, residuals)
     if isinstance(candidate, tuple):
         return reject(*candidate)
-    rebuilt = reconstruct(candidate)
-    resid = float(np.abs(rebuilt.amplitudes - state.amplitudes).max())
+    resid = float(np.abs(reconstruct(candidate).amplitudes - state.amplitudes).max())
     residuals["reconstruction"] = resid
     if resid > tolerances.RECONSTRUCT_TOL:
         # the discarded off-diagonal mass was too large to represent the
         # state after all; report it at the diagonalization stage
         return reject(STAGE_DIAG, {"reconstruction": resid})
-    return DecomposabilityReport(True, None, {}, residuals, candidate, used)
+    found = {"max_commutator": positive_products_commute(slices, diag_tol)[1]}
+    return DecomposabilityReport(True, None, {}, {**found, **residuals},
+                                 candidate, used)
 
 
 def _assemble(

@@ -72,6 +72,28 @@ def test_check_exit_codes(tmp_path, capsys):
     assert json.loads(out)["decomposable"] is True
 
 
+def test_check_residual_key_sets_of_fixture_files(tmp_path, capsys):
+    # the key sets behind the pinned check and decompose output of the
+    # fixture files: an accept carries every stage's residual, a reject
+    # only those of the stages it reached
+    paths = {}
+    for name in ("ghz4", "w"):
+        paths[name] = str(tmp_path / f"{name}.json")
+        assert run(capsys, "gen", "--fixture", name, "--out", paths[name])[0] == 0
+    code, out, _ = run(capsys, "check", paths["ghz4"])
+    assert code == 0
+    assert set(json.loads(out)["residuals"]) == {
+        "max_commutator", "max_ss_off_diagonal", "reconstruction",
+        "tail_orthonormality", "tail_product_ratio"}
+    for verb in ("check", "decompose"):
+        code, out, _ = run(capsys, verb, paths["w"])
+        assert code == 1
+        doc = json.loads(out)
+        assert doc["stage"] == "SNotScaledUnitary"
+        assert set(doc["witness"]) == {"ss_dagger"}
+        assert set(doc["residuals"]) == {"max_commutator", "max_off_diagonal"}
+
+
 def test_check_output_is_deterministic(tmp_path, capsys):
     w = write_fixture(tmp_path, "w", w_state())
     _, first, _ = run(capsys, "check", w)

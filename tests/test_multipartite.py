@@ -1,5 +1,6 @@
 """Joint decomposability engine: slicing, diagonalization, verdicts."""
 
+import itertools
 import os
 import subprocess
 import sys
@@ -18,6 +19,7 @@ from schmidtkit import (
     NoPairFound,
     NotDecomposable,
     RankTooLarge,
+    SchmidtDecomposition,
     SlicesNotDiagonal,
     StateTensor,
     TooFewSubsystems,
@@ -47,7 +49,7 @@ from schmidtkit.multipartite import (
     random_decomposition,
 )
 
-from commute_oracle import commutator_pairwise
+from commute_oracle import commutator_eigenbasis, commutator_pairwise
 
 RT2 = 1.0 / np.sqrt(2.0)
 RT3 = 1.0 / np.sqrt(3.0)
@@ -108,6 +110,44 @@ def test_positive_products_commute_cases():
     assert ok and resid < 1e-14
     ok, resid = positive_products_commute(slice_tensor(eqspec_state()))
     assert not ok and resid > 1e-3
+
+
+def test_commute_on_degenerate_sums():
+    # commuting families whose sum repeats an eigenvalue: rotated GHZ
+    # (sum I/2), equal coefficients (a tie inside the sum), and ranks
+    # below the dimension (a repeated zero)
+    rng = np.random.default_rng(2)
+    states = [
+        apply_local_unitaries(ghz(3), [haar_unitary(2, rng) for _ in range(3)]),
+        reconstruct(SchmidtDecomposition(
+            (4, 4, 4), np.full(4, 0.5), tuple(haar_unitary(4, rng) for _ in range(3)))),
+        random_decomposable_state((16, 16, 16), 1, seed=2),
+        random_decomposable_state((4, 4, 4), 2, seed=2),
+    ]
+    for state in states:
+        ok, resid = positive_products_commute(slice_tensor(state))
+        assert ok and resid < 1e-12
+
+
+@pytest.mark.parametrize("gap", [3e-10, 1e-9, 3e-9])
+@pytest.mark.parametrize("dims", [(3, 3, 3), (2, 2, 2, 2), (8, 8, 8)])
+def test_commute_on_near_degenerate_sums(dims, gap):
+    # decomposable states whose two largest squared coefficients, the
+    # top eigenvalues of sum_c A_c A_c+, differ by just more than
+    # EIGEN_GAP_TOL: the eigenvectors of that sum are off by about
+    # 1e-16 / gap, which must not show in the witness
+    for seed in range(6):
+        rng = np.random.default_rng(seed)
+        rank = min(dims)
+        squares = np.sort(rng.uniform(0.1, 1.0, rank))[::-1]
+        squares[1] = squares[0] - gap
+        families = tuple(haar_unitary(d, rng)[:rank] for d in dims)
+        state = reconstruct(SchmidtDecomposition(
+            dims, np.sqrt(squares / squares.sum()), families))
+        slices = slice_tensor(state)
+        ok, resid = positive_products_commute(slices)
+        assert ok == (commutator_pairwise(slices.matrices) <= tolerances.DIAG_TOL)
+        assert ok and resid < 1e-12, (seed, resid)
 
 
 def test_find_pair_ghz_fast_path():
@@ -379,8 +419,17 @@ def test_equal_spectra_table_matches_partial_trace_oracle(dims):
             assert np.max(np.abs(table[keep] - want)) < 1e-12, keep
 
 
+def column_side_state():
+    """A_0 = 0.8 |0><u|, A_1 = 0.6 |1><v|: the A A+ commute, the A+ A do not."""
+    amps = np.zeros((2, 2, 2))
+    amps[0, :, 0] = 0.8 * np.array([1.0, 0.0])
+    amps[1, :, 1] = 0.6 * RT2 * np.array([1.0, 1.0])
+    return StateTensor((2, 2, 2), amps.reshape(-1))
+
+
 COMMUTE_CASES = {
     "W": w_state,
+    "column-side": column_side_state,
     "eqspec": eqspec_state,
     # 16 slices of the grouped tail
     "decomposable-2x6": lambda: random_decomposable_state((2,) * 6, 2, seed=3),
@@ -389,12 +438,17 @@ COMMUTE_CASES = {
 
 
 @pytest.mark.parametrize("name", sorted(COMMUTE_CASES))
-def test_commutator_matches_pairwise_oracle(name):
+def test_commutator_matches_eigenbasis_oracle(name):
     slices = slice_tensor(COMMUTE_CASES[name]())
-    want = commutator_pairwise(slices.matrices)
-    ok, got = positive_products_commute(slices)
-    assert abs(got - want) < 1e-12
-    assert ok == (want <= tolerances.DIAG_TOL)
+    _, got = positive_products_commute(slices)
+    assert abs(got - commutator_eigenbasis(slices.matrices)) < 1e-12
+
+
+@pytest.mark.parametrize("name", sorted(COMMUTE_CASES))
+def test_commute_verdict_matches_pairwise_oracle(name):
+    slices = slice_tensor(COMMUTE_CASES[name]())
+    ok, _ = positive_products_commute(slices)
+    assert ok == (commutator_pairwise(slices.matrices) <= tolerances.DIAG_TOL)
 
 
 def test_equal_spectra_work_is_linear_in_cuts(monkeypatch):
@@ -419,3 +473,74 @@ def test_equal_spectra_work_is_linear_in_cuts(monkeypatch):
     assert len(calls) == 31 and all(keep[0] == 1 for keep in calls)
     assert len(table) == 62
     assert densities == []
+
+
+def test_accept_and_reject_do_no_table_work_twice(monkeypatch):
+    # an accept compares the n single-site spectra and never builds the
+    # table; a reject builds it from the cuts already taken, so no cut
+    # is computed twice
+    calls = []
+    real_spectra = multipartite.spectra
+
+    def counting(state, keep):
+        calls.append(tuple(keep))
+        return real_spectra(state, keep)
+
+    def no_table(*args, **kwargs):
+        raise AssertionError("equal_spectra_check ran on an accept")
+
+    monkeypatch.setattr(multipartite, "spectra", counting)
+    with monkeypatch.context() as patch:
+        patch.setattr(multipartite, "equal_spectra_check", no_table)
+        rep = check_decomposable(random_decomposable_state((2,) * 6, 2, seed=1))
+    assert rep.decomposable
+    assert len(calls) == 6
+    for dims, cuts in (((3, 3, 3), 3), ((2,) * 6, 31)):
+        calls.clear()
+        rep = check_decomposable(haar_random_state(dims, seed=4))
+        assert rep.stage == "SpectraUnequal"
+        assert len(calls) == len(set(calls)) == cuts
+
+
+def symmetric_state(dims, seed):
+    """A Haar state averaged over all permutations of its subsystems."""
+    tensor = haar_random_state(dims, seed).tensor()
+    total = sum(np.transpose(tensor, perm)
+                for perm in itertools.permutations(range(len(dims))))
+    flat = total.reshape(-1)
+    return StateTensor(dims, flat / np.linalg.norm(flat))
+
+
+def ghz_w_mixture(angle):
+    amps = np.cos(angle) * ghz(3).amplitudes + np.sin(angle) * w_state().amplitudes
+    return StateTensor((2, 2, 2), amps / np.linalg.norm(amps))
+
+
+SPECTRA_REPORT = ("SpectraUnequal", {"spectra"}, set())
+COMMUTE_REPORT = ("SlicesNotSimultaneouslyDiagonalizable",
+                  {"max_commutator"}, {"max_commutator"})
+REJECT_REPORTS = {
+    "W": (w_state, ("SNotScaledUnitary", {"ss_dagger"},
+                    {"max_commutator", "max_off_diagonal"})),
+    "eqspec": (eqspec_state, COMMUTE_REPORT),
+    # |0> x Bell: subsystem 1 is pure while 2 and 3 are mixed
+    "spectra-222": (lambda: StateTensor((2, 2, 2), RT2 * np.eye(8)[[0, 3]].sum(0)),
+                    SPECTRA_REPORT),
+    "haar-234": (lambda: haar_random_state((2, 3, 4), seed=0), SPECTRA_REPORT),
+    "haar-2x6": (lambda: haar_random_state((2,) * 6, seed=0), SPECTRA_REPORT),
+    # equal single-site spectra, unequal two-site ones: the decision path
+    # runs to the pair search, and its residuals must not leak
+    "symmetric-2222": (lambda: symmetric_state((2, 2, 2, 2), 900), SPECTRA_REPORT),
+    **{f"ghz-w-{angle}": (lambda a=angle: ghz_w_mixture(a), COMMUTE_REPORT)
+       for angle in (0.05, 0.5, 1.0, 1.5)},
+}
+
+
+@pytest.mark.parametrize("name", sorted(REJECT_REPORTS))
+def test_reject_reports_pinned(name):
+    build, (stage, witness, residuals) = REJECT_REPORTS[name]
+    rep = check_decomposable(build())
+    assert not rep.decomposable and rep.decomposition is None
+    assert rep.stage == stage
+    assert set(rep.witness) == witness
+    assert set(rep.residuals) == residuals
