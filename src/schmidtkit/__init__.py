@@ -42,7 +42,6 @@ from .errors import (
     RankTooLarge,
     ReferenceTooSmall,
     SchmidtError,
-    SlicesNotDiagonal,
     TooFewSubsystems,
     TooManySubsystems,
 )
@@ -59,19 +58,12 @@ from .io import (
 )
 from .multipartite import (
     DecomposabilityReport,
-    DiagonalizationPair,
-    SliceSet,
     apply_local_unitaries,
-    build_s_matrix,
     check_decomposable,
     equal_spectra_check,
-    find_diagonalizing_pair,
     local_unitary_link,
-    positive_products_commute,
     random_decomposable_state,
     random_decomposition,
-    scaled_unitary_check,
-    slice_tensor,
 )
 from .partition import (
     PartitionInstance,
@@ -129,14 +121,7 @@ __all__ = [
     "schmidt_number",
     "spectra",
     # multipartite engine
-    "SliceSet",
-    "DiagonalizationPair",
     "DecomposabilityReport",
-    "slice_tensor",
-    "positive_products_commute",
-    "find_diagonalizing_pair",
-    "build_s_matrix",
-    "scaled_unitary_check",
     "equal_spectra_check",
     "check_decomposable",
     "random_decomposition",
@@ -182,7 +167,6 @@ __all__ = [
     "TooFewSubsystems",
     "TooManySubsystems",
     "NoPairFound",
-    "SlicesNotDiagonal",
     "RankTooLarge",
     "CoefficientsMismatch",
     "NotDecomposable",

@@ -36,10 +36,6 @@ class NoPairFound(SchmidtError):
     """No unitary pair renders every slice diagonal after all retries."""
 
 
-class SlicesNotDiagonal(SchmidtError):
-    """A rotated slice has an off-diagonal entry above tolerance."""
-
-
 class RankTooLarge(SchmidtError):
     """Requested Schmidt rank exceeds the smallest subsystem dimension."""
 

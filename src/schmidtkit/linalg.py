@@ -4,8 +4,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from . import tolerances
-
 
 def phase_fix(vector: np.ndarray, cutoff: float = 1e-12) -> tuple[np.ndarray, complex]:
     """Rotate a vector so its first nonzero component is real positive.
@@ -52,44 +50,6 @@ def haar_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:
     q, r = np.linalg.qr(z)
     # normalize the QR phase ambiguity so the distribution is Haar
     return q * (np.diag(r) / np.abs(np.diag(r)))
-
-
-def common_hermitian_eigenbasis(matrices: list[np.ndarray]) -> np.ndarray:
-    """Joint eigenbasis of a family of commuting Hermitian matrices.
-
-    Starts from the eigendecomposition of the sum (ascending eigenvalues)
-    and refines within each degenerate block using the individual
-    matrices one at a time.  Columns of the returned unitary are the
-    shared eigenvectors; ordering is deterministic for a fixed input.
-    Eigenvalues within EIGEN_GAP_TOL * max(1, max|v|) count as degenerate.
-    """
-    def split(values):
-        scale = max(1.0, float(np.abs(values).max(initial=0.0)))
-        return _split_blocks(values, tolerances.EIGEN_GAP_TOL * scale)
-
-    d = matrices[0].shape[0]
-    total = np.zeros((d, d), dtype=complex)
-    for m in matrices:
-        total = total + m
-    vals, basis = np.linalg.eigh(total)
-    blocks = split(vals)
-    for m in matrices:
-        if all(len(b) == 1 for b in blocks):
-            break
-        new_blocks: list[list[int]] = []
-        for block in blocks:
-            if len(block) == 1:
-                new_blocks.append(block)
-                continue
-            sub = basis[:, block]
-            proj = sub.conj().T @ m @ sub
-            proj = (proj + proj.conj().T) / 2
-            w, v = np.linalg.eigh(proj)
-            basis[:, block] = sub @ v
-            for piece in split(w):
-                new_blocks.append([block[i] for i in piece])
-        blocks = new_blocks
-    return basis
 
 
 def _split_blocks(values: np.ndarray, tol: float) -> list[list[int]]:

@@ -8,18 +8,18 @@ such form while GHZ states do.
 The decision runs one code path for every n >= 3.  The n single-site
 spectra must agree.  The amplitude tensor is sliced into one stack of
 matrices A_c (rows = subsystem 1, columns = subsystem 2, one slice per
-grouped index c of subsystems 3..n); a unitary pair (P, Q) making
-every P+ A_c Q+ diagonal gives the coefficient matrix S, whose rows
-must be orthogonal; each normalised row, a tail vector, must factor
-into one vector per tail subsystem.  The candidate is accepted only if
-it rebuilds the input within RECONSTRUCT_TOL, which also settles
-whether the tail families are orthonormal enough; the accept is thus
-its own proof.  A reject is explained by the earlier necessary
-conditions, run only then: the full reduced-spectra table and the
-commutation of the positive products C_c = A_c A_c+ (and A_c+ A_c).
-When no diagonalizing pair exists, S is read off the common eigenbasis
-P of the C_c: S[l][c] = sqrt((P+ C_c P)_ll), the coefficient magnitudes
-for a decomposable state, and for W the scaled-unitarity failure.
+grouped index c of subsystems 3..n); the search for a unitary pair
+(P, Q) making every P+ A_c Q+ diagonal hands over the diagonals it
+checked, the coefficient matrix S.  One Gram matrix S S+ decides that
+the rows of S are orthogonal and gives their norms, the coefficients;
+each normalised row, a tail vector, must factor into one vector per
+tail subsystem.  The candidate is accepted only if it rebuilds the
+input within RECONSTRUCT_TOL, which also settles the orthonormality of
+the tail families: the accept is its own proof.  A reject is explained
+by the earlier necessary conditions, run only then: the spectra table
+and the commutation of the positive products C_c = A_c A_c+ (and
+A_c+ A_c), tested in the eigenbasis P of one combination of them; with
+no pair, S[l][c] = sqrt((P+ C_c P)_ll) is read there (W's rows overlap).
 """
 
 from __future__ import annotations
@@ -39,11 +39,9 @@ from .errors import (
     NoPairFound,
     NotDecomposable,
     RankTooLarge,
-    SlicesNotDiagonal,
     TooFewSubsystems,
 )
-from .linalg import (_split_blocks, common_hermitian_eigenbasis,
-                     gram_residual, phase_fix, polar)
+from .linalg import _split_blocks, gram_residual, phase_fix, polar
 from .state import SchmidtDecomposition, StateTensor, reconstruct
 from .bipartite import spectra
 
@@ -54,7 +52,6 @@ __all__ = [
     "slice_tensor",
     "positive_products_commute",
     "find_diagonalizing_pair",
-    "build_s_matrix",
     "scaled_unitary_check",
     "equal_spectra_check",
     "check_decomposable",
@@ -103,10 +100,11 @@ class SliceSet:
 
 @dataclass(frozen=True)
 class DiagonalizationPair:
-    """Unitaries (P, Q) intended to make every P+ A_c Q+ diagonal."""
+    """Unitaries (P, Q) with every P+ A_c Q+ diagonal; S[l][c] = (P+ A_c Q+)_ll."""
 
     p: np.ndarray
     q: np.ndarray
+    s: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -159,14 +157,17 @@ def positive_products_commute(
     tol = tolerances.DIAG_TOL if tol is None else tol
     stack = slices.matrices
     adjoint = stack.conj().transpose(0, 2, 1)
-    weights = _commute_weights(len(stack))
-    worst = 0.0
-    for first, second in ((stack, adjoint), (adjoint, stack)):
-        family = first @ second
-        combined = (weights @ family.reshape(len(family), -1)).reshape(family.shape[1:])
-        basis = np.linalg.eigh(combined)[1]
-        worst = max(worst, _off_diagonal_residual(basis.conj().T @ family @ basis))
+    worst = max(_off_diagonal_residual(_rotate_to_combination(first @ second))
+                for first, second in ((stack, adjoint), (adjoint, stack)))
     return worst <= tol, worst
+
+
+def _rotate_to_combination(family: np.ndarray) -> np.ndarray:
+    """The family rotated into the eigenbasis of its _commute_weights combination."""
+    weights = _commute_weights(len(family))
+    combined = (weights @ family.reshape(len(family), -1)).reshape(family.shape[1:])
+    basis = np.linalg.eigh(combined)[1]
+    return basis.conj().T @ family @ basis
 
 
 @functools.lru_cache(maxsize=None)
@@ -182,26 +183,28 @@ def find_diagonalizing_pair(
 ) -> DiagonalizationPair:
     """Search for unitaries (P, Q) with every P+ A_c Q+ diagonal.
 
-    Fast path: if all slices are already diagonal the identity pair is
-    returned (this handles GHZ-type states exactly).  Otherwise a
-    random complex combination B = sum_c r_c A_c is decomposed by SVD;
-    for a decomposable state with generically distinct combined
-    singular values its singular bases diagonalize every slice.
-    Degenerate singular values are refined block by block with a second
+    The pair carries S, the diagonals it checked.  Fast path: slices
+    already diagonal give the identity pair (GHZ-type states).  Otherwise
+    a random complex combination B = sum_c r_c A_c is decomposed by SVD;
+    for a decomposable state with generically distinct combined singular
+    values its singular bases diagonalize every slice.  Degenerate
+    singular values are refined block by block with a second
     combination.  Up to MAX_PAIR_ATTEMPTS seeded retries; raises
     NoPairFound (with the best residual seen) when all fail.
     """
     diag_tol = tolerances.DIAG_TOL if diag_tol is None else diag_tol
     _, d1, d2 = slices.matrices.shape
     if _off_diagonal_residual(slices.matrices) <= diag_tol:
-        return DiagonalizationPair(np.eye(d1, dtype=complex), np.eye(d2, dtype=complex))
+        return DiagonalizationPair(np.eye(d1, dtype=complex), np.eye(d2, dtype=complex),
+                                   _diagonals(slices.matrices))
     best = np.inf
     for attempt in range(MAX_PAIR_ATTEMPTS):
         rng = np.random.default_rng((int(seed), attempt))
         p, q = _pair_attempt(slices, rng)
-        resid = _off_diagonal_residual(p.conj().T @ slices.matrices @ q.conj().T)
+        rotated = p.conj().T @ slices.matrices @ q.conj().T
+        resid = _off_diagonal_residual(rotated)
         if resid <= diag_tol:
-            return DiagonalizationPair(p, q)
+            return DiagonalizationPair(p, q, _diagonals(rotated))
         best = min(best, resid)
     err = NoPairFound(
         f"no diagonalizing pair after {MAX_PAIR_ATTEMPTS} attempts "
@@ -242,46 +245,24 @@ def _off_diagonal_residual(matrices: np.ndarray) -> float:
     return float(np.abs(matrices[..., mask]).max(initial=0.0))
 
 
-def build_s_matrix(
-    slices: SliceSet,
-    pair: DiagonalizationPair,
-    diag_tol: float | None = None,
-) -> np.ndarray:
-    """Collect rotated slice diagonals into S[l][c] = (P+ A_c Q+)_ll.
-
-    Every rotated slice must actually be diagonal within diag_tol;
-    silently extracting diagonals from non-diagonal rotations would
-    accept states that merely look decomposable, so this raises
-    SlicesNotDiagonal instead.
-    """
-    diag_tol = tolerances.DIAG_TOL if diag_tol is None else diag_tol
-    rotated = pair.p.conj().T @ slices.matrices @ pair.q.conj().T
-    worst = _off_diagonal_residual(rotated)
-    if worst > diag_tol:
-        raise SlicesNotDiagonal(
-            f"max off-diagonal magnitude {worst:.3e} exceeds {diag_tol}")
-    return np.diagonal(rotated, axis1=1, axis2=2).T.copy()
+def _diagonals(stack: np.ndarray) -> np.ndarray:
+    return np.diagonal(stack, axis1=1, axis2=2).T.copy()
 
 
 def scaled_unitary_check(
     s: np.ndarray, tol: float | None = None
-) -> tuple[bool, np.ndarray]:
+) -> tuple[bool, np.ndarray, float]:
     """Is S a scaled unitary, i.e. are its nonzero rows orthogonal?
 
-    Checks that S S+ is diagonal within tol relative to its largest
-    diagonal entry.  Zero rows are permitted and dropped; the returned
-    coefficients are the row norms of the surviving rows, descending.
+    Checks that the Gram matrix S S+ is diagonal within tol relative to
+    its largest diagonal entry; zero rows are permitted.  Returns the
+    verdict, S S+ and its largest off-diagonal magnitude.
     """
     tol = tolerances.DIAG_TOL if tol is None else tol
     gram = s @ s.conj().T
-    diag = np.real(np.diagonal(gram)).clip(0.0)
-    scale = diag.max() if diag.size else 0.0
-    if scale == 0.0:
-        return False, np.array([])
-    ok = _off_diagonal_residual(gram) <= tol * scale
-    lams = np.sqrt(diag)
-    lams = lams[lams > tolerances.RANK_TOL * lams.max()]
-    return bool(ok), np.sort(lams)[::-1]
+    worst = _off_diagonal_residual(gram)
+    scale = np.real(np.diagonal(gram)).max(initial=0.0)
+    return bool(scale > 0.0 and worst <= tol * scale), gram, worst
 
 
 def equal_spectra_check(
@@ -329,11 +310,9 @@ def _same_nonzero(first: np.ndarray, spec: np.ndarray, tol: float) -> bool:
 
 
 def _positive_product_s(slices: SliceSet) -> np.ndarray:
-    """S[l][c] = sqrt((P+ C_c P)_ll), P the common eigenbasis of the C_c."""
+    """S[l][c] = sqrt((P+ C_c P)_ll), P the commutation test's basis for the C_c."""
     stack = slices.matrices
-    products = stack @ stack.conj().transpose(0, 2, 1)
-    basis = common_hermitian_eigenbasis(products)
-    rotated = basis.conj().T @ products @ basis
+    rotated = _rotate_to_combination(stack @ stack.conj().transpose(0, 2, 1))
     return np.sqrt(np.real(np.diagonal(rotated, axis1=1, axis2=2)).clip(0.0)).T
 
 
@@ -390,18 +369,16 @@ def check_decomposable(
         pair = find_diagonalizing_pair(slices, seed, diag_tol)
     except NoPairFound as err:
         residuals["max_off_diagonal"] = err.residual
-        s_diag = _positive_product_s(slices)
-        if not scaled_unitary_check(s_diag, diag_tol)[0]:
-            return reject(STAGE_SCALED, {"ss_dagger": s_diag @ s_diag.T})
+        ok, gram, _ = scaled_unitary_check(_positive_product_s(slices), diag_tol)
+        if not ok:
+            return reject(STAGE_SCALED, {"ss_dagger": gram})
         return reject(STAGE_DIAG, {"max_off_diagonal": err.residual})
 
-    s = build_s_matrix(slices, pair, diag_tol)
-    gram = s @ s.conj().T
-    residuals["max_ss_off_diagonal"] = _off_diagonal_residual(gram)
-    if not scaled_unitary_check(s, diag_tol)[0]:
+    ok, gram, residuals["max_ss_off_diagonal"] = scaled_unitary_check(pair.s, diag_tol)
+    if not ok:
         return reject(STAGE_SCALED, {"ss_dagger": gram})
 
-    candidate = _assemble(state, slices, pair, s, rank_tol, residuals)
+    candidate = _assemble(state, slices, pair, gram, rank_tol, residuals)
     if isinstance(candidate, tuple):
         return reject(*candidate)
     resid = float(np.abs(reconstruct(candidate).amplitudes - state.amplitudes).max())
@@ -411,40 +388,39 @@ def check_decomposable(
         # state after all; report it at the diagonalization stage
         return reject(STAGE_DIAG, {"reconstruction": resid})
     found = {"max_commutator": positive_products_commute(slices, diag_tol)[1]}
-    return DecomposabilityReport(True, None, {}, {**found, **residuals},
-                                 candidate, used)
+    return DecomposabilityReport(True, None, {}, {**found, **residuals}, candidate, used)
 
 
 def _assemble(
     state: StateTensor,
     slices: SliceSet,
     pair: DiagonalizationPair,
-    s: np.ndarray,
+    gram: np.ndarray,
     rank_tol: float,
     residuals: dict,
 ):
-    """Turn a scaled-unitary S into a candidate decomposition.
+    """Turn a scaled-unitary S = pair.s with Gram matrix gram into a candidate.
 
-    The rows of S above rank_tol, at most min(dims) of them and largest
-    first, give the coefficients; their normalised rows are the tail
-    vectors.  Each is split into one factor per tail subsystem by a
-    rank-one SVD at every tail cut (none for three subsystems); a
-    relative second singular value above DIAG_TOL means the tail vector
-    is not a product.  A tail family further than ORTH_TOL from
-    orthonormal is replaced by the polar factor of its
+    The row norms of S (from the Gram diagonal) above rank_tol, at most
+    min(dims) of them and largest first, give the coefficients; the
+    normalised rows are the tail vectors.  Each is split into one factor
+    per tail subsystem by a rank-one SVD at every tail cut (none for
+    three subsystems); a relative second singular value above DIAG_TOL
+    means the tail vector is not a product.  A tail family further than
+    ORTH_TOL from orthonormal is replaced by the polar factor of its
     coefficient-weighted rows, so a vector with a tiny coefficient takes
     the correction.  The caller's rebuild decides whether dropped rows
     and corrected families still represent the state.  Returns the
     decomposition, or (stage, witness) when a tail vector is no product.
     """
-    norms = np.sqrt(np.real(np.diagonal(s @ s.conj().T)).clip(0.0))
+    norms = np.sqrt(np.real(np.diagonal(gram)).clip(0.0))
     keep = np.flatnonzero(norms > rank_tol * norms.max())
     order = keep[np.argsort(norms[keep])[::-1]][:min(state.dims)]
     coeffs = norms[order] / np.linalg.norm(norms[order])
 
     first = pair.p[:, order].T.copy()
     second = pair.q[order, :].copy()
-    chis = s[order, :] / norms[order, None]
+    chis = pair.s[order, :] / norms[order, None]
     tails = [np.empty((coeffs.size, d), dtype=complex) for d in slices.tail_dims]
     for l in range(coeffs.size):
         first[l], ph1 = phase_fix(first[l])

@@ -35,10 +35,6 @@ DIAG_TOL = 1e-8
 # of each other form one block, which a second combination splits
 PAIR_GAP_TOL = 1e-6
 
-# common eigenbasis: eigenvalues within EIGEN_GAP_TOL * max(1, max|v|)
-# of each other count as degenerate and are refined by the next matrix
-EIGEN_GAP_TOL = 1e-10
-
 # links: the polar-factor unitary must map source onto target, and
 # local_unitary_link's coefficients must agree, within LINK_TOL
 LINK_TOL = 1e-8

@@ -33,13 +33,12 @@ from schmidtkit import (
     random_decomposition,
     rank_inequality_check,
     reduced_density,
-    slice_tensor,
     subset_sum_to_partition,
     trace_out_reference,
     w_state,
 )
 from schmidtkit.linalg import haar_unitary
-from schmidtkit.multipartite import reconstruct
+from schmidtkit.multipartite import reconstruct, slice_tensor
 from schmidtkit.partition import _value_mitm, decide
 from schmidtkit.state import DensityMatrix
 

@@ -1,6 +1,8 @@
 """CLI verbs, exit codes, and deterministic output."""
 
+import hashlib
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -92,6 +94,35 @@ def test_check_residual_key_sets_of_fixture_files(tmp_path, capsys):
         assert doc["stage"] == "SNotScaledUnitary"
         assert set(doc["witness"]) == {"ss_dagger"}
         assert set(doc["residuals"]) == {"max_commutator", "max_off_diagonal"}
+
+
+GOLDEN = Path(__file__).resolve().parent.parent / "perfbench" / "golden_cli.json"
+
+
+def rounded_digest(text):
+    """sha256 of the sorted-key JSON document with floats rounded to 1e-9."""
+    def fix(v):
+        if isinstance(v, float):
+            return round(v, 9) + 0.0
+        if isinstance(v, list):
+            return [fix(x) for x in v]
+        if isinstance(v, dict):
+            return {k: fix(x) for k, x in v.items()}
+        return v
+    doc = json.dumps(fix(json.loads(text)), sort_keys=True)
+    return hashlib.sha256(doc.encode()).hexdigest()
+
+
+def test_fixture_reports_match_golden_digests(tmp_path, monkeypatch, capsys):
+    # the pinned check and decompose output of the W and GHZ4 fixture
+    # files, so a change to W's witness or GHZ4's residuals fails here
+    golden = json.loads(GOLDEN.read_text())
+    monkeypatch.chdir(tmp_path)
+    for name in ("w", "ghz4"):
+        assert run(capsys, "gen", "--fixture", name, "--out", f"{name}.json")[0] == 0
+        for verb in ("check", "decompose"):
+            code, out, _ = run(capsys, verb, f"{name}.json")
+            assert [code, rounded_digest(out)] == golden[f"{verb} {name}.json"], verb
 
 
 def test_check_output_is_deterministic(tmp_path, capsys):

@@ -20,33 +20,30 @@ from schmidtkit import (
     NotDecomposable,
     RankTooLarge,
     SchmidtDecomposition,
-    SlicesNotDiagonal,
     StateTensor,
     TooFewSubsystems,
     apply_local_unitaries,
     basis_state,
     bell,
-    build_s_matrix,
     check_decomposable,
     equal_spectra_check,
-    find_diagonalizing_pair,
     ghz,
     haar_random_state,
     local_unitary_link,
     partial_trace,
-    positive_products_commute,
     pure_density,
     random_decomposable_state,
     reconstruct,
-    scaled_unitary_check,
-    slice_tensor,
     w_state,
 )
 from schmidtkit.linalg import haar_unitary
 from schmidtkit.multipartite import (
-    DiagonalizationPair,
     SliceSet,
+    find_diagonalizing_pair,
+    positive_products_commute,
     random_decomposition,
+    scaled_unitary_check,
+    slice_tensor,
 )
 
 from commute_oracle import commutator_eigenbasis, commutator_pairwise
@@ -133,9 +130,9 @@ def test_commute_on_degenerate_sums():
 @pytest.mark.parametrize("dims", [(3, 3, 3), (2, 2, 2, 2), (8, 8, 8)])
 def test_commute_on_near_degenerate_sums(dims, gap):
     # decomposable states whose two largest squared coefficients, the
-    # top eigenvalues of sum_c A_c A_c+, differ by just more than
-    # EIGEN_GAP_TOL: the eigenvectors of that sum are off by about
-    # 1e-16 / gap, which must not show in the witness
+    # top eigenvalues of sum_c A_c A_c+, differ by 3e-10 to 3e-9: the
+    # eigenvectors of that sum are off by about 1e-16 / gap, which must
+    # not show in the witness
     for seed in range(6):
         rng = np.random.default_rng(seed)
         rank = min(dims)
@@ -172,25 +169,34 @@ def test_find_pair_rejects_w():
     assert err.value.residual > 1e-3
 
 
-def test_build_s_matrix_enforces_diagonality():
-    slices = slice_tensor(ghz(3))
-    h = np.array([[1, 1], [1, -1]]) * RT2
-    with pytest.raises(SlicesNotDiagonal):
-        build_s_matrix(slices, DiagonalizationPair(h, np.eye(2)))
-    s = build_s_matrix(slices, DiagonalizationPair(np.eye(2), np.eye(2)))
-    assert np.allclose(s, RT2 * np.eye(2))
+@pytest.mark.parametrize("dims", [(3, 3, 3), (2, 3, 4), (2, 2, 2, 2)], ids=str)
+def test_find_pair_hands_over_checked_diagonals(dims):
+    # S is exactly the diagonals of the rotated stack the pair search
+    # checked, so its off-diagonals are within diag_tol
+    slices = slice_tensor(random_decomposable_state(dims, 2, seed=4))
+    pair = find_diagonalizing_pair(slices, seed=0)
+    rotated = pair.p.conj().T @ slices.matrices @ pair.q.conj().T
+    assert np.array_equal(pair.s, np.diagonal(rotated, axis1=1, axis2=2).T)
+    off = rotated.copy()
+    off[:, np.arange(min(dims[:2])), np.arange(min(dims[:2]))] = 0.0
+    assert np.abs(off).max() <= tolerances.DIAG_TOL
+    # the GHZ fast path hands over the slices' own diagonals
+    ghz_slices = slice_tensor(ghz(4))
+    pair = find_diagonalizing_pair(ghz_slices)
+    assert np.array_equal(pair.s, np.diagonal(ghz_slices.matrices, axis1=1, axis2=2).T)
 
 
 def test_scaled_unitary_check_cases():
-    ok, lams = scaled_unitary_check(np.diag([0.8, 0.6]))
-    assert ok and np.allclose(lams, [0.8, 0.6])
+    ok, gram, off = scaled_unitary_check(np.diag([0.8, 0.6]))
+    assert ok and np.allclose(gram, np.diag([0.64, 0.36])) and off == 0.0
     # the W diagnostic matrix: rows not orthogonal
     s_w = RT3 * np.array([[1.0, 0.0], [1.0, 1.0]])
-    ok, _ = scaled_unitary_check(s_w)
+    ok, gram, off = scaled_unitary_check(s_w)
     assert not ok
-    # zero rows are dropped, not counted into the rank
-    ok, lams = scaled_unitary_check(np.array([[0.9, 0.0], [0.0, 0.0]]))
-    assert ok and len(lams) == 1
+    assert np.allclose(gram, np.array([[1, 1], [1, 2]]) / 3) and np.isclose(off, 1 / 3)
+    # zero rows are permitted
+    ok, gram, _ = scaled_unitary_check(np.array([[0.9, 0.0], [0.0, 0.0]]))
+    assert ok and np.allclose(gram, np.diag([0.81, 0.0]))
 
 
 def test_equal_spectra_w_pinned():
@@ -500,6 +506,27 @@ def test_accept_and_reject_do_no_table_work_twice(monkeypatch):
         rep = check_decomposable(haar_random_state(dims, seed=4))
         assert rep.stage == "SpectraUnequal"
         assert len(calls) == len(set(calls)) == cuts
+
+
+def test_each_off_diagonal_residual_is_taken_once(monkeypatch):
+    # an accept takes one residual for the GHZ fast path, one for the
+    # pair found, one for S S+ and one per commuting family; S and S S+
+    # are handed on, not rebuilt
+    calls = []
+    real = multipartite._off_diagonal_residual
+
+    def counting(matrices):
+        calls.append(matrices.shape)
+        return real(matrices)
+
+    monkeypatch.setattr(multipartite, "_off_diagonal_residual", counting)
+    for dims in ((2, 2, 2), (2,) * 6):
+        calls.clear()
+        assert check_decomposable(random_decomposable_state(dims, 2, seed=1)).decomposable
+        assert len(calls) == 5, dims
+    calls.clear()
+    assert check_decomposable(w_state()).stage == "SNotScaledUnitary"
+    assert len(calls) <= 12
 
 
 def symmetric_state(dims, seed):
