@@ -155,11 +155,18 @@ def positive_products_commute(
     largest off-diagonal magnitude of the rotated stacks (the witness).
     """
     tol = tolerances.DIAG_TOL if tol is None else tol
+    worst = _commute_residual(slices)
+    return worst <= tol, worst
+
+
+def _commute_residual(slices: SliceSet, rotated: np.ndarray | None = None) -> float:
+    """positive_products_commute's witness; rotated, if given, is {A_c A_c+} rotated."""
     stack = slices.matrices
     adjoint = stack.conj().transpose(0, 2, 1)
-    worst = max(_off_diagonal_residual(_rotate_to_combination(first @ second))
-                for first, second in ((stack, adjoint), (adjoint, stack)))
-    return worst <= tol, worst
+    # unnamed, so one rotated family is freed before the next is made
+    worst = _off_diagonal_residual(
+        _rotate_to_combination(stack @ adjoint) if rotated is None else rotated)
+    return max(worst, _off_diagonal_residual(_rotate_to_combination(adjoint @ stack)))
 
 
 def _rotate_to_combination(family: np.ndarray) -> np.ndarray:
@@ -309,10 +316,8 @@ def _same_nonzero(first: np.ndarray, spec: np.ndarray, tol: float) -> bool:
         float(np.abs(nonzero - reference).max(initial=0.0)) <= tol
 
 
-def _positive_product_s(slices: SliceSet) -> np.ndarray:
-    """S[l][c] = sqrt((P+ C_c P)_ll), P the commutation test's basis for the C_c."""
-    stack = slices.matrices
-    rotated = _rotate_to_combination(stack @ stack.conj().transpose(0, 2, 1))
+def _positive_product_s(rotated: np.ndarray) -> np.ndarray:
+    """S[l][c] = sqrt((P+ C_c P)_ll), from the C_c = A_c A_c+ rotated by P."""
     return np.sqrt(np.real(np.diagonal(rotated, axis1=1, axis2=2)).clip(0.0)).T
 
 
@@ -344,15 +349,16 @@ def check_decomposable(
     residuals: dict[str, float] = {}
     cuts: dict[tuple[int, ...], np.ndarray] = {}
 
-    def reject(stage: str, witness: dict) -> DecomposabilityReport:
+    def reject(stage: str, witness: dict,
+               rotated: np.ndarray | None = None) -> DecomposabilityReport:
         ok, table = equal_spectra_check(state, cuts=cuts)
         if not ok:
             return DecomposabilityReport(False, STAGE_SPECTRA, {"spectra": {
                 ",".join(map(str, s)): t.tolist() for s, t in table.items()}},
                 tolerances_used=used)
-        commute, comm_resid = positive_products_commute(slices, diag_tol)
+        comm_resid = _commute_residual(slices, rotated)
         found = {"max_commutator": comm_resid}
-        if not commute:
+        if not comm_resid <= diag_tol:  # a NaN residual fails too
             return DecomposabilityReport(False, STAGE_DIAG, dict(found), found,
                                          tolerances_used=used)
         return DecomposabilityReport(False, stage, witness, {**found, **residuals},
@@ -369,10 +375,12 @@ def check_decomposable(
         pair = find_diagonalizing_pair(slices, seed, diag_tol)
     except NoPairFound as err:
         residuals["max_off_diagonal"] = err.residual
-        ok, gram, _ = scaled_unitary_check(_positive_product_s(slices), diag_tol)
+        stack = slices.matrices
+        rotated = _rotate_to_combination(stack @ stack.conj().transpose(0, 2, 1))
+        ok, gram, _ = scaled_unitary_check(_positive_product_s(rotated), diag_tol)
         if not ok:
-            return reject(STAGE_SCALED, {"ss_dagger": gram})
-        return reject(STAGE_DIAG, {"max_off_diagonal": err.residual})
+            return reject(STAGE_SCALED, {"ss_dagger": gram}, rotated)
+        return reject(STAGE_DIAG, {"max_off_diagonal": err.residual}, rotated)
 
     ok, gram, residuals["max_ss_off_diagonal"] = scaled_unitary_check(pair.s, diag_tol)
     if not ok:

@@ -4,9 +4,12 @@ The maximum Schmidt number attainable by any pure state on subsystems
 with dimensions d_1..d_n, maximized over bipartitions, is
 max over subsets of min(prod(left), prod(right)).  Finding it is a
 product-balancing problem (subset sum in the exponents), so the solver
-is exact and combinatorial: one meet-in-the-middle search over the
-subset products of the two halves, up to 30 subsystems.  All products
-use exact integer arithmetic; nothing is compared through floating logs.
+is exact and combinatorial, up to 30 subsystems.  Each call builds, per
+half of the list, the sets of distinct subset products of its suffixes
+(with repeated dimensions, a few divisors of the half's total).  A
+meet-in-the-middle search over the two full halves gives the value, and
+the same tables serve the greedy choice of the tie-broken left set.
+All products are exact integers; nothing is compared through logs.
 """
 
 from __future__ import annotations
@@ -77,7 +80,7 @@ class SubsetSumReduction:
     padded: PartitionInstance
 
 
-def _check_dims(dims) -> tuple[int, ...]:
+def _check_dims(dims) -> tuple[tuple[int, ...], int]:
     dims = tuple(int(d) for d in dims)
     if len(dims) < 2:
         raise TooFewSubsystems("a bipartition needs at least 2 subsystems")
@@ -86,10 +89,11 @@ def _check_dims(dims) -> tuple[int, ...]:
             f"{len(dims)} subsystems exceed the supported limit {SUBSYSTEM_LIMIT}")
     if any(d < 1 for d in dims):
         raise DimensionMismatch(f"dimensions must be positive, got {dims}")
-    if prod(dims).bit_length() > PRODUCT_BIT_LIMIT:
+    total = prod(dims)
+    if total.bit_length() > PRODUCT_BIT_LIMIT:
         raise ProductOverflow(
             f"total dimension exceeds 2**{PRODUCT_BIT_LIMIT}")
-    return dims
+    return dims, total
 
 
 def qubit_bound(n: int) -> int:
@@ -106,10 +110,11 @@ def max_schmidt_number(dims) -> PartitionSolution:
     left side is the lexicographically smallest index set containing
     subsystem 1.
     """
-    dims = _check_dims(dims)
-    best = _value_mitm(dims)
-    left = _lex_min_left(dims, best)
-    total = prod(dims)
+    dims, total = _check_dims(dims)
+    half = len(dims) // 2
+    first, second = _suffix_products(dims[:half]), _suffix_products(dims[half:])
+    best = _value_mitm(first[0], second[0], total)
+    left = _lex_min_left(dims, best, total, first, second)
     left_prod = prod(dims[i - 1] for i in left)
     return PartitionSolution(
         Bipartition.from_left(left, len(dims)),
@@ -128,70 +133,64 @@ def decide(dims, target: int) -> PartitionSolution | None:
     return solution if solution.k >= int(target) else None
 
 
-def _value_mitm(dims: tuple[int, ...]) -> int:
-    half = len(dims) // 2
-    first = _subset_products(dims[:half])
-    second = sorted(_subset_products(dims[half:]))
-    total = prod(dims)
+def _suffix_products(values) -> list[set[int]]:
+    """tables[j] is the set of distinct subset products of values[j:]."""
+    tables = [{1}]
+    for v in reversed(values):
+        tables.append(tables[-1].union(map(v.__mul__, tables[-1])))
+    return tables[::-1]
+
+
+def _value_mitm(first: set[int], second: set[int], total: int) -> int:
+    """Largest product p1 * p2 <= isqrt(total) above 1, else 1.
+
+    A side with product p > isqrt(total) has a complement with product
+    total // p below it, so the best min-side product is the largest
+    achievable product not above the root.
+    """
+    second = sorted(second)
     root = isqrt(total)
     best = 1
     for p1 in first:
-        # best p2 is adjacent to sqrt(total)/p1 from below or above
         pos = bisect_right(second, root // p1)
-        for idx in (pos - 1, pos):
-            if 0 <= idx < len(second):
-                p = p1 * second[idx]
-                if 1 < p < total:
-                    k = min(p, total // p)
-                    if k > best:
-                        best = k
+        if pos and p1 * second[pos - 1] > best:
+            best = p1 * second[pos - 1]
     return best
 
 
-def _subset_products(values) -> list[int]:
-    products = [1]
-    for v in values:
-        products += [p * v for p in products]
-    return products
-
-
-def _lex_min_left(dims: tuple[int, ...], k: int) -> tuple[int, ...]:
+def _lex_min_left(dims: tuple[int, ...], k: int, total: int,
+                  first: list[set[int]], second: list[set[int]]) -> tuple[int, ...]:
     """Lexicographically smallest achieving left set containing index 1.
 
     Greedy over indices in order: stop as soon as the chosen prefix
     achieves (a shorter tuple beats any extension), otherwise include
-    the next index whenever an achieving completion still exists.
-    A left product P achieves exactly when P in {k, total // k}.
+    the next index whenever an achieving completion still exists.  A
+    left product P achieves exactly when P in {k, total // k}.  The
+    distinct products of dims[i + 1:] are p * q, p in first[i + 1] and
+    q in second[0] inside the first half, and second[i + 1 - half]
+    past it (first[half] is {1}).
     """
-    n = len(dims)
-    total = prod(dims)
+    half = len(first) - 1
     targets = {k, total // k}
     chosen = [0]
     prefix = dims[0]
-    for i in range(1, n):
+    for i in range(1, len(dims)):
         if prefix in targets:
             break
-        free = list(dims[i + 1:])
-        if _can_reach(prefix * dims[i], free, targets):
+        step = prefix * dims[i]
+        rest = first[min(i + 1, half)], second[max(i + 1 - half, 0)]
+        if any(_is_product(t // step, *rest) for t in targets if t % step == 0):
             chosen.append(i)
-            prefix *= dims[i]
+            prefix = step
     if prefix not in targets:
         raise SchmidtError("achieving set construction failed")
     return tuple(i + 1 for i in chosen)
 
 
-def _can_reach(prefix: int, free: list[int], targets: set[int]) -> bool:
-    goals = [t // prefix for t in targets if t % prefix == 0]
-    if not goals:
-        return False
-    half = len(free) // 2
-    first = _subset_products(free[:half])
-    second = set(_subset_products(free[half:]))
-    for goal in goals:
-        for p1 in first:
-            if goal % p1 == 0 and goal // p1 in second:
-                return True
-    return False
+def _is_product(goal: int, left: set[int], right: set[int]) -> bool:
+    """Is goal = p * q for some p in left and q in right?"""
+    return any(goal % q == 0 and goal // q in left
+               for q in right.intersection(map(goal.__floordiv__, left)))
 
 
 def subset_sum_to_partition(values, target: int) -> SubsetSumReduction:

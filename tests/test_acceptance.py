@@ -39,7 +39,7 @@ from schmidtkit import (
 )
 from schmidtkit.linalg import haar_unitary
 from schmidtkit.multipartite import reconstruct, slice_tensor
-from schmidtkit.partition import _value_mitm, decide
+from schmidtkit.partition import decide
 from schmidtkit.state import DensityMatrix
 
 from partition_oracle import value_bruteforce
@@ -173,7 +173,7 @@ def test_criterion_6_partition_solvers():
     for _ in range(100):
         n = int(rng.integers(2, 13))
         dims = tuple(int(d) for d in rng.integers(2, 10, size=n))
-        assert value_bruteforce(dims) == _value_mitm(dims)
+        assert value_bruteforce(dims) == max_schmidt_number(dims).k
 
     rng = np.random.default_rng(601)
     for _ in range(200):

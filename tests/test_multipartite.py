@@ -529,6 +529,28 @@ def test_each_off_diagonal_residual_is_taken_once(monkeypatch):
     assert len(calls) <= 12
 
 
+def test_w_reject_rotates_each_family_once(monkeypatch):
+    # W's S is read from {A_c A_c+} in the combination's eigenbasis; the
+    # explain pass's commutation test takes that rotation over and only
+    # rotates {A_c+ A_c} itself
+    calls = []
+    real = multipartite._rotate_to_combination
+
+    def counting(family):
+        calls.append(family.shape)
+        return real(family)
+
+    monkeypatch.setattr(multipartite, "_rotate_to_combination", counting)
+    rep = check_decomposable(w_state())
+    assert rep.stage == "SNotScaledUnitary"
+    assert len(calls) == 2
+    third, two_thirds = 0.3333333333333334, 0.6666666666666669
+    assert np.asarray(rep.witness["ss_dagger"]).tolist() == \
+        [[third, third], [third, two_thirds]]
+    assert rep.residuals == {"max_commutator": 0.0,
+                             "max_off_diagonal": 0.2828028788442887}
+
+
 def symmetric_state(dims, seed):
     """A Haar state averaged over all permutations of its subsystems."""
     tensor = haar_random_state(dims, seed).tensor()

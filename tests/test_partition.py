@@ -19,9 +19,10 @@ from schmidtkit import (
     qubit_bound,
     subset_sum_to_partition,
 )
-from schmidtkit.partition import _lex_min_left, _value_mitm
+from schmidtkit import partition
+from schmidtkit.partition import _lex_min_left, _suffix_products
 
-from partition_oracle import value_bruteforce
+from partition_oracle import left_bruteforce, value_bruteforce, value_dp, value_sweep
 
 
 def exhaustive_best(dims):
@@ -82,17 +83,118 @@ def test_value_searches_agree():
     for _ in range(100):
         n = rng.randint(2, 12)
         dims = tuple(sorted(rng.randint(1, 9) for _ in range(n)))
-        assert value_bruteforce(dims) == _value_mitm(dims), dims
+        assert value_bruteforce(dims) == max_schmidt_number(dims).k, dims
     # wider lists, up to the oracle's practical limit of n = 20
     for n in (14, 16, 18, 20):
         dims = tuple(rng.randint(1, 9) for _ in range(n))
-        assert value_bruteforce(dims) == _value_mitm(dims), dims
+        assert value_bruteforce(dims) == max_schmidt_number(dims).k, dims
 
 
 def test_lex_min_left_rejects_unreachable_value():
     # left sets containing subsystem 1 have product 2 or 6, never 5 or 6 // 5
     with pytest.raises(SchmidtError):
-        _lex_min_left((2, 3), 5)
+        _lex_min_left((2, 3), 5, 6, _suffix_products((2,)), _suffix_products((3,)))
+
+
+def first_primes(n):
+    primes = []
+    candidate = 2
+    while len(primes) < n:
+        if all(candidate % p for p in primes):
+            primes.append(candidate)
+        candidate += 1
+    return primes
+
+
+def padded_instance(rng, count, top):
+    """Dims of a padded subset-sum instance over count values in 1..top, and S."""
+    values = [rng.randint(1, top) for _ in range(count)]
+    s = sum(values)
+    return subset_sum_to_partition(values, rng.randint(1, 2 * s)).padded.dims, s
+
+
+def structured_lists(rng, n):
+    """Repeated, 1-padded and 2**x lists of length n, the cases that
+    collapse to few distinct products."""
+    pool = [rng.randint(2, 12) for _ in range(rng.randint(1, 3))]
+    return [
+        [rng.choice(pool) for _ in range(n)],
+        [rng.choice([1, 1, 1, 2, 3, 6]) for _ in range(n)],
+        [1] * (n - 2) + [rng.randint(2, 9), rng.randint(2, 9)],
+        padded_instance(rng, n - 2, 6)[0],
+    ]
+
+
+def test_solution_matches_oracles_on_structured_lists():
+    rng = random.Random(29)
+    for n in range(3, 15):
+        for dims in structured_lists(rng, n) + [[rng.randint(2, 9) for _ in range(n)]]:
+            sol = max_schmidt_number(dims)
+            assert sol.k == max(value_dp(dims)), dims
+            assert sol.bipartition.left == left_bruteforce(dims), dims
+
+
+def test_value_matches_dp_oracle_at_width():
+    rng = random.Random(37)
+    for n in (24, 27, 30):
+        lists = structured_lists(rng, n) + [
+            [2] * n, [rng.randint(2, 9) for _ in range(n)],
+            [rng.randint(2, 9) for _ in range(n)]]
+        for dims in lists:
+            sol = max_schmidt_number(dims)
+            assert sol.k == max(value_dp(dims)), dims
+            assert sol.left_product in (sol.k, math.prod(dims) // sol.k), dims
+
+
+def test_value_on_duplicate_free_list():
+    # every subset product is distinct: the worst case for the half tables
+    dims = first_primes(30)
+    sol = max_schmidt_number(dims)
+    assert sol.k == value_sweep(dims)
+    assert min(sol.left_product, sol.right_product) == sol.k
+
+
+def test_oracles_agree():
+    rng = random.Random(41)
+    for _ in range(40):
+        dims = [rng.randint(1, 9) for _ in range(rng.randint(2, 12))]
+        assert value_bruteforce(dims) == max(value_dp(dims)) == value_sweep(dims), dims
+    assert value_sweep(first_primes(12)) == value_bruteforce(first_primes(12))
+
+
+@pytest.fixture
+def half_tables(monkeypatch):
+    """The suffix tables max_schmidt_number builds, one list per half."""
+    built = []
+    build = partition._suffix_products
+
+    def recording(values):
+        built.append(build(values))
+        return built[-1]
+
+    monkeypatch.setattr(partition, "_suffix_products", recording)
+    return built
+
+
+def test_padded_instances_keep_distinct_products_only(half_tables):
+    # the padded total is 2**(4S): a half's products are powers of two
+    # with distinct exponent sums <= 4S (Bellman's bound), and the first
+    # half, which holds no pad, sums to at most S
+    rng = random.Random(43)
+    for _ in range(5):
+        dims, s = padded_instance(rng, 28, 8)
+        assert len(dims) == 30 and math.prod(dims) == 2 ** (4 * s)
+        half_tables.clear()
+        max_schmidt_number(dims)
+        first, second = half_tables
+        assert len(first[0]) <= s + 1
+        assert len(second[0]) <= 4 * s + 1
+
+
+def test_qubit_tables_hold_one_product_per_size(half_tables):
+    max_schmidt_number((2,) * 30)
+    first, second = half_tables
+    assert len(first[0]) == len(second[0]) == 16
 
 
 def test_mitm_handles_wide_instances():
