@@ -4,6 +4,8 @@ The bipartite decomposition always exists: flatten the state across the
 cut and take the singular value decomposition.  Singular values are the
 Schmidt coefficients, left singular vectors belong to the left block,
 and rows of V+ (conjugated right singular vectors) to the right block.
+Reduced spectra are the eigenvalues of the Gram matrix of the
+flattening's smaller side, at most min(d_left, d_right) square.
 """
 
 from __future__ import annotations
@@ -15,7 +17,8 @@ import numpy as np
 
 from . import tolerances
 from .linalg import phase_fix
-from .state import Bipartition, SchmidtDecomposition, StateTensor, _keep_set, flatten
+from .state import (Bipartition, SchmidtDecomposition, StateTensor, _flatten,
+                    _keep_set, flatten)
 
 __all__ = [
     "BipartiteDecomposition",
@@ -91,10 +94,11 @@ def schmidt_number(
 def spectra(state: StateTensor, keep) -> np.ndarray:
     """Eigenvalues of the reduced density on the kept subsystems.
 
-    Computed as the squared singular values of the flattening
-    keep | rest, so no reduced density matrix is formed and no value is
-    negative.  Returned descending, padded with zeros to the kept
-    dimension; keeping every subsystem gives the pure spectrum [1, 0, ...].
+    Read from the Gram matrix of the smaller side of the flattening
+    M = keep | rest (M M+, or M^T conj(M) with the same nonzero
+    eigenvalues), accurate to about 1e-16 absolute and clipped at 0.
+    Returned descending, padded with zeros to the kept dimension;
+    keeping every subsystem gives the pure spectrum [1, 0, ...].
     """
     n = state.subsystem_count
     keep = _keep_set(keep, n)
@@ -102,7 +106,8 @@ def spectra(state: StateTensor, keep) -> np.ndarray:
     if len(keep) == n:
         vals[0] = 1.0
         return vals
-    sing = np.linalg.svd(flatten(state, Bipartition.from_left(keep, n)),
-                         compute_uv=False)
-    vals[:sing.size] = sing ** 2
+    m = _flatten(state, keep)
+    m = m.T if m.shape[0] > m.shape[1] else m
+    eig = np.linalg.eigvalsh(m @ m.conj().T)
+    vals[:eig.size] = eig[::-1].clip(0.0)
     return vals

@@ -279,7 +279,7 @@ def equal_spectra_check(
 
     The returned table maps every nonempty proper subset of subsystems
     to its reduced spectrum (descending).  Only the subsets containing
-    subsystem 1 are computed, one SVD of the flattening each, unless
+    subsystem 1 are computed, one small Gram eigensolve each, unless
     cuts (a dict of such spectra) holds them; a complement's entry is
     the same values padded or cut to its dimension.  The verdict
     compares the nonzero parts (above tol, SPECTRA_TOL by default) of

@@ -237,10 +237,6 @@ class SchmidtDecomposition:
         return self.coefficients.size
 
 
-def _axes0(indices) -> list[int]:
-    return [i - 1 for i in indices]
-
-
 def flatten(state: StateTensor, bipartition: Bipartition) -> np.ndarray:
     """Matrix view of the state: rows = left block, columns = right block.
 
@@ -252,10 +248,15 @@ def flatten(state: StateTensor, bipartition: Bipartition) -> np.ndarray:
         raise InvalidPartition(
             f"bipartition covers {bipartition.subsystem_count} subsystems, "
             f"state has {state.subsystem_count}")
-    tensor = state.tensor()
-    perm = _axes0(bipartition.left) + _axes0(bipartition.right)
-    d_left = prod(state.dims[i] for i in _axes0(bipartition.left))
-    return np.transpose(tensor, perm).reshape(d_left, -1)
+    return _flatten(state, bipartition.left)
+
+
+def _flatten(state: StateTensor, left: tuple[int, ...]) -> np.ndarray:
+    """flatten() across left | rest, left sorted 1-based and already checked."""
+    axes = [i - 1 for i in left]
+    perm = axes + [i for i in range(state.subsystem_count) if i not in axes]
+    d_left = prod(state.dims[i] for i in axes)
+    return np.transpose(state.tensor(), perm).reshape(d_left, -1)
 
 
 def _keep_set(keep, n: int) -> tuple[int, ...]:
@@ -278,7 +279,7 @@ def reduced_density(state: StateTensor, keep) -> DensityMatrix:
     if len(keep) == n:
         amps = state.amplitudes
         return DensityMatrix(state.dims, np.outer(amps, amps.conj()))
-    m = flatten(state, Bipartition.from_left(keep, n))
+    m = _flatten(state, keep)
     kept_dims = tuple(state.dims[i - 1] for i in keep)
     return DensityMatrix(kept_dims, m @ m.conj().T)
 

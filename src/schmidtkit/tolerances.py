@@ -25,7 +25,9 @@ RANK_TOL = 1e-9
 
 # equal-spectra check (absolute: reduced spectra sum to 1): eigenvalues
 # above SPECTRA_TOL count as nonzero, and two cuts' nonzero spectra agree
-# when no entry differs by more
+# when no entry differs by more.  Spectra are Gram eigenvalues, accurate to
+# ~1e-16 absolute; the rank functions keep the SVD (RANK_TOL on sigma means
+# sigma^2 ~ 1e-18, below what a Gram matrix resolves)
 SPECTRA_TOL = 1e-8
 
 # off-diagonal magnitude allowed in "diagonal" rotated slices

@@ -11,15 +11,18 @@ from schmidtkit import (
     flatten,
     ghz,
     haar_random_state,
+    new_state,
     partial_trace,
     pure_density,
     random_decomposable_state,
+    random_decomposition,
     reconstruct,
     schmidt_decompose_bipartite,
     schmidt_number,
     spectra,
     w_state,
 )
+from spectra_oracle import svd_spectrum
 
 RT2 = 1.0 / np.sqrt(2.0)
 CUT12 = Bipartition((1,), (2,))
@@ -155,3 +158,62 @@ def test_spectra_keep_set_handling():
     for bad in [(), (0,), (4,), (1, 4)]:
         with pytest.raises(InvalidPartition):
             spectra(s, bad)
+
+
+def tiny_coefficient_state():
+    """Rank 3 on (3,3,3) with coefficients (0.8, 0.6, 1e-9), summed term by term."""
+    families = random_decomposition((3, 3, 3), 3, seed=5).vectors
+    amps = sum(c * np.einsum("i,j,k->ijk", *(fam[l] for fam in families))
+               for l, c in enumerate((0.8, 0.6, 1e-9)))
+    return new_state((3, 3, 3), amps)
+
+
+GRAM_CASES = {
+    # kept side smaller, larger and equal across the cuts of each shape
+    "haar-234": lambda: haar_random_state((2, 3, 4), seed=2),
+    "haar-422": lambda: haar_random_state((4, 2, 2), seed=2),
+    "haar-2222": lambda: haar_random_state((2, 2, 2, 2), seed=2),
+    # a dimension of 1 anywhere
+    "haar-132": lambda: haar_random_state((1, 3, 2), seed=2),
+    "haar-2131": lambda: haar_random_state((2, 1, 3, 1), seed=2),
+    # rank-deficient, and one coefficient of 1e-9
+    "rank1-333": lambda: random_decomposable_state((3, 3, 3), 1, seed=2),
+    "rank2-3232": lambda: random_decomposable_state((3, 2, 3, 2), 2, seed=2),
+    "tiny-333": tiny_coefficient_state,
+    "w": w_state,
+}
+
+
+@pytest.mark.parametrize("name", sorted(GRAM_CASES))
+def test_spectra_match_svd_oracle(name):
+    # every keep set, the full one included, within 1e-14 of the squared
+    # singular values of the whole flattening
+    state = GRAM_CASES[name]()
+    n = state.subsystem_count
+    for mask in range(1, 2 ** n):
+        keep = tuple(i + 1 for i in range(n) if mask >> i & 1)
+        got = spectra(state, keep)
+        want = svd_spectrum(state.amplitudes, state.dims, keep)
+        assert got.shape == want.shape == (np.prod([state.dims[i - 1] for i in keep]),)
+        assert np.max(np.abs(got - want)) <= 1e-14, keep
+        assert np.all(got >= 0.0) and np.all(np.diff(got) <= 0.0), keep
+
+
+def test_spectra_eigensolve_is_on_the_smaller_side(monkeypatch):
+    # one eigvalsh per cut, of a Gram matrix whose size is the smaller
+    # side of the flattening: 2 x 2 on either single-site cut of ten qubits
+    shapes = []
+    real = np.linalg.eigvalsh
+
+    def recording(a, *args, **kwargs):
+        shapes.append(a.shape)
+        return real(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", recording)
+    state = haar_random_state((2,) * 10, seed=1)
+    assert spectra(state, (1,)).shape == (2,)
+    assert spectra(state, range(1, 10)).shape == (512,)
+    assert shapes == [(2, 2), (2, 2)]
+    shapes.clear()
+    spectra(haar_random_state((2, 3, 4), seed=1), (1, 2))
+    assert shapes == [(4, 4)]

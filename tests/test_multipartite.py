@@ -30,6 +30,7 @@ from schmidtkit import (
     ghz,
     haar_random_state,
     local_unitary_link,
+    new_state,
     partial_trace,
     pure_density,
     random_decomposable_state,
@@ -47,6 +48,7 @@ from schmidtkit.multipartite import (
 )
 
 from commute_oracle import commutator_eigenbasis, commutator_pairwise
+from spectra_oracle import all_cuts_with_first, svd_spectrum
 
 RT2 = 1.0 / np.sqrt(2.0)
 RT3 = 1.0 / np.sqrt(3.0)
@@ -410,7 +412,7 @@ def test_reconstruct_decomposition_of_w_cut():
 @pytest.mark.parametrize("dims", [(2, 2, 2), (2, 3, 4), (3, 3, 3), (2, 2, 2, 2),
                                   (3, 2, 4, 2), (2,) * 5], ids=str)
 def test_equal_spectra_table_matches_partial_trace_oracle(dims):
-    # complements are filled from their partner's SVD, so check them too
+    # complements are filled from their partner's spectrum, so check them too
     n = len(dims)
     subsets = [tuple(i + 1 for i in range(n) if mask >> i & 1)
                for mask in range(1, 2 ** n - 1)]
@@ -423,6 +425,37 @@ def test_equal_spectra_table_matches_partial_trace_oracle(dims):
             want = np.linalg.eigvalsh(rho.entries)[::-1]
             assert table[keep].shape == want.shape
             assert np.max(np.abs(table[keep] - want)) < 1e-12, keep
+
+
+def eps_band_state(dims, eps, seed):
+    """Rank 2 plus eps times a Haar state, renormalised."""
+    amps = (random_decomposable_state(dims, 2, seed=seed).amplitudes
+            + eps * haar_random_state(dims, seed=seed + 100).amplitudes)
+    return new_state(dims, amps / np.linalg.norm(amps))
+
+
+@pytest.mark.parametrize("dims", [(2, 2, 2), (3, 3, 3), (2, 2, 2, 2), (4, 4, 4)], ids=str)
+def test_equal_spectra_verdict_matches_svd_oracle_in_eps_band(dims):
+    # the same _same_nonzero rule applied to the oracle's spectra must
+    # give the same verdict.  For eps up to 3e-8 the cuts' spectra differ
+    # only at second order, eps^2, so all pass; at eps = 1e-4 and 3e-4,
+    # eps^2 straddles SPECTRA_TOL in both the cut differences and the
+    # third eigenvalue, so the verdicts split
+    verdicts = []
+    for eps in (3e-9, 1e-8, 3e-8, 1e-4, 3e-4):
+        for seed in range(8):
+            state = eps_band_state(dims, eps, seed)
+            ok, table = equal_spectra_check(state)
+            oracle = {cut: svd_spectrum(state.amplitudes, dims, cut)
+                      for cut in all_cuts_with_first(len(dims))}
+            want = all(multipartite._same_nonzero(oracle[(1,)], spec, tolerances.SPECTRA_TOL)
+                       for spec in oracle.values())
+            assert ok == want, (eps, seed)
+            for cut, spec in oracle.items():
+                assert np.max(np.abs(table[cut] - spec)) <= 1e-14, (eps, seed, cut)
+            verdicts.append(ok)
+    # the band holds both verdicts, so the comparison is not vacuous
+    assert True in verdicts and False in verdicts
 
 
 def column_side_state():
@@ -458,7 +491,7 @@ def test_commute_verdict_matches_pairwise_oracle(name):
 
 
 def test_equal_spectra_work_is_linear_in_cuts(monkeypatch):
-    # one SVD per subset containing subsystem 1: 2^5 - 1 on six qubits,
+    # one spectrum per subset containing subsystem 1: 2^5 - 1 on six qubits,
     # and no reduced density matrix anywhere
     calls = []
     densities = []
