@@ -50,21 +50,18 @@ class BipartiteDecomposition:
 
 
 def schmidt_decompose_bipartite(
-    state: StateTensor,
-    bipartition: Bipartition,
-    rank_tol: float | None = None,
+    state: StateTensor, bipartition: Bipartition
 ) -> BipartiteDecomposition:
     """Schmidt decomposition of a pure state across one cut.
 
-    Coefficients are the singular values above rank_tol * sigma_max
+    Coefficients are the singular values above RANK_TOL * sigma_max
     (descending).  For reproducible output each left vector's first
     nonzero component is made real positive, with the compensating
     phase pushed onto the matching right vector.
     """
-    rank_tol = tolerances.RANK_TOL if rank_tol is None else rank_tol
     m = flatten(state, bipartition)
     u, sing, vh = np.linalg.svd(m, full_matrices=False)
-    keep = sing > rank_tol * sing[0]
+    keep = sing > tolerances.RANK_TOL * sing[0]
     coeffs = sing[keep]
     left = u[:, keep].T.copy()
     right = vh[keep, :].copy()
@@ -76,19 +73,14 @@ def schmidt_decompose_bipartite(
     return BipartiteDecomposition(dec, bipartition)
 
 
-def schmidt_number(
-    state: StateTensor,
-    bipartition: Bipartition,
-    rank_tol: float | None = None,
-) -> int:
+def schmidt_number(state: StateTensor, bipartition: Bipartition) -> int:
     """Rank of the flattened state across the cut.
 
-    Counts singular values above rank_tol * sigma_max, which equals the
+    Counts singular values above RANK_TOL * sigma_max, which equals the
     number of nonzero eigenvalues of either side's reduced density.
     """
-    rank_tol = tolerances.RANK_TOL if rank_tol is None else rank_tol
     sing = np.linalg.svd(flatten(state, bipartition), compute_uv=False)
-    return int(np.count_nonzero(sing > rank_tol * sing[0]))
+    return int(np.count_nonzero(sing > tolerances.RANK_TOL * sing[0]))
 
 
 def spectra(state: StateTensor, keep) -> np.ndarray:

@@ -14,8 +14,6 @@ import argparse
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from . import io
 from .bipartite import schmidt_decompose_bipartite, schmidt_number, spectra
 from .compose import Grouping, compose, rank_inequality_check
@@ -94,18 +92,9 @@ def _emit(doc: dict, out: str | None) -> None:
         Path(out).write_text(text)
 
 
-def _tol_kwargs(args) -> dict:
-    kw = {}
-    if args.tol_rank is not None:
-        kw["rank_tol"] = args.tol_rank
-    if args.tol_diag is not None:
-        kw["diag_tol"] = args.tol_diag
-    return kw
-
-
 def _cmd_check(args) -> int:
     state = io.load_state(args.state)
-    report = check_decomposable(state, args.seed, **_tol_kwargs(args))
+    report = check_decomposable(state, args.seed)
     _emit(io.report_to_dict(report), args.out)
     return 0 if report.decomposable else 1
 
@@ -115,10 +104,10 @@ def _cmd_decompose(args) -> int:
     if args.cut is not None or state.subsystem_count == 2:
         cut = (Bipartition((1,), (2,)) if args.cut is None
                else parse_cut(args.cut, state.subsystem_count))
-        bi = schmidt_decompose_bipartite(state, cut, args.tol_rank)
+        bi = schmidt_decompose_bipartite(state, cut)
         _emit(io.decomposition_to_dict(bi.decomposition, cut), args.out)
         return 0
-    report = check_decomposable(state, args.seed, **_tol_kwargs(args))
+    report = check_decomposable(state, args.seed)
     if report.decomposable:
         _emit(io.decomposition_to_dict(report.decomposition), args.out)
         return 0
@@ -129,7 +118,7 @@ def _cmd_decompose(args) -> int:
 def _cmd_number(args) -> int:
     state = io.load_state(args.state)
     cut = parse_cut(args.cut, state.subsystem_count)
-    value = schmidt_number(state, cut, args.tol_rank)
+    value = schmidt_number(state, cut)
     _emit({"cut": {"left": list(cut.left), "right": list(cut.right)},
            "schmidt_number": value}, args.out)
     return 0
@@ -239,13 +228,10 @@ def _as_purification(state: StateTensor, path: str) -> Purification:
 def _cmd_link(args) -> int:
     first = _as_purification(io.load_state(args.first), args.first)
     second = _as_purification(io.load_state(args.second), args.second)
-    u = linking_unitary(first, second)
-    d = second.reference_dim
-    moved = (second.state.amplitudes.reshape(-1, d) @ u.T
-             - first.state.amplitudes.reshape(-1, d))
-    _emit({"reference_dim": d,
+    u, residual = linking_unitary(first, second)
+    _emit({"reference_dim": second.reference_dim,
            "unitary": [io.complex_pairs(row) for row in u],
-           "residual": float(np.linalg.norm(moved))},
+           "residual": residual},
           args.out)
     return 0
 
@@ -278,13 +264,6 @@ def _cmd_gen(args) -> int:
     return 0
 
 
-def _add_tolerance_flags(sub) -> None:
-    sub.add_argument("--tol-rank", type=float, default=None,
-                     help="relative cutoff for discarding coefficients")
-    sub.add_argument("--tol-diag", type=float, default=None,
-                     help="off-diagonal residual bound")
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="schmidtkit",
@@ -300,18 +279,15 @@ def build_parser() -> argparse.ArgumentParser:
 
     sub = add("check", _cmd_check, "decide joint decomposability of a state file")
     sub.add_argument("state")
-    _add_tolerance_flags(sub)
 
     sub = add("decompose", _cmd_decompose,
               "compute a decomposition (joint, or across --cut)")
     sub.add_argument("state")
     sub.add_argument("--cut", default=None)
-    _add_tolerance_flags(sub)
 
     sub = add("number", _cmd_number, "Schmidt number across a cut")
     sub.add_argument("state")
     sub.add_argument("--cut", required=True)
-    sub.add_argument("--tol-rank", type=float, default=None)
 
     sub = add("spectra", _cmd_spectra,
               "reduced spectrum (or --equal for the all-cuts comparison)")

@@ -5,19 +5,19 @@ from __future__ import annotations
 import numpy as np
 
 
-def phase_fix(vector: np.ndarray, cutoff: float = 1e-12) -> tuple[np.ndarray, complex]:
+def phase_fix(vector: np.ndarray) -> tuple[np.ndarray, complex]:
     """Rotate a vector so its first nonzero component is real positive.
 
     Returns the rotated vector and the phase that was removed, so the
     caller can push the compensating phase onto a partner vector.  The
-    first component with magnitude above cutoff * max|v| counts as the
+    first component with magnitude above 1e-12 * max|v| counts as the
     first nonzero one.
     """
     mags = np.abs(vector)
     top = mags.max()
     if top == 0.0:
         return vector.copy(), 1.0 + 0.0j
-    idx = int(np.argmax(mags > cutoff * top))
+    idx = int(np.argmax(mags > 1e-12 * top))
     phase = vector[idx] / mags[idx]
     return vector * np.conj(phase), phase
 

@@ -143,20 +143,18 @@ def slice_tensor(state: StateTensor) -> SliceSet:
     return SliceSet(stack, state.dims, state.dims[2:])
 
 
-def positive_products_commute(
-    slices: SliceSet, tol: float | None = None
-) -> tuple[bool, float]:
+def positive_products_commute(slices: SliceSet) -> tuple[bool, float]:
     """Do {A_c A_c+} and {A_c+ A_c} each commute?  A necessary condition.
 
     Each family is rotated into the eigenbasis of one fixed pseudo-random
     positive combination of its members: if they commute, that is a
     common eigenbasis, with gaps as wide as the members' even where
-    their sum's eigenvalues nearly meet.  Returns the verdict and the
-    largest off-diagonal magnitude of the rotated stacks (the witness).
+    their sum's eigenvalues nearly meet.  Returns the verdict, which
+    passes when the largest off-diagonal magnitude of the rotated stacks
+    is at most DIAG_TOL, and that magnitude (the witness).
     """
-    tol = tolerances.DIAG_TOL if tol is None else tol
     worst = _commute_residual(slices)
-    return worst <= tol, worst
+    return worst <= tolerances.DIAG_TOL, worst
 
 
 def _commute_residual(slices: SliceSet, rotated: np.ndarray | None = None) -> float:
@@ -183,12 +181,8 @@ def _commute_weights(count: int) -> np.ndarray:
     return np.random.default_rng(0).uniform(1.0, 2.0, count)
 
 
-def find_diagonalizing_pair(
-    slices: SliceSet,
-    seed: int = 0,
-    diag_tol: float | None = None,
-) -> DiagonalizationPair:
-    """Search for unitaries (P, Q) with every P+ A_c Q+ diagonal.
+def find_diagonalizing_pair(slices: SliceSet, seed: int = 0) -> DiagonalizationPair:
+    """Search for unitaries (P, Q) with every P+ A_c Q+ diagonal within DIAG_TOL.
 
     The pair carries S, the diagonals it checked.  Fast path: slices
     already diagonal give the identity pair (GHZ-type states).  Otherwise
@@ -199,9 +193,8 @@ def find_diagonalizing_pair(
     combination.  Up to MAX_PAIR_ATTEMPTS seeded retries; raises
     NoPairFound (with the best residual seen) when all fail.
     """
-    diag_tol = tolerances.DIAG_TOL if diag_tol is None else diag_tol
     _, d1, d2 = slices.matrices.shape
-    if _off_diagonal_residual(slices.matrices) <= diag_tol:
+    if _off_diagonal_residual(slices.matrices) <= tolerances.DIAG_TOL:
         return DiagonalizationPair(np.eye(d1, dtype=complex), np.eye(d2, dtype=complex),
                                    _diagonals(slices.matrices))
     best = np.inf
@@ -210,7 +203,7 @@ def find_diagonalizing_pair(
         p, q = _pair_attempt(slices, rng)
         rotated = p.conj().T @ slices.matrices @ q.conj().T
         resid = _off_diagonal_residual(rotated)
-        if resid <= diag_tol:
+        if resid <= tolerances.DIAG_TOL:
             return DiagonalizationPair(p, q, _diagonals(rotated))
         best = min(best, resid)
     err = NoPairFound(
@@ -256,24 +249,21 @@ def _diagonals(stack: np.ndarray) -> np.ndarray:
     return np.diagonal(stack, axis1=1, axis2=2).T.copy()
 
 
-def scaled_unitary_check(
-    s: np.ndarray, tol: float | None = None
-) -> tuple[bool, np.ndarray, float]:
+def scaled_unitary_check(s: np.ndarray) -> tuple[bool, np.ndarray, float]:
     """Is S a scaled unitary, i.e. are its nonzero rows orthogonal?
 
-    Checks that the Gram matrix S S+ is diagonal within tol relative to
-    its largest diagonal entry; zero rows are permitted.  Returns the
+    Checks that the Gram matrix S S+ is diagonal within DIAG_TOL relative
+    to its largest diagonal entry; zero rows are permitted.  Returns the
     verdict, S S+ and its largest off-diagonal magnitude.
     """
-    tol = tolerances.DIAG_TOL if tol is None else tol
     gram = s @ s.conj().T
     worst = _off_diagonal_residual(gram)
     scale = np.real(np.diagonal(gram)).max(initial=0.0)
-    return bool(scale > 0.0 and worst <= tol * scale), gram, worst
+    return bool(scale > 0.0 and worst <= tolerances.DIAG_TOL * scale), gram, worst
 
 
 def equal_spectra_check(
-    state: StateTensor, tol: float | None = None, cuts: dict | None = None
+    state: StateTensor, *, cuts: dict | None = None
 ) -> tuple[bool, dict[tuple[int, ...], np.ndarray]]:
     """Necessary condition: all reduced spectra agree after dropping zeros.
 
@@ -282,10 +272,9 @@ def equal_spectra_check(
     subsystem 1 are computed, one small Gram eigensolve each, unless
     cuts (a dict of such spectra) holds them; a complement's entry is
     the same values padded or cut to its dimension.  The verdict
-    compares the nonzero parts (above tol, SPECTRA_TOL by default) of
-    the subsets containing subsystem 1 against subset (1,).
+    compares the nonzero parts (above SPECTRA_TOL) of the subsets
+    containing subsystem 1 against subset (1,).
     """
-    tol = tolerances.SPECTRA_TOL if tol is None else tol
     cuts = {} if cuts is None else cuts
     everyone = range(1, state.subsystem_count + 1)
     table: dict[tuple[int, ...], np.ndarray] = {}
@@ -297,7 +286,7 @@ def equal_spectra_check(
             spec = _cut(state, cuts, tuple(i for i in everyone if i not in subset))
             table[subset] = np.zeros(prod(state.dims[i - 1] for i in subset))
             table[subset][:spec.size] = spec[:table[subset].size]
-    ok = all(_same_nonzero(table[(1,)], spec, tol)
+    ok = all(_same_nonzero(table[(1,)], spec, tolerances.SPECTRA_TOL)
              for subset, spec in table.items() if subset[0] == 1)
     return ok, table
 
@@ -321,13 +310,7 @@ def _positive_product_s(rotated: np.ndarray) -> np.ndarray:
     return np.sqrt(np.real(np.diagonal(rotated, axis1=1, axis2=2)).clip(0.0)).T
 
 
-def check_decomposable(
-    state: StateTensor,
-    seed: int = 0,
-    *,
-    rank_tol: float | None = None,
-    diag_tol: float | None = None,
-) -> DecomposabilityReport:
+def check_decomposable(state: StateTensor, seed: int = 0) -> DecomposabilityReport:
     """Decide whether a state on >= 3 subsystems has a joint Schmidt form.
 
     Decision path: the n single-site spectra agree (stopping at the
@@ -338,9 +321,7 @@ def check_decomposable(
     table (from the cuts already taken), then the commutation test; the
     first that fails is the stage reported, else the decision's stage.
     """
-    rank_tol = tolerances.RANK_TOL if rank_tol is None else rank_tol
-    diag_tol = tolerances.DIAG_TOL if diag_tol is None else diag_tol
-    used = {"rank_tol": rank_tol, "diag_tol": diag_tol,
+    used = {"rank_tol": tolerances.RANK_TOL, "diag_tol": tolerances.DIAG_TOL,
             "orth_tol": tolerances.ORTH_TOL, "seed": int(seed)}
     n = state.subsystem_count
     if n < 3:
@@ -358,7 +339,7 @@ def check_decomposable(
                 tolerances_used=used)
         comm_resid = _commute_residual(slices, rotated)
         found = {"max_commutator": comm_resid}
-        if not comm_resid <= diag_tol:  # a NaN residual fails too
+        if not comm_resid <= tolerances.DIAG_TOL:  # a NaN residual fails too
             return DecomposabilityReport(False, STAGE_DIAG, dict(found), found,
                                          tolerances_used=used)
         return DecomposabilityReport(False, stage, witness, {**found, **residuals},
@@ -372,21 +353,21 @@ def check_decomposable(
     slices = slice_tensor(state)
 
     try:
-        pair = find_diagonalizing_pair(slices, seed, diag_tol)
+        pair = find_diagonalizing_pair(slices, seed)
     except NoPairFound as err:
         residuals["max_off_diagonal"] = err.residual
         stack = slices.matrices
         rotated = _rotate_to_combination(stack @ stack.conj().transpose(0, 2, 1))
-        ok, gram, _ = scaled_unitary_check(_positive_product_s(rotated), diag_tol)
+        ok, gram, _ = scaled_unitary_check(_positive_product_s(rotated))
         if not ok:
             return reject(STAGE_SCALED, {"ss_dagger": gram}, rotated)
         return reject(STAGE_DIAG, {"max_off_diagonal": err.residual}, rotated)
 
-    ok, gram, residuals["max_ss_off_diagonal"] = scaled_unitary_check(pair.s, diag_tol)
+    ok, gram, residuals["max_ss_off_diagonal"] = scaled_unitary_check(pair.s)
     if not ok:
         return reject(STAGE_SCALED, {"ss_dagger": gram})
 
-    candidate = _assemble(state, slices, pair, gram, rank_tol, residuals)
+    candidate = _assemble(state, slices, pair, gram, residuals)
     if isinstance(candidate, tuple):
         return reject(*candidate)
     resid = float(np.abs(reconstruct(candidate).amplitudes - state.amplitudes).max())
@@ -395,7 +376,7 @@ def check_decomposable(
         # the discarded off-diagonal mass was too large to represent the
         # state after all; report it at the diagonalization stage
         return reject(STAGE_DIAG, {"reconstruction": resid})
-    found = {"max_commutator": positive_products_commute(slices, diag_tol)[1]}
+    found = {"max_commutator": positive_products_commute(slices)[1]}
     return DecomposabilityReport(True, None, {}, {**found, **residuals}, candidate, used)
 
 
@@ -404,12 +385,11 @@ def _assemble(
     slices: SliceSet,
     pair: DiagonalizationPair,
     gram: np.ndarray,
-    rank_tol: float,
     residuals: dict,
 ):
     """Turn a scaled-unitary S = pair.s with Gram matrix gram into a candidate.
 
-    The row norms of S (from the Gram diagonal) above rank_tol, at most
+    The row norms of S (from the Gram diagonal) above RANK_TOL, at most
     min(dims) of them and largest first, give the coefficients; the
     normalised rows are the tail vectors.  Each is split into one factor
     per tail subsystem by a rank-one SVD at every tail cut (none for
@@ -422,7 +402,7 @@ def _assemble(
     decomposition, or (stage, witness) when a tail vector is no product.
     """
     norms = np.sqrt(np.real(np.diagonal(gram)).clip(0.0))
-    keep = np.flatnonzero(norms > rank_tol * norms.max())
+    keep = np.flatnonzero(norms > tolerances.RANK_TOL * norms.max())
     order = keep[np.argsort(norms[keep])[::-1]][:min(state.dims)]
     coeffs = norms[order] / np.linalg.norm(norms[order])
 
@@ -496,7 +476,6 @@ def local_unitary_link(
     target: StateTensor,
     source: StateTensor,
     seed: int = 0,
-    tol: float | None = None,
 ) -> list[np.ndarray]:
     """Unitaries U_k with (U_1 x ... x U_n)|source> = |target>.
 
@@ -505,9 +484,8 @@ def local_unitary_link(
     target's for every subsystem, which reproduces the target exactly
     because the pairing is shared across subsystems (ties included).
     Each U_k is the polar factor of sum_l t_l s_l+; coefficients and the
-    rebuilt target must agree within tol (default LINK_TOL).
+    rebuilt target must agree within LINK_TOL.
     """
-    tol = tolerances.LINK_TOL if tol is None else tol
     if target.dims != source.dims:
         raise DimensionMismatch(
             f"states live on different dims {target.dims} vs {source.dims}")
@@ -519,7 +497,7 @@ def local_unitary_link(
                                   f"(stage {rep.stage})")
     ct = rep_t.decomposition.coefficients
     cs = rep_s.decomposition.coefficients
-    if ct.size != cs.size or float(np.abs(ct - cs).max()) > tol:
+    if ct.size != cs.size or float(np.abs(ct - cs).max()) > tolerances.LINK_TOL:
         raise CoefficientsMismatch(
             f"coefficients differ: {ct.tolist()} vs {cs.tolist()}")
     unitaries = [polar(ft.T @ fs.conj()) for ft, fs in
@@ -528,6 +506,6 @@ def local_unitary_link(
     overlap = np.vdot(target.amplitudes, mapped.amplitudes)
     aligned = mapped.amplitudes * np.conj(overlap) / max(abs(overlap), 1e-300)
     resid = float(np.abs(aligned - target.amplitudes).max())
-    if resid > tol:
+    if resid > tolerances.LINK_TOL:
         raise DifferentStates(f"link verification failed (residual {resid:.3e})")
     return unitaries

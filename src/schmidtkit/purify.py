@@ -113,14 +113,16 @@ def trace_out_reference(purification: Purification) -> DensityMatrix:
     return DensityMatrix((m.shape[0],), m @ m.conj().T)
 
 
-def linking_unitary(first: Purification, second: Purification) -> np.ndarray:
+def linking_unitary(
+    first: Purification, second: Purification
+) -> tuple[np.ndarray, float]:
     """Unitary U on the reference with (I x U)|second> = |first>.
 
     Both purifications must share base and reference dimensions.  U is
     the transpose of the best unitary X = polar(B+ A), where A and B are
     the base x reference matrices of first and second; if B X misses A
     by more than LINK_TOL, no reference-only unitary links the two and
-    DifferentStates is raised.
+    DifferentStates is raised.  Returns U and the residual ||B X - A||.
     """
     if (first.base_dims != second.base_dims
             or first.reference_dim != second.reference_dim):
@@ -131,12 +133,12 @@ def linking_unitary(first: Purification, second: Purification) -> np.ndarray:
     a = first.state.amplitudes.reshape(-1, d)
     b = second.state.amplitudes.reshape(-1, d)
     x = polar(b.conj().T @ a)
-    resid = np.linalg.norm(b @ x - a)
+    resid = float(np.linalg.norm(b @ x - a))
     if resid > tolerances.LINK_TOL:
         raise DifferentStates(
             f"linking unitary leaves residual {resid:.3e} > "
             f"{tolerances.LINK_TOL:.1e}")
-    return x.T
+    return x.T, resid
 
 
 def purification_class(

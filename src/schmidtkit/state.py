@@ -277,8 +277,7 @@ def reduced_density(state: StateTensor, keep) -> DensityMatrix:
     n = state.subsystem_count
     keep = _keep_set(keep, n)
     if len(keep) == n:
-        amps = state.amplitudes
-        return DensityMatrix(state.dims, np.outer(amps, amps.conj()))
+        return pure_density(state)
     m = _flatten(state, keep)
     kept_dims = tuple(state.dims[i - 1] for i in keep)
     return DensityMatrix(kept_dims, m @ m.conj().T)

@@ -2,10 +2,10 @@
 
 All comparisons that have a natural scale (singular values, eigenvalues)
 are taken relative to the largest one; norm and trace checks are
-absolute because states and densities are unit-normalized.  Functions
-that accept an explicit tolerance argument fall back to these module
-constants when given None, so overriding a constant here affects every
-default-path call.
+absolute because states and densities are unit-normalized.  These
+constants are the only place a threshold is set: every comparison reads
+them at call time, so assigning a new value here changes every later
+call.
 """
 
 # unit-norm and unit-trace checks

@@ -265,7 +265,7 @@ def test_criterion_9_purification():
             amps = (base.state.amplitudes.reshape(-1, d) @ v.T).reshape(-1)
             alt = Purification(StateTensor(base.state.dims, amps),
                                base.base_dims, d)
-            u = linking_unitary(base, alt)
+            u, _ = linking_unitary(base, alt)
             moved = alt.state.amplitudes.reshape(-1, d) @ u.T
             resid = float(np.linalg.norm(
                 moved - base.state.amplitudes.reshape(-1, d)))

@@ -370,19 +370,22 @@ def test_local_unitary_link_refusals():
 
 LINK_ZERO_TOL = """
 from schmidtkit import DifferentStates, local_unitary_link, random_decomposable_state
+from schmidtkit import tolerances
+tolerances.LINK_TOL = 0.0
 st = random_decomposable_state((3, 3, 3), 3, seed=4)
 try:
-    local_unitary_link(st, st, tol=0.0)
+    local_unitary_link(st, st)
 except DifferentStates:
     print("raised")
 """
 
 
-def test_local_unitary_link_verification_is_typed():
-    # the rebuilt link leaves a residual of order 1e-16, above tol=0
+def test_local_unitary_link_verification_is_typed(monkeypatch):
+    # the rebuilt link leaves a residual of order 1e-16, above LINK_TOL = 0
+    monkeypatch.setattr(tolerances, "LINK_TOL", 0.0)
     st = random_decomposable_state((3, 3, 3), 3, seed=4)
     with pytest.raises(DifferentStates):
-        local_unitary_link(st, st, tol=0.0)
+        local_unitary_link(st, st)
     # and the check survives python -O, which strips asserts
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
     out = subprocess.run([sys.executable, "-O", "-c", LINK_ZERO_TOL],

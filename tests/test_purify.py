@@ -96,14 +96,14 @@ def test_linking_swapped_bell_is_exchange():
     a1[0] = a1[3] = RT2
     a2 = np.zeros(4)
     a2[1] = a2[2] = RT2
-    u = linking_unitary(Purification(StateTensor((2, 2), a1), (2,), 2),
-                        Purification(StateTensor((2, 2), a2), (2,), 2))
+    u, _ = linking_unitary(Purification(StateTensor((2, 2), a1), (2,), 2),
+                           Purification(StateTensor((2, 2), a2), (2,), 2))
     assert np.allclose(u, [[0, 1], [1, 0]])
 
 
 def test_linking_identity_case():
     p = purify(DensityMatrix((2,), np.diag([0.7, 0.3])))
-    u = linking_unitary(p, p)
+    u, _ = linking_unitary(p, p)
     assert np.allclose(u @ u.conj().T, np.eye(2), atol=1e-12)
 
 
@@ -124,7 +124,7 @@ def test_linking_random_reference_rotations():
             base = purify(rho, rank + extra)
             d = base.reference_dim
             alt = rotate_reference(base, haar_unitary(d, rng))
-            u = linking_unitary(base, alt)
+            u, _ = linking_unitary(base, alt)
             a = base.state.amplitudes.reshape(-1, d)
             b = alt.state.amplitudes.reshape(-1, d)
             assert np.linalg.norm(b @ u.T - a) < 1e-8
