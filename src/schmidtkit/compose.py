@@ -15,6 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import tolerances
 from .bipartite import schmidt_number
 from .errors import DegenerateCombination, DimensionMismatch, GroupingMismatch, InvalidArgs, NotDecomposable
 from .linalg import row_kron
@@ -149,9 +150,9 @@ def rank_inequality_check(
             f"states live on different dims {phi.dims} vs {gamma.dims}")
     combined = alpha * phi.amplitudes + beta * gamma.amplitudes
     norm = np.linalg.norm(combined)
-    if norm < 1e-8:
+    if norm < tolerances.COMBINATION_NORM_TOL:
         raise DegenerateCombination(
-            f"combination norm {norm:.3e} is below 1e-8")
+            f"combination norm {norm:.3e} is below {tolerances.COMBINATION_NORM_TOL:g}")
     psi = StateTensor(phi.dims, combined / norm)
 
     if cut is not None:

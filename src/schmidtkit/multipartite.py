@@ -16,10 +16,13 @@ each normalised row, a tail vector, must factor into one vector per
 tail subsystem.  The candidate is accepted only if it rebuilds the
 input within RECONSTRUCT_TOL, which also settles the orthonormality of
 the tail families: the accept is its own proof.  A reject is explained
-by the earlier necessary conditions, run only then: the spectra table
-and the commutation of the positive products C_c = A_c A_c+ (and
-A_c+ A_c), tested in the eigenbasis P of one combination of them; with
-no pair, S[l][c] = sqrt((P+ C_c P)_ll) is read there (W's rows overlap).
+by the earlier necessary conditions, run only then: the spectra table,
+walked by cut size and stopped at the first cut that fails (so for
+n >= 4 its witness is a partial table), and the commutation of the
+positive products C_c = A_c A_c+ (and A_c+ A_c), tested in the
+eigenbasis P of one combination of them; with no pair,
+S[l][c] = sqrt((P+ C_c P)_ll) is read there (W's rows overlap).  A
+reject whose spectra all agree still computes every cut.
 """
 
 from __future__ import annotations
@@ -90,7 +93,7 @@ class SliceSet:
                 f"slice stack of shape {mats.shape} does not match "
                 f"tail dims {self.tail_dims}")
         total = float(np.vdot(mats, mats).real)
-        if abs(total - 1.0) > 1e-8:
+        if abs(total - 1.0) > tolerances.SLICE_NORM_TOL:
             raise DimensionMismatch(
                 f"slice norms sum to {total!r}, expected 1 for a normalized state")
         object.__setattr__(self, "matrices", mats)
@@ -267,27 +270,43 @@ def equal_spectra_check(
 ) -> tuple[bool, dict[tuple[int, ...], np.ndarray]]:
     """Necessary condition: all reduced spectra agree after dropping zeros.
 
-    The returned table maps every nonempty proper subset of subsystems
-    to its reduced spectrum (descending).  Only the subsets containing
+    The table maps nonempty proper subsets of subsystems to their
+    reduced spectra (descending).  Only the subsets containing
     subsystem 1 are computed, one small Gram eigensolve each, unless
     cuts (a dict of such spectra) holds them; a complement's entry is
     the same values padded or cut to its dimension.  The verdict
     compares the nonzero parts (above SPECTRA_TOL) of the subsets
-    containing subsystem 1 against subset (1,).
+    containing subsystem 1, walked by size, against subset (1,).
+
+    Without cuts the table holds every subset.  Passing cuts, as
+    check_decomposable's explain pass does, stops the walk at the first
+    subset that fails: the table then holds only the cuts in cuts by
+    then (those taken before the call count) and their complements, in
+    the same key order.  Either way the verdict is the same.
     """
+    stop_early = cuts is not None
     cuts = {} if cuts is None else cuts
     everyone = range(1, state.subsystem_count + 1)
+    reference = _cut(state, cuts, (1,))
+    ok = True
+    for rest in itertools.chain.from_iterable(
+            itertools.combinations(everyone[1:], size) for size in range(1, len(everyone) - 1)):
+        if not _same_nonzero(reference, _cut(state, cuts, (1, *rest)),
+                             tolerances.SPECTRA_TOL):
+            ok = False
+            if stop_early:
+                break
     table: dict[tuple[int, ...], np.ndarray] = {}
     for size in range(1, len(everyone)):
         for subset in itertools.combinations(everyone, size):
             if subset[0] == 1:
-                table[subset] = _cut(state, cuts, subset)
+                if subset in cuts:
+                    table[subset] = cuts[subset]
                 continue
-            spec = _cut(state, cuts, tuple(i for i in everyone if i not in subset))
-            table[subset] = np.zeros(prod(state.dims[i - 1] for i in subset))
-            table[subset][:spec.size] = spec[:table[subset].size]
-    ok = all(_same_nonzero(table[(1,)], spec, tolerances.SPECTRA_TOL)
-             for subset, spec in table.items() if subset[0] == 1)
+            spec = cuts.get(tuple(i for i in everyone if i not in subset))
+            if spec is not None:
+                table[subset] = np.zeros(prod(state.dims[i - 1] for i in subset))
+                table[subset][:spec.size] = spec[:table[subset].size]
     return ok, table
 
 
@@ -317,9 +336,13 @@ def check_decomposable(state: StateTensor, seed: int = 0) -> DecomposabilityRepo
     first mismatch), pair search, S-matrix scaled unitarity, tail
     factorization (none for three subsystems), and a rebuild of the
     input from the candidate, which accepts within RECONSTRUCT_TOL.
-    Every reject then runs the explain pass: the full equal-spectra
-    table (from the cuts already taken), then the commutation test; the
-    first that fails is the stage reported, else the decision's stage.
+    Every reject then runs the explain pass: the equal-spectra walk
+    (from the cuts already taken, in size order, stopping at the first
+    failing cut), then the commutation test; the first that fails is the
+    stage reported, else the decision's stage.  For n >= 4 a
+    SpectraUnequal witness is therefore a partial table: the cuts
+    computed by then and their complements.  For n = 3 the decision has
+    taken every cut containing subsystem 1, so the table is whole.
     """
     used = {"rank_tol": tolerances.RANK_TOL, "diag_tol": tolerances.DIAG_TOL,
             "orth_tol": tolerances.ORTH_TOL, "seed": int(seed)}

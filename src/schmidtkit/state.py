@@ -208,7 +208,7 @@ class SchmidtDecomposition:
             raise DimensionMismatch("coefficients must be strictly positive")
         if np.any(np.diff(coeffs) > 0.0):
             raise DimensionMismatch("coefficients must be sorted descending")
-        if abs(np.sum(coeffs ** 2) - 1.0) > 1e-8:
+        if abs(np.sum(coeffs ** 2) - 1.0) > tolerances.COEFF_NORM_TOL:
             raise NotNormalizable("squared coefficients must sum to 1")
         if coeffs.size > min(dims):
             raise RankTooLarge(

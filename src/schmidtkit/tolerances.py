@@ -14,6 +14,20 @@ NORM_TOL = 1e-10
 # orthonormality of vector families (max off-diagonal Gram entry)
 ORTH_TOL = 1e-8
 
+# squared Schmidt coefficients of a decomposition must sum to 1 within
+# COEFF_NORM_TOL, and a slice stack's squared norms within SLICE_NORM_TOL;
+# both are looser than NORM_TOL
+COEFF_NORM_TOL = 1e-8
+SLICE_NORM_TOL = 1e-8
+
+# a superposition alpha*phi + beta*gamma with norm below this cannot be
+# normalized into a state
+COMBINATION_NORM_TOL = 1e-8
+
+# phase fixing: the first component above PHASE_TOL * max|v| counts as
+# the vector's first nonzero one
+PHASE_TOL = 1e-12
+
 # hermiticity of density matrices
 HERMITIAN_TOL = 1e-10
 

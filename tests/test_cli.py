@@ -14,6 +14,7 @@ from schmidtkit import (
     MalformedCut,
     basis_state,
     ghz,
+    haar_random_state,
     new_state,
     reduced_density,
     save_density,
@@ -194,6 +195,16 @@ def test_spectra_verb(tmp_path, capsys):
     code, out, _ = run(capsys, "spectra", uneq, "--equal")
     assert code == 1
     assert json.loads(out)["equal"] is False
+
+
+def test_spectra_equal_prints_every_cut_of_a_reject(tmp_path, capsys):
+    # check's explain pass stops at the first failing cut; spectra --equal
+    # still prints all 2^4 - 2 cuts
+    haar = write_fixture(tmp_path, "haar", haar_random_state((2, 2, 2, 2), seed=1))
+    code, out, _ = run(capsys, "spectra", haar, "--equal")
+    assert code == 1
+    doc = json.loads(out)
+    assert doc["equal"] is False and len(doc["spectra"]) == 14
 
 
 def test_partition_verb(tmp_path, capsys):

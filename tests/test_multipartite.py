@@ -520,7 +520,8 @@ def test_equal_spectra_work_is_linear_in_cuts(monkeypatch):
 def test_accept_and_reject_do_no_table_work_twice(monkeypatch):
     # an accept compares the n single-site spectra and never builds the
     # table; a reject builds it from the cuts already taken, so no cut
-    # is computed twice
+    # is computed twice, and stops at the first failing cut: Haar on six
+    # qubits fails at site 2's cut and then at the first two-site cut
     calls = []
     real_spectra = multipartite.spectra
 
@@ -537,11 +538,12 @@ def test_accept_and_reject_do_no_table_work_twice(monkeypatch):
         rep = check_decomposable(random_decomposable_state((2,) * 6, 2, seed=1))
     assert rep.decomposable
     assert len(calls) == 6
-    for dims, cuts in (((3, 3, 3), 3), ((2,) * 6, 31)):
+    for dims, cuts in (((3, 3, 3), 3), ((2,) * 6, 3)):
         calls.clear()
         rep = check_decomposable(haar_random_state(dims, seed=4))
         assert rep.stage == "SpectraUnequal"
         assert len(calls) == len(set(calls)) == cuts
+    assert calls == [(1,), (1, 3, 4, 5, 6), (1, 2)]
 
 
 def test_each_off_diagonal_residual_is_taken_once(monkeypatch):
@@ -629,3 +631,76 @@ def test_reject_reports_pinned(name):
     assert rep.stage == stage
     assert set(rep.witness) == witness
     assert set(rep.residuals) == residuals
+
+
+def w_qubits(n):
+    """W on n qubits: equal weight on the n single-excitation basis states."""
+    amps = np.zeros(2 ** n)
+    amps[[2 ** k for k in range(n)]] = 1.0 / np.sqrt(n)
+    return StateTensor((2,) * n, amps)
+
+
+EXPLAIN_CASES = {
+    **{f"eps-{eps}-{dims}-{seed}": (lambda d=dims, e=eps, s=seed: eps_band_state(d, e, s))
+       for dims in ((2, 2, 2), (2, 2, 2, 2), (3, 3, 3))
+       for eps in (3e-9, 1e-8, 3e-8, 1e-4) for seed in range(3)},
+    **{f"w-{n}": (lambda k=n: w_qubits(k)) for n in range(4, 11)},
+    **{f"ghz-w-{angle}": (lambda a=angle: ghz_w_mixture(a)) for angle in (0.05, 0.5, 1.0, 1.5)},
+    **{f"symmetric-{dims}": (lambda d=dims: symmetric_state(d, 900))
+       for dims in ((2, 2, 2), (2, 2, 2, 2), (3, 3, 3), (2,) * 5)},
+    **{f"haar-{dims}": (lambda d=dims: haar_random_state(d, seed=len(d)))
+       for dims in ((2, 3, 4), (3, 3, 3), (2,) * 4, (2,) * 5, (2,) * 6)},
+}
+
+
+@pytest.mark.parametrize("name", sorted(EXPLAIN_CASES))
+def test_explain_walk_matches_whole_table(name, monkeypatch):
+    # the reference fills every cut before the table is checked, as the
+    # explain pass did before it stopped at the first failing cut
+    state = EXPLAIN_CASES[name]()
+    n = state.subsystem_count
+    real = multipartite.equal_spectra_check
+
+    def whole_table(state, *, cuts):
+        for cut in all_cuts_with_first(n):
+            multipartite._cut(state, cuts, cut)
+        return real(state, cuts=cuts)
+
+    rep = check_decomposable(state)
+    with monkeypatch.context() as patch:
+        patch.setattr(multipartite, "equal_spectra_check", whole_table)
+        whole = check_decomposable(state)
+    assert (rep.verdict, rep.stage) == (whole.verdict, whole.stage)
+    if rep.stage != "SpectraUnequal":
+        return
+    ok, table = equal_spectra_check(state)
+    full = {",".join(map(str, cut)): spec.tolist() for cut, spec in table.items()}
+    got = rep.witness["spectra"]
+    assert not ok and whole.witness["spectra"] == full
+    assert list(got) == [key for key in full if key in got]
+    assert all(got[key] == full[key] for key in got)
+    if n == 3:
+        assert got == full
+
+
+@pytest.mark.parametrize("build, most", [
+    *[(lambda n=n: w_qubits(n), n + 1) for n in (6, 8, 10)],
+    (lambda: haar_random_state((2,) * 10, seed=1), 3),
+], ids=["w6", "w8", "w10", "haar-2x10"])
+def test_spectra_reject_stops_at_first_failing_cut(build, most, monkeypatch):
+    # W's n single-site cuts agree and Haar's differ at the first one the
+    # decision takes; either way the walk stops at the first two-site cut
+    calls = []
+    real_spectra = multipartite.spectra
+
+    def counting(state, keep):
+        calls.append(tuple(keep))
+        return real_spectra(state, keep)
+
+    monkeypatch.setattr(multipartite, "spectra", counting)
+    state = build()
+    rep = check_decomposable(state)
+    assert rep.stage == "SpectraUnequal"
+    assert len(calls) <= most and calls[-1] == (1, 2)
+    # a partial table: the cuts computed and their complements
+    assert len(rep.witness["spectra"]) == 2 * len(calls) < 2 ** state.subsystem_count - 2

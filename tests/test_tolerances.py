@@ -1,8 +1,10 @@
 """The tolerances module is the one place a threshold is set."""
 
+import ast
 import importlib
 import inspect
 import pkgutil
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -114,3 +116,31 @@ def test_cli_has_no_tolerance_flags(tmp_path, capsys):
     save_state(path, w_state())
     assert main(["check", "--tol-diag", "1e-6", str(path)]) == 2
     assert "unrecognized arguments: --tol-diag" in capsys.readouterr().err
+
+
+def threshold_literals(source: str) -> list[str]:
+    """Comparisons in source that use a float literal other than 0 or 1.
+
+    0.0 and 1.0 are exact values (a sign, a unit norm or trace), not
+    thresholds; any other float literal in a comparison is one.
+    """
+    return [ast.unparse(node) for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.Compare)
+            and any(isinstance(sub, ast.Constant) and isinstance(sub.value, float)
+                    and sub.value not in (0.0, 1.0) for sub in ast.walk(node))]
+
+
+def test_threshold_literal_guard_flags_literals_only():
+    source = ("a = x > 1e-8\n"
+              "b = abs(t - 1.0) > tolerances.NORM_TOL\n"
+              "c = m > 1e-12 * top\n"
+              "d = x <= 0.0 or y == 0\n")
+    assert threshold_literals(source) == ["x > 1e-08", "m > 1e-12 * top"]
+
+
+def test_no_threshold_literal_outside_tolerances():
+    src = Path(schmidtkit.__file__).parent
+    offenders = [f"{path.name}: {expr}" for path in sorted(src.glob("*.py"))
+                 if path.name != "tolerances.py"
+                 for expr in threshold_literals(path.read_text())]
+    assert offenders == []
