@@ -6,11 +6,12 @@ Unlike the bipartite case this is a real property: the W state has no
 such form while GHZ states do.
 
 The decision runs one code path for every n >= 3.  The n single-site
-spectra must agree.  The amplitude tensor is sliced into one stack of
-matrices A_c (rows = subsystem 1, columns = subsystem 2, one slice per
-grouped index c of subsystems 3..n); the search for a unitary pair
-(P, Q) making every P+ A_c Q+ diagonal hands over the diagonals it
-checked, the coefficient matrix S.  One Gram matrix S S+ decides that
+spectra must agree.  The amplitude tensor is viewed as one (C, d1, d2)
+array, the stack of matrices A_c (rows = subsystem 1, columns =
+subsystem 2, one slice per grouped index c of subsystems 3..n); the
+search for a unitary pair (P, Q) making every P+ A_c Q+ diagonal
+returns the tuple (P, Q, S), S being the diagonals it checked, the
+coefficient matrix.  One Gram matrix S S+ decides that
 the rows of S are orthogonal and gives their norms, the coefficients;
 each normalised row, a tail vector, must factor into one vector per
 tail subsystem.  The candidate is accepted only if it rebuilds the
@@ -49,8 +50,6 @@ from .state import SchmidtDecomposition, StateTensor, reconstruct
 from .bipartite import spectra
 
 __all__ = [
-    "SliceSet",
-    "DiagonalizationPair",
     "DecomposabilityReport",
     "slice_tensor",
     "positive_products_commute",
@@ -70,44 +69,6 @@ STAGE_SPECTRA = "SpectraUnequal"
 STAGE_DIAG = "SlicesNotSimultaneouslyDiagonalizable"
 STAGE_SCALED = "SNotScaledUnitary"
 STAGE_TAIL = "TailNotProduct"
-
-
-@dataclass(frozen=True)
-class SliceSet:
-    """The amplitude tensor viewed as a stack of matrices.
-
-    matrices is a (C, d1, d2) array: matrices[c][i][j] is the amplitude
-    at (i, j, c), with rows following subsystem 1, columns subsystem 2,
-    and the slice index c running row-major over subsystems 3..n, whose
-    dimensions are recorded in tail_dims.
-    """
-
-    matrices: np.ndarray
-    dims: tuple[int, ...]
-    tail_dims: tuple[int, ...]
-
-    def __post_init__(self):
-        mats = np.asarray(self.matrices, dtype=complex)
-        if mats.ndim != 3 or len(mats) != prod(self.tail_dims):
-            raise DimensionMismatch(
-                f"slice stack of shape {mats.shape} does not match "
-                f"tail dims {self.tail_dims}")
-        total = float(np.vdot(mats, mats).real)
-        if abs(total - 1.0) > tolerances.SLICE_NORM_TOL:
-            raise DimensionMismatch(
-                f"slice norms sum to {total!r}, expected 1 for a normalized state")
-        object.__setattr__(self, "matrices", mats)
-        object.__setattr__(self, "dims", tuple(int(d) for d in self.dims))
-        object.__setattr__(self, "tail_dims", tuple(int(d) for d in self.tail_dims))
-
-
-@dataclass(frozen=True)
-class DiagonalizationPair:
-    """Unitaries (P, Q) with every P+ A_c Q+ diagonal; S[l][c] = (P+ A_c Q+)_ll."""
-
-    p: np.ndarray
-    q: np.ndarray
-    s: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -131,22 +92,21 @@ class DecomposabilityReport:
         return "Decomposable" if self.decomposable else "NotDecomposable"
 
 
-def slice_tensor(state: StateTensor) -> SliceSet:
+def slice_tensor(state: StateTensor) -> np.ndarray:
     """Slice a state on >= 3 subsystems into its matrix stack.
 
-    Rows follow subsystem 1, columns subsystem 2, and the slice index
-    runs over the grouped tail 3..n.  The stack is a view of the
-    amplitudes; no slice is copied.
+    Returns a (C, d1, d2) view of the amplitudes, C = d3*...*dn, with no
+    copy: stack[c][i][j] is the amplitude at (i, j, c), so rows follow
+    subsystem 1, columns subsystem 2, and c runs row-major over 3..n.
     """
     n = state.subsystem_count
     if n < 3:
         raise TooFewSubsystems(f"slicing needs >= 3 subsystems, got {n}")
     d1, d2 = state.dims[:2]
-    stack = state.amplitudes.reshape(d1, d2, -1).transpose(2, 0, 1)
-    return SliceSet(stack, state.dims, state.dims[2:])
+    return state.amplitudes.reshape(d1, d2, -1).transpose(2, 0, 1)
 
 
-def positive_products_commute(slices: SliceSet) -> tuple[bool, float]:
+def positive_products_commute(stack: np.ndarray) -> tuple[bool, float]:
     """Do {A_c A_c+} and {A_c+ A_c} each commute?  A necessary condition.
 
     Each family is rotated into the eigenbasis of one fixed pseudo-random
@@ -156,13 +116,12 @@ def positive_products_commute(slices: SliceSet) -> tuple[bool, float]:
     passes when the largest off-diagonal magnitude of the rotated stacks
     is at most DIAG_TOL, and that magnitude (the witness).
     """
-    worst = _commute_residual(slices)
+    worst = _commute_residual(stack)
     return worst <= tolerances.DIAG_TOL, worst
 
 
-def _commute_residual(slices: SliceSet, rotated: np.ndarray | None = None) -> float:
+def _commute_residual(stack: np.ndarray, rotated: np.ndarray | None = None) -> float:
     """positive_products_commute's witness; rotated, if given, is {A_c A_c+} rotated."""
-    stack = slices.matrices
     adjoint = stack.conj().transpose(0, 2, 1)
     # unnamed, so one rotated family is freed before the next is made
     worst = _off_diagonal_residual(
@@ -184,30 +143,30 @@ def _commute_weights(count: int) -> np.ndarray:
     return np.random.default_rng(0).uniform(1.0, 2.0, count)
 
 
-def find_diagonalizing_pair(slices: SliceSet, seed: int = 0) -> DiagonalizationPair:
+def find_diagonalizing_pair(stack: np.ndarray, seed: int = 0) -> tuple[np.ndarray, ...]:
     """Search for unitaries (P, Q) with every P+ A_c Q+ diagonal within DIAG_TOL.
 
-    The pair carries S, the diagonals it checked.  Fast path: slices
-    already diagonal give the identity pair (GHZ-type states).  Otherwise
-    a random complex combination B = sum_c r_c A_c is decomposed by SVD;
-    for a decomposable state with generically distinct combined singular
+    Returns the tuple (p, q, s), s holding the diagonals it checked:
+    S[l][c] = (P+ A_c Q+)_ll.  Fast path: slices already diagonal give
+    the identity pair (GHZ-type states).  Otherwise a random complex
+    combination B = sum_c r_c A_c is decomposed by SVD; for a
+    decomposable state with generically distinct combined singular
     values its singular bases diagonalize every slice.  Degenerate
     singular values are refined block by block with a second
     combination.  Up to MAX_PAIR_ATTEMPTS seeded retries; raises
     NoPairFound (with the best residual seen) when all fail.
     """
-    _, d1, d2 = slices.matrices.shape
-    if _off_diagonal_residual(slices.matrices) <= tolerances.DIAG_TOL:
-        return DiagonalizationPair(np.eye(d1, dtype=complex), np.eye(d2, dtype=complex),
-                                   _diagonals(slices.matrices))
+    _, d1, d2 = stack.shape
+    if _off_diagonal_residual(stack) <= tolerances.DIAG_TOL:
+        return np.eye(d1, dtype=complex), np.eye(d2, dtype=complex), _diagonals(stack)
     best = np.inf
     for attempt in range(MAX_PAIR_ATTEMPTS):
         rng = np.random.default_rng((int(seed), attempt))
-        p, q = _pair_attempt(slices, rng)
-        rotated = p.conj().T @ slices.matrices @ q.conj().T
+        p, q = _pair_attempt(stack, rng)
+        rotated = p.conj().T @ stack @ q.conj().T
         resid = _off_diagonal_residual(rotated)
         if resid <= tolerances.DIAG_TOL:
-            return DiagonalizationPair(p, q, _diagonals(rotated))
+            return p, q, _diagonals(rotated)
         best = min(best, resid)
     err = NoPairFound(
         f"no diagonalizing pair after {MAX_PAIR_ATTEMPTS} attempts "
@@ -216,16 +175,16 @@ def find_diagonalizing_pair(slices: SliceSet, seed: int = 0) -> DiagonalizationP
     raise err
 
 
-def _random_combination(slices: SliceSet, rng: np.random.Generator) -> np.ndarray:
-    count = len(slices.matrices)
+def _random_combination(stack: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+    count = len(stack)
     coeffs = rng.standard_normal(count) + 1j * rng.standard_normal(count)
-    return np.tensordot(coeffs, slices.matrices, axes=1)
+    return np.tensordot(coeffs, stack, axes=1)
 
 
 def _pair_attempt(
-    slices: SliceSet, rng: np.random.Generator
+    stack: np.ndarray, rng: np.random.Generator
 ) -> tuple[np.ndarray, np.ndarray]:
-    u, sing, vh = np.linalg.svd(_random_combination(slices, rng), full_matrices=True)
+    u, sing, vh = np.linalg.svd(_random_combination(stack, rng), full_matrices=True)
     scale = sing[0] if sing.size and sing[0] > 0 else 1.0
     blocks = [
         b for b in _split_blocks(sing, tolerances.PAIR_GAP_TOL * scale)
@@ -233,7 +192,7 @@ def _pair_attempt(
     ]
     if blocks:
         # a second combination splits subspaces the first one left mixed
-        second = _random_combination(slices, rng)
+        second = _random_combination(stack, rng)
         for block in blocks:
             sub = u[:, block].conj().T @ second @ vh[block, :].conj().T
             u2, _, vh2 = np.linalg.svd(sub)
@@ -360,7 +319,7 @@ def check_decomposable(state: StateTensor, seed: int = 0) -> DecomposabilityRepo
             return DecomposabilityReport(False, STAGE_SPECTRA, {"spectra": {
                 ",".join(map(str, s)): t.tolist() for s, t in table.items()}},
                 tolerances_used=used)
-        comm_resid = _commute_residual(slices, rotated)
+        comm_resid = _commute_residual(stack, rotated)
         found = {"max_commutator": comm_resid}
         if not comm_resid <= tolerances.DIAG_TOL:  # a NaN residual fails too
             return DecomposabilityReport(False, STAGE_DIAG, dict(found), found,
@@ -372,25 +331,24 @@ def check_decomposable(state: StateTensor, seed: int = 0) -> DecomposabilityRepo
     sites = [tuple(i for i in range(1, n + 1) if i != k) for k in range(2, n + 1)]
     if not all(_same_nonzero(_cut(state, cuts, (1,)), _cut(state, cuts, site),
                              tolerances.SPECTRA_TOL) for site in sites):
-        return reject(STAGE_SPECTRA, {})  # the table fails too, before slices exist
-    slices = slice_tensor(state)
+        return reject(STAGE_SPECTRA, {})  # the table fails too, before the stack exists
+    stack = slice_tensor(state)
 
     try:
-        pair = find_diagonalizing_pair(slices, seed)
+        p, q, s = find_diagonalizing_pair(stack, seed)
     except NoPairFound as err:
         residuals["max_off_diagonal"] = err.residual
-        stack = slices.matrices
         rotated = _rotate_to_combination(stack @ stack.conj().transpose(0, 2, 1))
         ok, gram, _ = scaled_unitary_check(_positive_product_s(rotated))
         if not ok:
             return reject(STAGE_SCALED, {"ss_dagger": gram}, rotated)
         return reject(STAGE_DIAG, {"max_off_diagonal": err.residual}, rotated)
 
-    ok, gram, residuals["max_ss_off_diagonal"] = scaled_unitary_check(pair.s)
+    ok, gram, residuals["max_ss_off_diagonal"] = scaled_unitary_check(s)
     if not ok:
         return reject(STAGE_SCALED, {"ss_dagger": gram})
 
-    candidate = _assemble(state, slices, pair, gram, residuals)
+    candidate = _assemble(state, p, q, s, gram, residuals)
     if isinstance(candidate, tuple):
         return reject(*candidate)
     resid = float(np.abs(reconstruct(candidate).amplitudes - state.amplitudes).max())
@@ -399,24 +357,20 @@ def check_decomposable(state: StateTensor, seed: int = 0) -> DecomposabilityRepo
         # the discarded off-diagonal mass was too large to represent the
         # state after all; report it at the diagonalization stage
         return reject(STAGE_DIAG, {"reconstruction": resid})
-    found = {"max_commutator": positive_products_commute(slices)[1]}
+    found = {"max_commutator": positive_products_commute(stack)[1]}
     return DecomposabilityReport(True, None, {}, {**found, **residuals}, candidate, used)
 
 
-def _assemble(
-    state: StateTensor,
-    slices: SliceSet,
-    pair: DiagonalizationPair,
-    gram: np.ndarray,
-    residuals: dict,
-):
-    """Turn a scaled-unitary S = pair.s with Gram matrix gram into a candidate.
+def _assemble(state: StateTensor, p: np.ndarray, q: np.ndarray, s: np.ndarray,
+              gram: np.ndarray, residuals: dict):
+    """Turn find_diagonalizing_pair's (p, q, s) into a candidate.
 
-    The row norms of S (from the Gram diagonal) above RANK_TOL, at most
-    min(dims) of them and largest first, give the coefficients; the
-    normalised rows are the tail vectors.  Each is split into one factor
-    per tail subsystem by a rank-one SVD at every tail cut (none for
-    three subsystems); a relative second singular value above DIAG_TOL
+    S must be a scaled unitary with Gram matrix gram.  The row norms of S
+    (from the Gram diagonal) above RANK_TOL, at most min(dims) of them
+    and largest first, give the coefficients; the normalised rows are the
+    tail vectors.  Each is split into one factor per tail subsystem, of
+    state.dims[2:], by a rank-one SVD at every tail cut (none for three
+    subsystems); a relative second singular value above DIAG_TOL
     means the tail vector is not a product.  A tail family further than
     ORTH_TOL from orthonormal is replaced by the polar factor of its
     coefficient-weighted rows, so a vector with a tiny coefficient takes
@@ -429,15 +383,15 @@ def _assemble(
     order = keep[np.argsort(norms[keep])[::-1]][:min(state.dims)]
     coeffs = norms[order] / np.linalg.norm(norms[order])
 
-    first = pair.p[:, order].T.copy()
-    second = pair.q[order, :].copy()
-    chis = pair.s[order, :] / norms[order, None]
-    tails = [np.empty((coeffs.size, d), dtype=complex) for d in slices.tail_dims]
+    first = p[:, order].T.copy()
+    second = q[order, :].copy()
+    chis = s[order, :] / norms[order, None]
+    tails = [np.empty((coeffs.size, d), dtype=complex) for d in state.dims[2:]]
     for l in range(coeffs.size):
         first[l], ph1 = phase_fix(first[l])
         second[l], ph2 = phase_fix(second[l])
         remainder = chis[l] * (ph1 * ph2)
-        for k, d in enumerate(slices.tail_dims[:-1]):
+        for k, d in enumerate(state.dims[2:-1]):
             u, sing, vh = np.linalg.svd(remainder.reshape(d, -1),
                                         full_matrices=False)
             ratio = float(sing[1] / sing[0]) if sing.size > 1 else 0.0

@@ -15,10 +15,8 @@ NORM_TOL = 1e-10
 ORTH_TOL = 1e-8
 
 # squared Schmidt coefficients of a decomposition must sum to 1 within
-# COEFF_NORM_TOL, and a slice stack's squared norms within SLICE_NORM_TOL;
-# both are looser than NORM_TOL
+# COEFF_NORM_TOL, which is looser than NORM_TOL
 COEFF_NORM_TOL = 1e-8
-SLICE_NORM_TOL = 1e-8
 
 # a superposition alpha*phi + beta*gamma with norm below this cannot be
 # normalized into a state

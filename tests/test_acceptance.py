@@ -60,9 +60,9 @@ def _nondegenerate_decomposition(dims, rank, seed):
 
 def test_criterion_1_w_state_rejection():
     w = w_state()
-    slices = slice_tensor(w)
-    assert np.array_equal(slices.matrices[0], RT3 * np.array([[0, 1], [1, 0]]))
-    assert np.array_equal(slices.matrices[1], RT3 * np.array([[1, 0], [0, 0]]))
+    stack = slice_tensor(w)
+    assert np.array_equal(stack[0], RT3 * np.array([[0, 1], [1, 0]]))
+    assert np.array_equal(stack[1], RT3 * np.array([[1, 0], [0, 0]]))
 
     report = check_decomposable(w)
     assert report.verdict == "NotDecomposable"

@@ -39,7 +39,6 @@ from schmidtkit import (
 )
 from schmidtkit.linalg import haar_unitary
 from schmidtkit.multipartite import (
-    SliceSet,
     find_diagonalizing_pair,
     positive_products_commute,
     random_decomposition,
@@ -64,44 +63,48 @@ def eqspec_state():
 
 
 def test_w_slices_pinned_exactly():
-    s = slice_tensor(w_state())
-    assert s.matrices.shape == (2, 2, 2)
-    a0, a1 = s.matrices
+    stack = slice_tensor(w_state())
+    assert stack.shape == (2, 2, 2)
+    a0, a1 = stack
     assert np.array_equal(a0, RT3 * np.array([[0, 1], [1, 0]]))
     assert np.array_equal(a1, RT3 * np.array([[1, 0], [0, 0]]))
 
 
 def test_ghz_slices_pinned():
-    s = slice_tensor(ghz(3))
-    assert s.matrices.shape == (2, 2, 2)
-    a0, a1 = s.matrices
+    stack = slice_tensor(ghz(3))
+    assert stack.shape == (2, 2, 2)
+    a0, a1 = stack
     assert np.array_equal(a0, RT2 * np.diag([1.0, 0.0]))
     assert np.array_equal(a1, RT2 * np.diag([0.0, 1.0]))
 
 
 def test_slice_grouping_for_four_parts():
-    s = slice_tensor(ghz(4))
-    assert len(s.matrices) == 4
-    assert s.matrices.shape == (4, 2, 2)
-    assert s.tail_dims == (2, 2)
-    assert np.array_equal(s.matrices[0], RT2 * np.diag([1.0, 0.0]))
-    assert np.array_equal(s.matrices[3], RT2 * np.diag([0.0, 1.0]))
-    assert np.allclose(s.matrices[1], 0) and np.allclose(s.matrices[2], 0)
+    state = ghz(4)
+    stack = slice_tensor(state)
+    assert len(stack) == 4
+    assert stack.shape == (4, 2, 2)
+    assert state.dims[2:] == (2, 2)  # the tail dims the assembly reads
+    assert np.array_equal(stack[0], RT2 * np.diag([1.0, 0.0]))
+    assert np.array_equal(stack[3], RT2 * np.diag([0.0, 1.0]))
+    assert np.allclose(stack[1], 0) and np.allclose(stack[2], 0)
 
 
 def test_slice_axis_selection():
     st = haar_random_state((2, 3, 4), seed=0)
     t = st.tensor()
     default = slice_tensor(st)
-    assert default.matrices.shape == (4, 2, 3)
-    assert np.array_equal(default.matrices[1], t[:, :, 1])
+    assert default.shape == (4, 2, 3)
+    assert np.array_equal(default[1], t[:, :, 1])
     with pytest.raises(TooFewSubsystems):
         slice_tensor(bell())
 
 
-def test_sliceset_requires_unit_weight():
-    with pytest.raises(Exception):
-        SliceSet((np.eye(2),), (2, 2, 1), (1,))
+@pytest.mark.parametrize("dims", [(2, 3, 4), (2, 2, 2, 2)], ids=str)
+def test_slice_stack_is_a_view_of_the_amplitudes(dims):
+    st = haar_random_state(dims, seed=0)
+    stack = slice_tensor(st)
+    assert np.shares_memory(stack, st.amplitudes)
+    assert stack.shape == (int(np.prod(dims[2:])), *dims[:2])
 
 
 def test_positive_products_commute_cases():
@@ -143,24 +146,24 @@ def test_commute_on_near_degenerate_sums(dims, gap):
         families = tuple(haar_unitary(d, rng)[:rank] for d in dims)
         state = reconstruct(SchmidtDecomposition(
             dims, np.sqrt(squares / squares.sum()), families))
-        slices = slice_tensor(state)
-        ok, resid = positive_products_commute(slices)
-        assert ok == (commutator_pairwise(slices.matrices) <= tolerances.DIAG_TOL)
+        stack = slice_tensor(state)
+        ok, resid = positive_products_commute(stack)
+        assert ok == (commutator_pairwise(stack) <= tolerances.DIAG_TOL)
         assert ok and resid < 1e-12, (seed, resid)
 
 
 def test_find_pair_ghz_fast_path():
-    pair = find_diagonalizing_pair(slice_tensor(ghz(3)))
-    assert np.array_equal(pair.p, np.eye(2))
-    assert np.array_equal(pair.q, np.eye(2))
+    p, q, _ = find_diagonalizing_pair(slice_tensor(ghz(3)))
+    assert np.array_equal(p, np.eye(2))
+    assert np.array_equal(q, np.eye(2))
 
 
 def test_find_pair_on_random_decomposable():
     st = random_decomposable_state((3, 3, 3), 3, seed=4)
-    slices = slice_tensor(st)
-    pair = find_diagonalizing_pair(slices, seed=0)
-    for m in slices.matrices:
-        rotated = pair.p.conj().T @ m @ pair.q.conj().T
+    stack = slice_tensor(st)
+    p, q, _ = find_diagonalizing_pair(stack, seed=0)
+    for m in stack:
+        rotated = p.conj().T @ m @ q.conj().T
         off = np.abs(rotated - np.diag(np.diag(rotated))).max()
         assert off < 1e-8
 
@@ -175,17 +178,17 @@ def test_find_pair_rejects_w():
 def test_find_pair_hands_over_checked_diagonals(dims):
     # S is exactly the diagonals of the rotated stack the pair search
     # checked, so its off-diagonals are within diag_tol
-    slices = slice_tensor(random_decomposable_state(dims, 2, seed=4))
-    pair = find_diagonalizing_pair(slices, seed=0)
-    rotated = pair.p.conj().T @ slices.matrices @ pair.q.conj().T
-    assert np.array_equal(pair.s, np.diagonal(rotated, axis1=1, axis2=2).T)
+    stack = slice_tensor(random_decomposable_state(dims, 2, seed=4))
+    p, q, s = find_diagonalizing_pair(stack, seed=0)
+    rotated = p.conj().T @ stack @ q.conj().T
+    assert np.array_equal(s, np.diagonal(rotated, axis1=1, axis2=2).T)
     off = rotated.copy()
     off[:, np.arange(min(dims[:2])), np.arange(min(dims[:2]))] = 0.0
     assert np.abs(off).max() <= tolerances.DIAG_TOL
     # the GHZ fast path hands over the slices' own diagonals
-    ghz_slices = slice_tensor(ghz(4))
-    pair = find_diagonalizing_pair(ghz_slices)
-    assert np.array_equal(pair.s, np.diagonal(ghz_slices.matrices, axis1=1, axis2=2).T)
+    ghz_stack = slice_tensor(ghz(4))
+    _, _, s = find_diagonalizing_pair(ghz_stack)
+    assert np.array_equal(s, np.diagonal(ghz_stack, axis1=1, axis2=2).T)
 
 
 def test_scaled_unitary_check_cases():
@@ -481,16 +484,16 @@ COMMUTE_CASES = {
 
 @pytest.mark.parametrize("name", sorted(COMMUTE_CASES))
 def test_commutator_matches_eigenbasis_oracle(name):
-    slices = slice_tensor(COMMUTE_CASES[name]())
-    _, got = positive_products_commute(slices)
-    assert abs(got - commutator_eigenbasis(slices.matrices)) < 1e-12
+    stack = slice_tensor(COMMUTE_CASES[name]())
+    _, got = positive_products_commute(stack)
+    assert abs(got - commutator_eigenbasis(stack)) < 1e-12
 
 
 @pytest.mark.parametrize("name", sorted(COMMUTE_CASES))
 def test_commute_verdict_matches_pairwise_oracle(name):
-    slices = slice_tensor(COMMUTE_CASES[name]())
-    ok, _ = positive_products_commute(slices)
-    assert ok == (commutator_pairwise(slices.matrices) <= tolerances.DIAG_TOL)
+    stack = slice_tensor(COMMUTE_CASES[name]())
+    ok, _ = positive_products_commute(stack)
+    assert ok == (commutator_pairwise(stack) <= tolerances.DIAG_TOL)
 
 
 def test_equal_spectra_work_is_linear_in_cuts(monkeypatch):

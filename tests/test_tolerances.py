@@ -47,9 +47,9 @@ def tiny_third_coefficient() -> StateTensor:
 
 
 def test_diag_tol_reaches_pair_search_and_tail_test(monkeypatch):
-    slices = slice_tensor(w_state())
+    stack = slice_tensor(w_state())
     with pytest.raises(NoPairFound):
-        find_diagonalizing_pair(slices)
+        find_diagonalizing_pair(stack)
     state = near_product_tail(1e-5)
     rep = check_decomposable(state)
     assert rep.stage == "TailNotProduct"
@@ -58,7 +58,7 @@ def test_diag_tol_reaches_pair_search_and_tail_test(monkeypatch):
     # W's off-diagonal slice entries are 1/sqrt(3): a bound of 1 lets the
     # fast path take the identity pair
     monkeypatch.setattr(tolerances, "DIAG_TOL", 1.0)
-    assert np.array_equal(find_diagonalizing_pair(slices).p, np.eye(2))
+    assert np.array_equal(find_diagonalizing_pair(stack)[0], np.eye(2))
     monkeypatch.setattr(tolerances, "DIAG_TOL", 1e-4)
     rep = check_decomposable(state)
     # the tail now factors; the rebuild misses by ~eps and rejects
