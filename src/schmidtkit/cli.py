@@ -3,9 +3,9 @@
 Exit codes: 0 for success or an affirmative verdict, 1 for a negative
 verdict (not decomposable, infeasible, condition fails), 2 for usage
 or input errors.  Reports go to standard output as deterministic JSON;
---out additionally writes them to a file.  Every randomized step takes
---seed and defaults to 0, so identical invocations produce identical
-bytes.
+--out additionally writes them to a file.  The verbs with a randomized
+step (check, decompose, inequality, gen) take --seed, which defaults
+to 0, so identical invocations produce identical bytes.
 """
 
 from __future__ import annotations
@@ -274,16 +274,17 @@ def build_parser() -> argparse.ArgumentParser:
         sub = subs.add_parser(name, help=help_text)
         sub.set_defaults(func=func)
         sub.add_argument("--out", default=None, help="also write the report here")
-        sub.add_argument("--seed", type=int, default=0)
         return sub
 
     sub = add("check", _cmd_check, "decide joint decomposability of a state file")
     sub.add_argument("state")
+    sub.add_argument("--seed", type=int, default=0)
 
     sub = add("decompose", _cmd_decompose,
               "compute a decomposition (joint, or across --cut)")
     sub.add_argument("state")
     sub.add_argument("--cut", default=None)
+    sub.add_argument("--seed", type=int, default=0)
 
     sub = add("number", _cmd_number, "Schmidt number across a cut")
     sub.add_argument("state")
@@ -313,6 +314,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_argument("--alpha", required=True)
     sub.add_argument("--beta", required=True)
     sub.add_argument("--cut", default=None)
+    sub.add_argument("--seed", type=int, default=0)
 
     sub = add("purify", _cmd_purify, "purify a density-matrix file")
     sub.add_argument("density")
@@ -328,6 +330,7 @@ def build_parser() -> argparse.ArgumentParser:
                      help="w, bell, ghz or ghzN for N parts")
     sub.add_argument("--dims", default=None)
     sub.add_argument("--rank", type=int, default=None)
+    sub.add_argument("--seed", type=int, default=0)
     sub.add_argument("--label", default=None)
     return parser
 

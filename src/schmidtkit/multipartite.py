@@ -13,17 +13,17 @@ search for a unitary pair (P, Q) making every P+ A_c Q+ diagonal
 returns the tuple (P, Q, S), S being the diagonals it checked, the
 coefficient matrix.  One Gram matrix S S+ decides that
 the rows of S are orthogonal and gives their norms, the coefficients;
-each normalised row, a tail vector, must factor into one vector per
-tail subsystem.  The candidate is accepted only if it rebuilds the
-input within RECONSTRUCT_TOL, which also settles the orthonormality of
-the tail families: the accept is its own proof.  A reject is explained
-by the earlier necessary conditions, run only then: the spectra table,
-walked by cut size and stopped at the first cut that fails (so for
-n >= 4 its witness is a partial table), and the commutation of the
-positive products C_c = A_c A_c+ (and A_c+ A_c), tested in the
-eigenbasis P of one combination of them; with no pair,
-S[l][c] = sqrt((P+ C_c P)_ll) is read there (W's rows overlap).  A
-reject whose spectra all agree still computes every cut.
+each normalised row, a tail vector, is split into one vector per tail
+subsystem.  The candidate is accepted only if it rebuilds the input
+within RECONSTRUCT_TOL, which also settles that the tail vectors are
+products and the tail families orthonormal: the accept is its own
+proof.  A reject is explained by the earlier necessary conditions, run
+only then: the spectra table, walked by cut size and stopped at the
+first cut that fails (so for n >= 4 its witness is a partial table),
+and the commutation of the positive products C_c = A_c A_c+ (and
+A_c+ A_c), tested in the eigenbasis P of one combination of them; with
+no pair, S[l][c] = sqrt((P+ C_c P)_ll) is read there (W's rows
+overlap).  A reject whose spectra all agree still computes every cut.
 """
 
 from __future__ import annotations
@@ -68,7 +68,6 @@ MAX_PAIR_ATTEMPTS = 8
 STAGE_SPECTRA = "SpectraUnequal"
 STAGE_DIAG = "SlicesNotSimultaneouslyDiagonalizable"
 STAGE_SCALED = "SNotScaledUnitary"
-STAGE_TAIL = "TailNotProduct"
 
 
 @dataclass(frozen=True)
@@ -116,17 +115,11 @@ def positive_products_commute(stack: np.ndarray) -> tuple[bool, float]:
     passes when the largest off-diagonal magnitude of the rotated stacks
     is at most DIAG_TOL, and that magnitude (the witness).
     """
-    worst = _commute_residual(stack)
-    return worst <= tolerances.DIAG_TOL, worst
-
-
-def _commute_residual(stack: np.ndarray, rotated: np.ndarray | None = None) -> float:
-    """positive_products_commute's witness; rotated, if given, is {A_c A_c+} rotated."""
     adjoint = stack.conj().transpose(0, 2, 1)
     # unnamed, so one rotated family is freed before the next is made
-    worst = _off_diagonal_residual(
-        _rotate_to_combination(stack @ adjoint) if rotated is None else rotated)
-    return max(worst, _off_diagonal_residual(_rotate_to_combination(adjoint @ stack)))
+    worst = max(_off_diagonal_residual(_rotate_to_combination(stack @ adjoint)),
+                _off_diagonal_residual(_rotate_to_combination(adjoint @ stack)))
+    return worst <= tolerances.DIAG_TOL, worst
 
 
 def _rotate_to_combination(family: np.ndarray) -> np.ndarray:
@@ -292,9 +285,9 @@ def check_decomposable(state: StateTensor, seed: int = 0) -> DecomposabilityRepo
     """Decide whether a state on >= 3 subsystems has a joint Schmidt form.
 
     Decision path: the n single-site spectra agree (stopping at the
-    first mismatch), pair search, S-matrix scaled unitarity, tail
-    factorization (none for three subsystems), and a rebuild of the
-    input from the candidate, which accepts within RECONSTRUCT_TOL.
+    first mismatch), pair search, S-matrix scaled unitarity, and a
+    rebuild of the input from the candidate, which accepts within
+    RECONSTRUCT_TOL; a tail vector that is no product fails the rebuild.
     Every reject then runs the explain pass: the equal-spectra walk
     (from the cuts already taken, in size order, stopping at the first
     failing cut), then the commutation test; the first that fails is the
@@ -312,16 +305,15 @@ def check_decomposable(state: StateTensor, seed: int = 0) -> DecomposabilityRepo
     residuals: dict[str, float] = {}
     cuts: dict[tuple[int, ...], np.ndarray] = {}
 
-    def reject(stage: str, witness: dict,
-               rotated: np.ndarray | None = None) -> DecomposabilityReport:
+    def reject(stage: str, witness: dict) -> DecomposabilityReport:
         ok, table = equal_spectra_check(state, cuts=cuts)
         if not ok:
             return DecomposabilityReport(False, STAGE_SPECTRA, {"spectra": {
                 ",".join(map(str, s)): t.tolist() for s, t in table.items()}},
                 tolerances_used=used)
-        comm_resid = _commute_residual(stack, rotated)
+        ok, comm_resid = positive_products_commute(stack)
         found = {"max_commutator": comm_resid}
-        if not comm_resid <= tolerances.DIAG_TOL:  # a NaN residual fails too
+        if not ok:  # a NaN residual fails too
             return DecomposabilityReport(False, STAGE_DIAG, dict(found), found,
                                          tolerances_used=used)
         return DecomposabilityReport(False, stage, witness, {**found, **residuals},
@@ -338,31 +330,30 @@ def check_decomposable(state: StateTensor, seed: int = 0) -> DecomposabilityRepo
         p, q, s = find_diagonalizing_pair(stack, seed)
     except NoPairFound as err:
         residuals["max_off_diagonal"] = err.residual
-        rotated = _rotate_to_combination(stack @ stack.conj().transpose(0, 2, 1))
-        ok, gram, _ = scaled_unitary_check(_positive_product_s(rotated))
+        ok, gram, _ = scaled_unitary_check(_positive_product_s(
+            _rotate_to_combination(stack @ stack.conj().transpose(0, 2, 1))))
         if not ok:
-            return reject(STAGE_SCALED, {"ss_dagger": gram}, rotated)
-        return reject(STAGE_DIAG, {"max_off_diagonal": err.residual}, rotated)
+            return reject(STAGE_SCALED, {"ss_dagger": gram})
+        return reject(STAGE_DIAG, {"max_off_diagonal": err.residual})
 
     ok, gram, residuals["max_ss_off_diagonal"] = scaled_unitary_check(s)
     if not ok:
         return reject(STAGE_SCALED, {"ss_dagger": gram})
 
     candidate = _assemble(state, p, q, s, gram, residuals)
-    if isinstance(candidate, tuple):
-        return reject(*candidate)
     resid = float(np.abs(reconstruct(candidate).amplitudes - state.amplitudes).max())
     residuals["reconstruction"] = resid
     if resid > tolerances.RECONSTRUCT_TOL:
-        # the discarded off-diagonal mass was too large to represent the
-        # state after all; report it at the diagonalization stage
+        # the discarded off-diagonal mass, or a tail that is no product,
+        # was too large to represent the state; report it at the
+        # diagonalization stage
         return reject(STAGE_DIAG, {"reconstruction": resid})
     found = {"max_commutator": positive_products_commute(stack)[1]}
     return DecomposabilityReport(True, None, {}, {**found, **residuals}, candidate, used)
 
 
 def _assemble(state: StateTensor, p: np.ndarray, q: np.ndarray, s: np.ndarray,
-              gram: np.ndarray, residuals: dict):
+              gram: np.ndarray, residuals: dict) -> SchmidtDecomposition:
     """Turn find_diagonalizing_pair's (p, q, s) into a candidate.
 
     S must be a scaled unitary with Gram matrix gram.  The row norms of S
@@ -370,13 +361,12 @@ def _assemble(state: StateTensor, p: np.ndarray, q: np.ndarray, s: np.ndarray,
     and largest first, give the coefficients; the normalised rows are the
     tail vectors.  Each is split into one factor per tail subsystem, of
     state.dims[2:], by a rank-one SVD at every tail cut (none for three
-    subsystems); a relative second singular value above DIAG_TOL
-    means the tail vector is not a product.  A tail family further than
+    subsystems), whose largest relative second singular value is kept as
+    residuals["tail_product_ratio"].  A tail family further than
     ORTH_TOL from orthonormal is replaced by the polar factor of its
     coefficient-weighted rows, so a vector with a tiny coefficient takes
-    the correction.  The caller's rebuild decides whether dropped rows
-    and corrected families still represent the state.  Returns the
-    decomposition, or (stage, witness) when a tail vector is no product.
+    the correction.  The caller's rebuild decides whether dropped rows,
+    split tails and corrected families still represent the state.
     """
     norms = np.sqrt(np.real(np.diagonal(gram)).clip(0.0))
     keep = np.flatnonzero(norms > tolerances.RANK_TOL * norms.max())
@@ -397,8 +387,6 @@ def _assemble(state: StateTensor, p: np.ndarray, q: np.ndarray, s: np.ndarray,
             ratio = float(sing[1] / sing[0]) if sing.size > 1 else 0.0
             residuals["tail_product_ratio"] = max(
                 residuals.get("tail_product_ratio", 0.0), ratio)
-            if ratio > tolerances.DIAG_TOL:
-                return STAGE_TAIL, {"tail_index": l, "second_singular_ratio": ratio}
             tails[k][l], ph = phase_fix(u[:, 0])
             remainder = vh[0, :] * ph
         tails[-1][l] = remainder

@@ -4,6 +4,8 @@ BENCHMARK.json reports `<module>.<function>.self_s` and `.calls` for
 spans that perfbench/tracer.py opens around public functions, named
 after the module that defines them.  A renamed or deleted function
 silently drops out of the trace, so each such entry must resolve.
+Likewise each `multipartite.verdicts.<stage>` counter must name a stage
+check_decomposable can report.
 """
 
 import importlib
@@ -33,3 +35,19 @@ def test_per_layer_timings_name_package_functions():
     assert len(timed) > 20
     missing = {".".join(parts) for parts in timed if not _resolves(*parts[:2])}
     assert missing <= KNOWN_MISSING, sorted(missing - KNOWN_MISSING)
+
+
+# counted by the benchmark for a stage check_decomposable no longer reports
+RETIRED_VERDICTS = {"TailNotProduct"}
+
+
+def test_verdict_counters_name_reported_stages():
+    multipartite = importlib.import_module("schmidtkit.multipartite")
+    stages = {value for name, value in vars(multipartite).items()
+              if name.startswith("STAGE_")}
+    names = [entry["name"] for entry in json.loads(BENCHMARK.read_text())["per_layer"]]
+    counted = {name.rsplit(".", 1)[1] for name in names
+               if name.startswith("multipartite.verdicts.")}
+    assert "accept" in counted and stages <= counted
+    unknown = counted - stages - {"accept"}
+    assert unknown <= RETIRED_VERDICTS, sorted(unknown - RETIRED_VERDICTS)

@@ -23,6 +23,8 @@ from schmidtkit import (
 )
 from schmidtkit.cli import main, parse_cut, parse_grouping
 
+RT2 = 2 ** -0.5
+
 
 def run(capsys, *argv):
     code = main(list(argv))
@@ -183,6 +185,12 @@ def test_spectra_verb(tmp_path, capsys):
     values = json.loads(out)["spectrum"]
     assert np.allclose(values, [2 / 3, 1 / 3])
 
+    # without --cut, the spectrum of subsystem 1
+    code, out, _ = run(capsys, "spectra", w)
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["keep"] == [1] and np.allclose(doc["spectrum"], [2 / 3, 1 / 3])
+
     code, out, _ = run(capsys, "spectra", w, "--equal")
     assert code == 0
     doc = json.loads(out)
@@ -266,6 +274,16 @@ def test_inequality_verb(tmp_path, capsys):
     assert code == 0
     assert json.loads(out)["mode"] == "bipartite"
 
+    # |001> + |010> is |0> times a Bell pair: both terms are decomposable,
+    # their sum is not, so the joint ranks have nothing to compare
+    e1 = write_fixture(tmp_path, "e1", basis_state((2, 2, 2), (0, 0, 1)))
+    e2 = write_fixture(tmp_path, "e2", basis_state((2, 2, 2), (0, 1, 0)))
+    code, out, _ = run(capsys, "inequality", e1, e2, "--alpha", "1,0", "--beta", "1,0")
+    assert code == 1
+    doc = json.loads(out)
+    assert doc["applicable"] is False and doc["rank_psi"] is None
+    assert doc["detail"] == "superposition is not decomposable; inequality not applicable"
+
 
 def test_purify_and_link_verbs(tmp_path, capsys):
     rho = reduced_density(ghz(3), (1, 2))
@@ -305,6 +323,10 @@ def test_gen_verb(tmp_path, capsys):
 
     code, out, _ = run(capsys, "gen", "--fixture", "ghz4")
     assert json.loads(out)["dims"] == [2] * 4
+    code, out, _ = run(capsys, "gen", "--fixture", "bell")
+    doc = json.loads(out)
+    assert doc["dims"] == [2, 2]
+    assert np.allclose([p[0] for p in doc["amplitudes"]], [RT2, 0, 0, RT2])
 
     code, out, _ = run(capsys, "gen", "--dims", "2,3", "--seed", "5")
     first = out
@@ -359,6 +381,26 @@ def test_usage_and_input_errors(tmp_path, capsys):
     code, _, err = run(capsys, "partition", "--dims", "2,3,4,5",
                        "--target", "0")
     assert code == 2
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["inequality", "{ghz}", "{ghz}", "--alpha", "1", "--beta", "0,0"],
+     "InvalidArgs: --alpha '1' must be 're,im'"),
+    (["inequality", "{ghz}", "{ghz}", "--alpha", "a,b", "--beta", "0,0"],
+     "InvalidArgs: --alpha 'a,b' must be 're,im'"),
+    (["gen", "--fixture", "dicke"], "InvalidArgs: unknown fixture 'dicke'"),
+    (["link", "{qubit}", "{qubit}"], "a purification needs a reference subsystem"),
+    # only the verbs with a randomized step take --seed
+    (["number", "{ghz}", "--cut", "1|2,3", "--seed", "1"],
+     "unrecognized arguments: --seed 1"),
+], ids=["alpha-one-part", "alpha-not-float", "unknown-fixture", "link-one-subsystem",
+        "number-seed"])
+def test_cli_argument_errors_exit_2(argv, message, tmp_path, capsys):
+    files = {"ghz": write_fixture(tmp_path, "ghz", ghz(3)),
+             "qubit": write_fixture(tmp_path, "qubit", basis_state((2,), (0,)))}
+    code, _, err = run(capsys, *[arg.format(**files) for arg in argv])
+    assert code == 2
+    assert message in err
 
 
 def test_density_negative_check(tmp_path, capsys):

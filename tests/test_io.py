@@ -98,6 +98,7 @@ def test_dumps_canonical_rejects_nan():
     (lambda d: d.update(amplitudes=[[0.5, 0.0, 0.0]] * 2), "pair"),
     (lambda d: d.update(amplitudes=[["a", 0.0]] * 2), "pair"),
     (lambda d: d.update(amplitudes=[[1.0, 0.0]]), "amplitudes"),
+    (lambda d: d.update(amplitudes="1,0"), "must be a list"),
     (lambda d: d.update(label=7), "label"),
 ])
 def test_state_document_validation(tmp_path, mutate, message):

@@ -331,6 +331,10 @@ def test_apply_local_unitaries_matches_kron():
     got = apply_local_unitaries(st, us).amplitudes
     want = np.kron(np.kron(us[0], us[1]), us[2]) @ st.amplitudes
     assert np.max(np.abs(got - want)) < 1e-12
+    with pytest.raises(DimensionMismatch, match="need 3 unitaries, got 2"):
+        apply_local_unitaries(st, us[:2])
+    with pytest.raises(DimensionMismatch, match=r"unitary 2 has shape \(2, 2\)"):
+        apply_local_unitaries(st, [us[0], us[0], us[2]])
 
 
 def test_local_unitary_link_round_trip():
@@ -570,10 +574,10 @@ def test_each_off_diagonal_residual_is_taken_once(monkeypatch):
     assert len(calls) <= 12
 
 
-def test_w_reject_rotates_each_family_once(monkeypatch):
+def test_w_reject_rotations_pinned(monkeypatch):
     # W's S is read from {A_c A_c+} in the combination's eigenbasis; the
-    # explain pass's commutation test takes that rotation over and only
-    # rotates {A_c+ A_c} itself
+    # explain pass's commutation test, called by its public name, rotates
+    # that family again and then {A_c+ A_c}
     calls = []
     real = multipartite._rotate_to_combination
 
@@ -584,12 +588,35 @@ def test_w_reject_rotates_each_family_once(monkeypatch):
     monkeypatch.setattr(multipartite, "_rotate_to_combination", counting)
     rep = check_decomposable(w_state())
     assert rep.stage == "SNotScaledUnitary"
-    assert len(calls) == 2
+    assert calls == [(2, 2, 2)] * 3
     third, two_thirds = 0.3333333333333334, 0.6666666666666669
     assert np.asarray(rep.witness["ss_dagger"]).tolist() == \
         [[third, third], [third, two_thirds]]
     assert rep.residuals == {"max_commutator": 0.0,
                              "max_off_diagonal": 0.2828028788442887}
+
+
+@pytest.mark.parametrize("build, stage, count", [
+    (w_state, "SNotScaledUnitary", 1),
+    (lambda: ghz_w_mixture(0.5), "SlicesNotSimultaneouslyDiagonalizable", 1),
+    (lambda: random_decomposable_state((3, 3, 3), 3, seed=0), None, 1),
+    # single-site spectra differ: the explain pass stops before the commute test
+    (lambda: haar_random_state((2, 3, 4), seed=0), "SpectraUnequal", 0),
+], ids=["w", "ghz-w", "decomposable", "haar"])
+def test_commute_test_is_called_by_name(build, stage, count, monkeypatch):
+    # a span wrapped around the module attribute sees every commute test,
+    # the accept's and the explain pass's
+    calls = []
+    real = multipartite.positive_products_commute
+
+    def counting(stack):
+        calls.append(stack.shape)
+        return real(stack)
+
+    monkeypatch.setattr(multipartite, "positive_products_commute", counting)
+    rep = check_decomposable(build())
+    assert rep.stage == stage
+    assert len(calls) == count
 
 
 def symmetric_state(dims, seed):

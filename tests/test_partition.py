@@ -61,6 +61,8 @@ def test_pinned_examples():
 
 def test_qubit_bound_values():
     assert [qubit_bound(n) for n in (2, 3, 4)] == [2, 2, 4]
+    with pytest.raises(TooFewSubsystems):
+        qubit_bound(1)
     for n in range(2, 13):
         assert max_schmidt_number([2] * n).k == qubit_bound(n) == 2 ** (n // 2)
 

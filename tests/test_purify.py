@@ -78,6 +78,10 @@ def test_purify_composite_base_dims():
     p = purify(rho)
     assert p.state.dims == (2, 2, 2)
     assert p.base_dims == (2, 2)
+    with pytest.raises(DimensionMismatch, match=r"do not multiply to 4"):
+        purify(rho, base_dims=(2, 3))
+    with pytest.raises(DimensionMismatch, match="purification dims"):
+        Purification(p.state, (2,), 2)
 
 
 def test_trace_back_random_densities():

@@ -10,12 +10,15 @@ from hypothesis import strategies as st
 from schmidtkit import (
     Bipartition,
     DensityMatrix,
+    DimensionMismatch,
+    IndicesOutOfRange,
     InvalidPartition,
     NotNormalizable,
     NotPSD,
     RankTooLarge,
     SchmidtDecomposition,
     StateTensor,
+    basis_state,
     bell,
     flatten,
     ghz,
@@ -27,6 +30,7 @@ from schmidtkit import (
     reduced_density,
     w_state,
 )
+from schmidtkit.linalg import phase_fix
 
 RT3 = 1.0 / np.sqrt(3.0)
 RT2 = 1.0 / np.sqrt(2.0)
@@ -202,6 +206,44 @@ def test_schmidt_decomposition_validation():
     with pytest.raises(RankTooLarge):
         # rank check fires before family validation
         SchmidtDecomposition((2, 4), np.ones(3) / np.sqrt(3.0), ())
+
+
+E2 = np.eye(2, dtype=complex)
+
+
+@pytest.mark.parametrize("build, exc, message", [
+    (lambda: ghz(1), DimensionMismatch, "at least two qubits"),
+    (lambda: basis_state((2, 2), (0,)), DimensionMismatch, "does not match dims"),
+    (lambda: basis_state((2, 2), (0, 2)), IndicesOutOfRange, "outside dims"),
+    (lambda: StateTensor((2, 0), []), DimensionMismatch, "positive integers"),
+    (lambda: new_state((2, 2), np.ones(3)), DimensionMismatch, "expected 4 amplitudes"),
+    (lambda: DensityMatrix((2,), np.eye(3) / 3), DimensionMismatch, "2x2 matrix"),
+    (lambda: SchmidtDecomposition((2, 2), [], (E2, E2)), DimensionMismatch, "nonempty"),
+    (lambda: SchmidtDecomposition((2, 2), [0.6, 0.8], (E2, E2)),
+     DimensionMismatch, "sorted descending"),
+    (lambda: SchmidtDecomposition((2, 2), [0.8, 0.5], (E2, E2)),
+     NotNormalizable, "sum to 1"),
+    (lambda: SchmidtDecomposition((2, 2), [1.0], (E2, E2[:1])),
+     DimensionMismatch, r"family 1 has shape \(2, 2\)"),
+    (lambda: SchmidtDecomposition((2, 2, 2), [1.0], (E2[:1], E2[:1])),
+     DimensionMismatch, "need 3 vector families, got 2"),
+    (lambda: flatten(ghz(3), Bipartition((1,), (2,))),
+     InvalidPartition, "covers 2 subsystems, state has 3"),
+    # 2 x 27 contraction labels is more than the 52 ASCII letters
+    (lambda: partial_trace(DensityMatrix((1,) * 27, [[1.0]]), (1,)),
+     DimensionMismatch, "too many subsystems"),
+], ids=["ghz-1", "basis-count", "basis-range", "state-dim-0", "new-state-size",
+        "density-shape", "coeffs-empty", "coeffs-ascending", "coeffs-norm",
+        "family-shape", "family-count", "flatten-count", "trace-labels"])
+def test_constructor_input_checks(build, exc, message):
+    with pytest.raises(exc, match=message):
+        build()
+
+
+def test_phase_fix_leaves_zero_vector():
+    zero = np.zeros(3, dtype=complex)
+    fixed, phase = phase_fix(zero)
+    assert phase == 1.0 and np.array_equal(fixed, zero) and fixed is not zero
 
 
 def test_reconstruct_round_trip():

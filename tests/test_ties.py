@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import schmidtkit.multipartite as multipartite
 from schmidtkit import (
     SchmidtDecomposition,
     StateTensor,
@@ -125,3 +126,46 @@ def test_stray_row_beyond_tail_dim_accepts(dims, eps):
     rebuilt = reconstruct(rep.decomposition)
     assert np.abs(rebuilt.amplitudes - state.amplitudes).max() \
         <= tolerances.RECONSTRUCT_TOL
+
+
+def two_terms(dims, second, seed):
+    """Coefficients (1, second) normalised on random_decomposition's families."""
+    coeffs = np.array([1.0, second]) / np.hypot(1.0, second)
+    families = random_decomposition(dims, 2, seed).vectors
+    return reconstruct(SchmidtDecomposition(dims, coeffs, families))
+
+
+@pytest.mark.parametrize("dims,seed", [
+    ((2,) * 4, 0), ((2,) * 4, 1), *[((2,) * 6, s) for s in range(4)],
+    ((3, 3, 3, 3), 2), ((3, 3, 3, 3), 3),
+], ids=str)
+def test_tiny_second_coefficient_tails_accept(dims, seed):
+    # the second tail vector is read off a row of S of norm 2e-9, so its
+    # split at a tail cut leaves a second singular ratio of about 1e-8,
+    # ten times DIAG_TOL; the rebuild, not that ratio, decides
+    state = two_terms(dims, 2e-9, seed)
+    rep = check_decomposable(state)
+    assert rep.decomposable, (rep.stage, rep.witness)
+    assert rep.decomposition.rank == 2
+    assert rep.residuals["reconstruction"] <= 1e-12
+
+
+def test_near_tie_block_is_split_by_a_second_combination(monkeypatch):
+    # coefficients 5e-8 and 3e-8 leave the first combination's two small
+    # singular values within PAIR_GAP_TOL of each other, so the attempt
+    # refines that block with a second combination
+    calls = []
+    real = multipartite._random_combination
+
+    def counting(stack, rng):
+        calls.append(len(stack))
+        return real(stack, rng)
+
+    monkeypatch.setattr(multipartite, "_random_combination", counting)
+    coeffs = np.array([1.0, 5e-8, 3e-8])
+    families = random_decomposition((3, 3, 3), 3, 0).vectors
+    state = reconstruct(SchmidtDecomposition(
+        (3, 3, 3), coeffs / np.linalg.norm(coeffs), families))
+    rep = check_decomposable(state)
+    assert calls == [3, 3]
+    assert rep.decomposable and rep.decomposition.rank == 3

@@ -30,7 +30,8 @@ def near_product_tail(eps: float) -> StateTensor:
     chi_0 = |00> + eps|11> and chi_1 = |11> - eps|00> (normalised) are
     orthogonal, the slices are diagonal and every single-site spectrum
     is {0.64, 0.36} within ~eps^2, so the decision reaches the tail
-    factorization, whose second singular ratio is eps.
+    split, whose second singular ratio is eps; the product tails it
+    keeps rebuild the state only to within 0.8 eps.
     """
     amps = np.zeros(16)
     norm = np.sqrt(1.0 + eps ** 2)
@@ -46,25 +47,27 @@ def tiny_third_coefficient() -> StateTensor:
     return StateTensor((3, 3, 3), amps)
 
 
-def test_diag_tol_reaches_pair_search_and_tail_test(monkeypatch):
+def test_diag_tol_reaches_pair_search_not_tail_split(monkeypatch):
     stack = slice_tensor(w_state())
     with pytest.raises(NoPairFound):
         find_diagonalizing_pair(stack)
     state = near_product_tail(1e-5)
     rep = check_decomposable(state)
-    assert rep.stage == "TailNotProduct"
-    assert rep.witness["second_singular_ratio"] == pytest.approx(1e-5)
+    # a tail that is no product is the rebuild's to reject
+    assert rep.stage == "SlicesNotSimultaneouslyDiagonalizable"
+    assert rep.witness == {"reconstruction": pytest.approx(8e-6)}
+    assert rep.residuals["tail_product_ratio"] == pytest.approx(1e-5)
 
     # W's off-diagonal slice entries are 1/sqrt(3): a bound of 1 lets the
     # fast path take the identity pair
     monkeypatch.setattr(tolerances, "DIAG_TOL", 1.0)
     assert np.array_equal(find_diagonalizing_pair(stack)[0], np.eye(2))
     monkeypatch.setattr(tolerances, "DIAG_TOL", 1e-4)
-    rep = check_decomposable(state)
-    # the tail now factors; the rebuild misses by ~eps and rejects
-    assert rep.stage == "SlicesNotSimultaneouslyDiagonalizable"
-    assert rep.witness["reconstruction"] > tolerances.RECONSTRUCT_TOL
-    assert rep.tolerances_used["diag_tol"] == 1e-4
+    loose = check_decomposable(state)
+    # the tail split compares its ratio with no tolerance
+    assert (loose.stage, loose.witness, loose.residuals) == \
+        (rep.stage, rep.witness, rep.residuals)
+    assert loose.tolerances_used["diag_tol"] == 1e-4
 
 
 def test_rank_tol_reaches_assemble_and_schmidt_number(monkeypatch):
