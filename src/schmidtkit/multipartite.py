@@ -9,21 +9,23 @@ The decision runs one code path for every n >= 3.  The n single-site
 spectra must agree.  The amplitude tensor is viewed as one (C, d1, d2)
 array, the stack of matrices A_c (rows = subsystem 1, columns =
 subsystem 2, one slice per grouped index c of subsystems 3..n); the
-search for a unitary pair (P, Q) making every P+ A_c Q+ diagonal
-returns the tuple (P, Q, S), S being the diagonals it checked, the
-coefficient matrix.  One Gram matrix S S+ decides that
+search for a unitary pair (P, Q) making every R_c = P+ A_c Q+ diagonal
+returns the tuple (P, Q, S, R), S being the diagonals of R it checked,
+the coefficient matrix.  One Gram matrix S S+ decides that
 the rows of S are orthogonal and gives their norms, the coefficients;
 each normalised row, a tail vector, is split into one vector per tail
 subsystem.  The candidate is accepted only if it rebuilds the input
 within RECONSTRUCT_TOL, which also settles that the tail vectors are
 products and the tail families orthonormal: the accept is its own
-proof.  A reject is explained by the earlier necessary conditions, run
-only then: the spectra table, walked by cut size and stopped at the
-first cut that fails (so for n >= 4 its witness is a partial table),
-and the commutation of the positive products C_c = A_c A_c+ (and
-A_c+ A_c), tested in the eigenbasis P of one combination of them; with
-no pair, S[l][c] = sqrt((P+ C_c P)_ll) is read there (W's rows
-overlap).  A reject whose spectra all agree still computes every cut.
+proof, and its max_commutator is read from R R+ and R+ R, with no
+eigensolve when they are diagonal.  A reject is explained by the earlier
+necessary conditions, run only then: the spectra table, walked by cut
+size and stopped at the first cut that fails (so for n >= 4 its
+witness is a partial table), and the commutation of the positive
+products C_c = A_c A_c+ (and A_c+ A_c), tested in the eigenbasis P of
+one combination of them unless already diagonal; with no pair,
+S[l][c] = sqrt((P+ C_c P)_ll) is read there (W's rows overlap).  A
+reject whose spectra all agree still computes every cut.
 """
 
 from __future__ import annotations
@@ -108,18 +110,28 @@ def slice_tensor(state: StateTensor) -> np.ndarray:
 def positive_products_commute(stack: np.ndarray) -> tuple[bool, float]:
     """Do {A_c A_c+} and {A_c+ A_c} each commute?  A necessary condition.
 
-    Each family is rotated into the eigenbasis of one fixed pseudo-random
-    positive combination of its members: if they commute, that is a
-    common eigenbasis, with gaps as wide as the members' even where
-    their sum's eigenvalues nearly meet.  Returns the verdict, which
-    passes when the largest off-diagonal magnitude of the rotated stacks
-    is at most DIAG_TOL, and that magnitude (the witness).
+    A family already diagonal within DIAG_TOL is read as it stands, in
+    the identity basis, with no eigensolve (the rule of the pair search's
+    GHZ fast path).  Any other family is rotated into the eigenbasis of
+    one fixed pseudo-random positive combination of its members: if they
+    commute, that is a common eigenbasis, with gaps as wide as the
+    members' even where their sum's eigenvalues nearly meet.  Returns
+    the verdict, which passes when the largest off-diagonal magnitude of
+    the families so read is at most DIAG_TOL, and that magnitude (the
+    witness).
     """
     adjoint = stack.conj().transpose(0, 2, 1)
-    # unnamed, so one rotated family is freed before the next is made
-    worst = max(_off_diagonal_residual(_rotate_to_combination(stack @ adjoint)),
-                _off_diagonal_residual(_rotate_to_combination(adjoint @ stack)))
+    # unnamed, so one family is freed before the next is made
+    worst = max(_commute_residual(stack @ adjoint), _commute_residual(adjoint @ stack))
     return worst <= tolerances.DIAG_TOL, worst
+
+
+def _commute_residual(family: np.ndarray) -> float:
+    """The family's off-diagonal witness: as it stands if diagonal, else rotated."""
+    resid = _off_diagonal_residual(family)
+    if resid <= tolerances.DIAG_TOL:
+        return resid
+    return _off_diagonal_residual(_rotate_to_combination(family))
 
 
 def _rotate_to_combination(family: np.ndarray) -> np.ndarray:
@@ -139,9 +151,10 @@ def _commute_weights(count: int) -> np.ndarray:
 def find_diagonalizing_pair(stack: np.ndarray, seed: int = 0) -> tuple[np.ndarray, ...]:
     """Search for unitaries (P, Q) with every P+ A_c Q+ diagonal within DIAG_TOL.
 
-    Returns the tuple (p, q, s), s holding the diagonals it checked:
-    S[l][c] = (P+ A_c Q+)_ll.  Fast path: slices already diagonal give
-    the identity pair (GHZ-type states).  Otherwise a random complex
+    Returns the tuple (p, q, s, r): r is the rotated stack it checked,
+    R_c = P+ A_c Q+, and s its diagonals, S[l][c] = (R_c)_ll.  Fast
+    path: slices already diagonal give the identity pair and r is the
+    stack itself (GHZ-type states).  Otherwise a random complex
     combination B = sum_c r_c A_c is decomposed by SVD; for a
     decomposable state with generically distinct combined singular
     values its singular bases diagonalize every slice.  Degenerate
@@ -151,7 +164,7 @@ def find_diagonalizing_pair(stack: np.ndarray, seed: int = 0) -> tuple[np.ndarra
     """
     _, d1, d2 = stack.shape
     if _off_diagonal_residual(stack) <= tolerances.DIAG_TOL:
-        return np.eye(d1, dtype=complex), np.eye(d2, dtype=complex), _diagonals(stack)
+        return np.eye(d1, dtype=complex), np.eye(d2, dtype=complex), _diagonals(stack), stack
     best = np.inf
     for attempt in range(MAX_PAIR_ATTEMPTS):
         rng = np.random.default_rng((int(seed), attempt))
@@ -159,7 +172,7 @@ def find_diagonalizing_pair(stack: np.ndarray, seed: int = 0) -> tuple[np.ndarra
         rotated = p.conj().T @ stack @ q.conj().T
         resid = _off_diagonal_residual(rotated)
         if resid <= tolerances.DIAG_TOL:
-            return p, q, _diagonals(rotated)
+            return p, q, _diagonals(rotated), rotated
         best = min(best, resid)
     err = NoPairFound(
         f"no diagonalizing pair after {MAX_PAIR_ATTEMPTS} attempts "
@@ -294,7 +307,9 @@ def check_decomposable(state: StateTensor, seed: int = 0) -> DecomposabilityRepo
     stage reported, else the decision's stage.  For n >= 4 a
     SpectraUnequal witness is therefore a partial table: the cuts
     computed by then and their complements.  For n = 3 the decision has
-    taken every cut containing subsystem 1, so the table is whole.
+    taken every cut containing subsystem 1, so the table is whole.  An
+    accept's max_commutator is the commutation test of the pair's
+    rotated stack R, a reject's that of the raw stack.
     """
     used = {"rank_tol": tolerances.RANK_TOL, "diag_tol": tolerances.DIAG_TOL,
             "orth_tol": tolerances.ORTH_TOL, "seed": int(seed)}
@@ -327,7 +342,7 @@ def check_decomposable(state: StateTensor, seed: int = 0) -> DecomposabilityRepo
     stack = slice_tensor(state)
 
     try:
-        p, q, s = find_diagonalizing_pair(stack, seed)
+        p, q, s, rotated = find_diagonalizing_pair(stack, seed)
     except NoPairFound as err:
         residuals["max_off_diagonal"] = err.residual
         ok, gram, _ = scaled_unitary_check(_positive_product_s(
@@ -348,7 +363,7 @@ def check_decomposable(state: StateTensor, seed: int = 0) -> DecomposabilityRepo
         # was too large to represent the state; report it at the
         # diagonalization stage
         return reject(STAGE_DIAG, {"reconstruction": resid})
-    found = {"max_commutator": positive_products_commute(stack)[1]}
+    found = {"max_commutator": positive_products_commute(rotated)[1]}
     return DecomposabilityReport(True, None, {}, {**found, **residuals}, candidate, used)
 
 

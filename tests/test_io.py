@@ -7,6 +7,7 @@ import pytest
 
 from schmidtkit import (
     Bipartition,
+    DecomposabilityReport,
     InvalidArgs,
     check_decomposable,
     dumps_canonical,
@@ -177,3 +178,19 @@ def test_report_to_dict_acceptance_shape():
     assert doc["decomposition"]["dims"] == [2, 2, 2]
     assert doc["residuals"]["reconstruction"] < 1e-12
     dumps_canonical(doc)
+
+
+def test_report_to_dict_converts_complex_and_passes_the_rest():
+    # a complex matrix becomes rows of [re, im] pairs and a complex
+    # scalar one pair; strings and None are left as they are
+    rep = DecomposabilityReport(
+        False, "SNotScaledUnitary",
+        {"ss_dagger": np.array([[1.0, 0.5 - 0.25j], [0.5 + 0.25j, 2.0]]),
+         "phase": np.complex128(0.5 - 1.5j), "note": "overlap", "missing": None},
+        {"scale": 1 + 2j})
+    doc = report_to_dict(rep)
+    assert doc["witness"] == {
+        "ss_dagger": [[[1.0, 0.0], [0.5, -0.25]], [[0.5, 0.25], [2.0, 0.0]]],
+        "phase": [0.5, -1.5], "note": "overlap", "missing": None}
+    assert doc["residuals"] == {"scale": [1.0, 2.0]}
+    assert json.loads(dumps_canonical(doc))["witness"] == doc["witness"]

@@ -153,7 +153,7 @@ def test_commute_on_near_degenerate_sums(dims, gap):
 
 
 def test_find_pair_ghz_fast_path():
-    p, q, _ = find_diagonalizing_pair(slice_tensor(ghz(3)))
+    p, q, _, _ = find_diagonalizing_pair(slice_tensor(ghz(3)))
     assert np.array_equal(p, np.eye(2))
     assert np.array_equal(q, np.eye(2))
 
@@ -161,7 +161,7 @@ def test_find_pair_ghz_fast_path():
 def test_find_pair_on_random_decomposable():
     st = random_decomposable_state((3, 3, 3), 3, seed=4)
     stack = slice_tensor(st)
-    p, q, _ = find_diagonalizing_pair(stack, seed=0)
+    p, q, _, _ = find_diagonalizing_pair(stack, seed=0)
     for m in stack:
         rotated = p.conj().T @ m @ q.conj().T
         off = np.abs(rotated - np.diag(np.diag(rotated))).max()
@@ -176,18 +176,21 @@ def test_find_pair_rejects_w():
 
 @pytest.mark.parametrize("dims", [(3, 3, 3), (2, 3, 4), (2, 2, 2, 2)], ids=str)
 def test_find_pair_hands_over_checked_diagonals(dims):
-    # S is exactly the diagonals of the rotated stack the pair search
-    # checked, so its off-diagonals are within diag_tol
+    # R is exactly the rotated stack the pair search checked and S its
+    # diagonals, so R's off-diagonals are within diag_tol
     stack = slice_tensor(random_decomposable_state(dims, 2, seed=4))
-    p, q, s = find_diagonalizing_pair(stack, seed=0)
+    p, q, s, r = find_diagonalizing_pair(stack, seed=0)
     rotated = p.conj().T @ stack @ q.conj().T
+    assert np.array_equal(r, rotated)
     assert np.array_equal(s, np.diagonal(rotated, axis1=1, axis2=2).T)
     off = rotated.copy()
     off[:, np.arange(min(dims[:2])), np.arange(min(dims[:2]))] = 0.0
     assert np.abs(off).max() <= tolerances.DIAG_TOL
-    # the GHZ fast path hands over the slices' own diagonals
+    # the GHZ fast path hands over the slices themselves and their diagonals
     ghz_stack = slice_tensor(ghz(4))
-    _, _, s = find_diagonalizing_pair(ghz_stack)
+    p, q, s, r = find_diagonalizing_pair(ghz_stack)
+    assert np.array_equal(r, p.conj().T @ ghz_stack @ q.conj().T)
+    assert np.shares_memory(r, ghz_stack)
     assert np.array_equal(s, np.diagonal(ghz_stack, axis1=1, axis2=2).T)
 
 
@@ -576,8 +579,8 @@ def test_each_off_diagonal_residual_is_taken_once(monkeypatch):
 
 def test_w_reject_rotations_pinned(monkeypatch):
     # W's S is read from {A_c A_c+} in the combination's eigenbasis; the
-    # explain pass's commutation test, called by its public name, rotates
-    # that family again and then {A_c+ A_c}
+    # explain pass's commutation test, called by its public name, finds
+    # both of W's families diagonal already and rotates neither
     calls = []
     real = multipartite._rotate_to_combination
 
@@ -588,7 +591,7 @@ def test_w_reject_rotations_pinned(monkeypatch):
     monkeypatch.setattr(multipartite, "_rotate_to_combination", counting)
     rep = check_decomposable(w_state())
     assert rep.stage == "SNotScaledUnitary"
-    assert calls == [(2, 2, 2)] * 3
+    assert calls == [(2, 2, 2)]
     third, two_thirds = 0.3333333333333334, 0.6666666666666669
     assert np.asarray(rep.witness["ss_dagger"]).tolist() == \
         [[third, third], [third, two_thirds]]
@@ -617,6 +620,120 @@ def test_commute_test_is_called_by_name(build, stage, count, monkeypatch):
     rep = check_decomposable(build())
     assert rep.stage == stage
     assert len(calls) == count
+
+
+@pytest.mark.parametrize("build", [
+    lambda: random_decomposable_state((8, 8, 8), 8, seed=1),
+    lambda: random_decomposable_state((16, 16, 16), 4, seed=1),
+    lambda: random_decomposable_state((2,) * 8, 2, seed=1),
+    lambda: ghz(4),
+], ids=["888-r8", "161616-r4", "2x8-r2", "ghz4"])
+def test_accept_reads_commutator_from_pair_rotation(build, monkeypatch):
+    # the accept's one commute test gets the rotated stack the pair search
+    # checked; its products are diagonal already, so nothing is rotated
+    pairs, received, rotations = [], [], []
+    real_pair = multipartite.find_diagonalizing_pair
+    real_commute = multipartite.positive_products_commute
+    real_rotate = multipartite._rotate_to_combination
+
+    def pair(stack, seed=0):
+        pairs.append(real_pair(stack, seed))
+        return pairs[-1]
+
+    def commute(stack):
+        received.append(stack)
+        return real_commute(stack)
+
+    def rotate(family):
+        rotations.append(family.shape)
+        return real_rotate(family)
+
+    monkeypatch.setattr(multipartite, "find_diagonalizing_pair", pair)
+    monkeypatch.setattr(multipartite, "positive_products_commute", commute)
+    monkeypatch.setattr(multipartite, "_rotate_to_combination", rotate)
+    rep = check_decomposable(build())
+    assert rep.decomposable
+    assert len(pairs) == len(received) == 1
+    assert received[0] is pairs[0][3]
+    assert rotations == []
+
+
+def near_diagonal_stack(shape, eps, seed):
+    """Diagonal slices of magnitude 0.2 to 1 plus eps times complex Gaussian off-diagonals."""
+    rng = np.random.default_rng(seed)
+    idx = np.arange(min(shape[1:]))
+    stack = np.zeros(shape, dtype=complex)
+    stack[:, idx, idx] = rng.uniform(0.2, 1.0, (shape[0], idx.size)) * \
+        np.exp(2j * np.pi * rng.uniform(size=(shape[0], idx.size)))
+    noise = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    noise[:, idx, idx] = 0.0
+    return stack + eps * noise
+
+
+@pytest.mark.parametrize("eps", [0.0, 1e-10, 3e-10, 1e-9, 1e-8, 3e-8])
+@pytest.mark.parametrize("shape", [(4, 3, 3), (16, 2, 2), (3, 4, 4), (8, 3, 5)], ids=str)
+def test_identity_basis_rule_matches_pairwise_oracle(shape, eps, monkeypatch):
+    # products of these slices have off-diagonals of about 2 eps: read as
+    # they stand up to eps = 1e-9, rotated from 1e-8 on.  Between the two
+    # (eps near 3e-9) the oracle's Frobenius commutator and the largest
+    # off-diagonal entry fall on opposite sides of DIAG_TOL, with or
+    # without the rule, so no verdict is pinned there
+    rotations = []
+    real = multipartite._rotate_to_combination
+
+    def counting(family):
+        rotations.append(family.shape)
+        return real(family)
+
+    monkeypatch.setattr(multipartite, "_rotate_to_combination", counting)
+    for seed in range(5):
+        rotations.clear()
+        stack = near_diagonal_stack(shape, eps, seed)
+        ok, resid = positive_products_commute(stack)
+        assert ok == (commutator_pairwise(stack) <= tolerances.DIAG_TOL), (seed, resid)
+        assert ok == (eps < tolerances.DIAG_TOL)
+        assert (rotations == []) == ok
+        if eps == 0.0:
+            assert resid == 0.0
+
+
+ACCEPT_CASES = {
+    "decomposable-333-r3": lambda: random_decomposable_state((3, 3, 3), 3, seed=2),
+    "decomposable-888-r8": lambda: random_decomposable_state((8, 8, 8), 8, seed=2),
+    "decomposable-234-r2": lambda: random_decomposable_state((2, 3, 4), 2, seed=2),
+    "decomposable-2x6-r1": lambda: random_decomposable_state((2,) * 6, 1, seed=2),
+    "decomposable-4444-r4": lambda: random_decomposable_state((4,) * 4, 4, seed=2),
+    "ghz5": lambda: ghz(5),
+    "rotated-ghz4": lambda: apply_local_unitaries(
+        ghz(4), [haar_unitary(2, np.random.default_rng(k)) for k in range(4)]),
+    "tie-444-r4": lambda: reconstruct(SchmidtDecomposition(
+        (4, 4, 4), np.full(4, 0.5),
+        tuple(haar_unitary(4, np.random.default_rng(k)) for k in range(3)))),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ACCEPT_CASES))
+def test_accept_max_commutator_is_tiny_outside_the_band(name):
+    # R is diagonal to rounding, so R R+ and R+ R are too
+    rep = check_decomposable(ACCEPT_CASES[name]())
+    assert rep.decomposable
+    assert rep.residuals["max_commutator"] <= 1e-12
+
+
+@pytest.mark.parametrize("eps", [1e-6, 1e-5])
+def test_no_pair_with_orthogonal_s_rows_rejects_at_diagonalization(eps):
+    # 0.8|000> + 0.6|111> + eps(|012> + |102>): every product is diagonal
+    # and S's rows overlap only at eps^2, but the third slice eps X is off
+    # the diagonal in the only pair that fits the first two
+    amps = np.zeros((2, 2, 3))
+    amps[0, 0, 0], amps[1, 1, 1] = 0.8, 0.6
+    amps[0, 1, 2] = amps[1, 0, 2] = eps
+    flat = amps.reshape(-1)
+    rep = check_decomposable(StateTensor((2, 2, 3), flat / np.linalg.norm(flat)))
+    assert rep.stage == "SlicesNotSimultaneouslyDiagonalizable"
+    assert set(rep.witness) == {"max_off_diagonal"}
+    assert rep.witness["max_off_diagonal"] == pytest.approx(eps, rel=1e-6)
+    assert rep.residuals == {"max_commutator": 0.0, **rep.witness}
 
 
 def symmetric_state(dims, seed):
