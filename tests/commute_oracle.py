@@ -1,12 +1,12 @@
 """Oracles for the positive-product commutation test.
 
-positive_products_commute rotates each family {A A+} and {A+ A} into
-the eigenbasis of a weighted sum of its members, built from batched
-products and the Hermitian eigensolver.  commutator_eigenbasis
-recomputes its witness one matrix at a time from the general
-(non-Hermitian) eigensolver, so the two share no logic beyond the
-definition; commutator_pairwise is the pairwise definition of
-commutation, quadratic in the number of slices, against which the
+positive_products_commute rotates each family {A A+} and {A+ A} that
+is not already diagonal into the eigenbasis of a weighted sum of its
+members, built from batched products and the Hermitian eigensolver.
+commutator_eigenbasis recomputes its witness one matrix at a time from
+the general (non-Hermitian) eigensolver, so the two share no logic
+beyond the definition; commutator_pairwise is the pairwise definition
+of commutation, quadratic in the number of slices, against which the
 verdict is compared.
 """
 
