@@ -175,8 +175,11 @@ def save_decomposition(path, dec: SchmidtDecomposition) -> None:
 def _jsonable(value):
     if isinstance(value, np.ndarray):
         if np.iscomplexobj(value):
-            return [complex_pairs(row) for row in np.atleast_2d(value)]
+            # the array's own nesting, each entry an [re, im] pair
+            return np.stack([value.real, value.imag], axis=-1).tolist()
         return np.asarray(value, dtype=float).tolist()
+    if isinstance(value, (np.bool_, bool)):  # before int: bool is an int
+        return bool(value)
     if isinstance(value, (np.floating, float)):
         return float(value)
     if isinstance(value, (np.integer, int)):

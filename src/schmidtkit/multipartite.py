@@ -5,27 +5,31 @@ sum_l c_l |l_1>|l_2>...|l_n> with one orthonormal family per subsystem.
 Unlike the bipartite case this is a real property: the W state has no
 such form while GHZ states do.
 
-The decision runs one code path for every n >= 3.  The n single-site
-spectra must agree.  The amplitude tensor is viewed as one (C, d1, d2)
-array, the stack of matrices A_c (rows = subsystem 1, columns =
-subsystem 2, one slice per grouped index c of subsystems 3..n); the
-search for a unitary pair (P, Q) making every R_c = P+ A_c Q+ diagonal
-returns the tuple (P, Q, S, R), S being the diagonals of R it checked,
-the coefficient matrix.  One Gram matrix S S+ decides that
-the rows of S are orthogonal and gives their norms, the coefficients;
-each normalised row, a tail vector, is split into one vector per tail
-subsystem.  The candidate is accepted only if it rebuilds the input
-within RECONSTRUCT_TOL, which also settles that the tail vectors are
-products and the tail families orthonormal: the accept is its own
-proof, and its max_commutator is read from R R+ and R+ R, with no
-eigensolve when they are diagonal.  A reject is explained by the earlier
-necessary conditions, run only then: the spectra table, walked by cut
-size and stopped at the first cut that fails (so for n >= 4 its
-witness is a partial table), and the commutation of the positive
-products C_c = A_c A_c+ (and A_c+ A_c), tested in the eigenbasis P of
-one combination of them unless already diagonal; with no pair,
+The decision runs one code path for every n >= 3.  Site 1's spectrum
+must agree with site 2's; later sites take no comparison of their own,
+for a candidate that rebuilds the input within RECONSTRUCT_TOL has
+single-site spectra equal to first order.  The amplitude tensor is
+viewed as one (C, d1, d2) array, the stack of matrices A_c (rows =
+subsystem 1, columns = subsystem 2, one slice per grouped index c of
+subsystems 3..n); the search for a unitary pair (P, Q) making every
+R_c = P+ A_c Q+ diagonal returns the tuple (P, Q, S, R), S being the
+diagonals of R it checked, the coefficient matrix.  One Gram matrix
+S S+ decides that the rows of S are orthogonal and gives their norms,
+the coefficients; each normalised row, a tail vector, is split into one
+vector per tail subsystem.  The candidate is accepted only if it
+rebuilds the input within RECONSTRUCT_TOL, which also settles that the
+tail vectors are products, the tail families orthonormal and the later
+sites' spectra equal: the accept is its own proof, and its
+max_commutator is read from R R+ and R+ R, with no eigensolve when they
+are diagonal.  A reject is explained by the earlier necessary
+conditions, run only then: the spectra table, walked by cut size and
+stopped at the first cut that fails (so for n >= 4 its witness is a
+partial table), and the commutation of the positive products
+C_c = A_c A_c+ (and A_c+ A_c), tested in the eigenbasis P of one
+combination of them unless already diagonal; with no pair,
 S[l][c] = sqrt((P+ C_c P)_ll) is read there (W's rows overlap).  A
-reject whose spectra all agree still computes every cut.
+reject whose sites 1 and 2 agree pays for the pair search before its
+table, and one whose spectra all agree still computes every cut.
 """
 
 from __future__ import annotations
@@ -120,9 +124,13 @@ def positive_products_commute(stack: np.ndarray) -> tuple[bool, float]:
     the families so read is at most DIAG_TOL, and that magnitude (the
     witness).
     """
+    count, d1, d2 = stack.shape
     adjoint = stack.conj().transpose(0, 2, 1)
-    # unnamed, so one family is freed before the next is made
-    worst = max(_commute_residual(stack @ adjoint), _commute_residual(adjoint @ stack))
+    # one buffer holds each family in turn: the second is made once the
+    # first is read
+    buffer = np.empty(count * max(d1, d2) ** 2, dtype=complex)
+    worst = max(_commute_residual(np.matmul(a, b, out=buffer[:count * d * d].reshape(count, d, d)))
+                for a, b, d in ((stack, adjoint, d1), (adjoint, stack, d2)))
     return worst <= tolerances.DIAG_TOL, worst
 
 
@@ -182,9 +190,10 @@ def find_diagonalizing_pair(stack: np.ndarray, seed: int = 0) -> tuple[np.ndarra
 
 
 def _random_combination(stack: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-    count = len(stack)
+    count, d1, d2 = stack.shape
     coeffs = rng.standard_normal(count) + 1j * rng.standard_normal(count)
-    return np.tensordot(coeffs, stack, axes=1)
+    # slice_tensor's stack is a view of (d1, d2, C) amplitudes: no copy
+    return (stack.transpose(1, 2, 0).reshape(d1 * d2, count) @ coeffs).reshape(d1, d2)
 
 
 def _pair_attempt(
@@ -209,8 +218,10 @@ def _pair_attempt(
 
 def _off_diagonal_residual(matrices: np.ndarray) -> float:
     """Largest off-diagonal magnitude of a matrix or a stack of matrices."""
-    mask = ~np.eye(*matrices.shape[-2:], dtype=bool)
-    return float(np.abs(matrices[..., mask]).max(initial=0.0))
+    mags = np.abs(matrices)
+    diagonal = np.arange(min(matrices.shape[-2:]))
+    mags[..., diagonal, diagonal] = 0.0
+    return float(mags.max(initial=0.0))
 
 
 def _diagonals(stack: np.ndarray) -> np.ndarray:
@@ -297,18 +308,19 @@ def _positive_product_s(rotated: np.ndarray) -> np.ndarray:
 def check_decomposable(state: StateTensor, seed: int = 0) -> DecomposabilityReport:
     """Decide whether a state on >= 3 subsystems has a joint Schmidt form.
 
-    Decision path: the n single-site spectra agree (stopping at the
-    first mismatch), pair search, S-matrix scaled unitarity, and a
-    rebuild of the input from the candidate, which accepts within
-    RECONSTRUCT_TOL; a tail vector that is no product fails the rebuild.
-    Every reject then runs the explain pass: the equal-spectra walk
-    (from the cuts already taken, in size order, stopping at the first
-    failing cut), then the commutation test; the first that fails is the
-    stage reported, else the decision's stage.  For n >= 4 a
-    SpectraUnequal witness is therefore a partial table: the cuts
-    computed by then and their complements.  For n = 3 the decision has
-    taken every cut containing subsystem 1, so the table is whole.  An
-    accept's max_commutator is the commutation test of the pair's
+    Decision path: site 1's spectrum agrees with site 2's (read off the
+    cut of every site but 2), pair search, S-matrix scaled unitarity,
+    and a rebuild of the input from the candidate, which accepts within
+    RECONSTRUCT_TOL; a tail vector that is no product, or a later site
+    whose spectrum differs, fails the rebuild.  Every reject then runs
+    the explain pass: the equal-spectra walk (from the cuts already
+    taken, in size order, stopping at the first failing cut), then the
+    commutation test; the first that fails is the stage reported, else
+    the decision's stage.  For n >= 4 a SpectraUnequal witness is
+    therefore a partial table: the cuts computed by then and their
+    complements.  For n = 3 the walk reaches every cut containing
+    subsystem 1 that the decision did not take, so the table is whole.
+    An accept's max_commutator is the commutation test of the pair's
     rotated stack R, a reject's that of the raw stack.
     """
     used = {"rank_tol": tolerances.RANK_TOL, "diag_tol": tolerances.DIAG_TOL,
@@ -334,10 +346,11 @@ def check_decomposable(state: StateTensor, seed: int = 0) -> DecomposabilityRepo
         return DecomposabilityReport(False, stage, witness, {**found, **residuals},
                                      tolerances_used=used)
 
-    # site k's spectrum is that of the cut of all other sites; the table reuses it
-    sites = [tuple(i for i in range(1, n + 1) if i != k) for k in range(2, n + 1)]
-    if not all(_same_nonzero(_cut(state, cuts, (1,)), _cut(state, cuts, site),
-                             tolerances.SPECTRA_TOL) for site in sites):
+    # site 2's spectrum is that of the cut of all other sites; the table
+    # reuses it.  Later sites are left to the rebuild, and on a reject to
+    # the table
+    if not _same_nonzero(_cut(state, cuts, (1,)), _cut(state, cuts, (1, *range(3, n + 1))),
+                         tolerances.SPECTRA_TOL):
         return reject(STAGE_SPECTRA, {})  # the table fails too, before the stack exists
     stack = slice_tensor(state)
 
@@ -374,10 +387,8 @@ def _assemble(state: StateTensor, p: np.ndarray, q: np.ndarray, s: np.ndarray,
     S must be a scaled unitary with Gram matrix gram.  The row norms of S
     (from the Gram diagonal) above RANK_TOL, at most min(dims) of them
     and largest first, give the coefficients; the normalised rows are the
-    tail vectors.  Each is split into one factor per tail subsystem, of
-    state.dims[2:], by a rank-one SVD at every tail cut (none for three
-    subsystems), whose largest relative second singular value is kept as
-    residuals["tail_product_ratio"].  A tail family further than
+    tail vectors, split by _split_tails into one factor per tail
+    subsystem (no split for three subsystems).  A tail family further than
     ORTH_TOL from orthonormal is replaced by the polar factor of its
     coefficient-weighted rows, so a vector with a tiny coefficient takes
     the correction.  The caller's rebuild decides whether dropped rows,
@@ -391,20 +402,11 @@ def _assemble(state: StateTensor, p: np.ndarray, q: np.ndarray, s: np.ndarray,
     first = p[:, order].T.copy()
     second = q[order, :].copy()
     chis = s[order, :] / norms[order, None]
-    tails = [np.empty((coeffs.size, d), dtype=complex) for d in state.dims[2:]]
     for l in range(coeffs.size):
         first[l], ph1 = phase_fix(first[l])
         second[l], ph2 = phase_fix(second[l])
-        remainder = chis[l] * (ph1 * ph2)
-        for k, d in enumerate(state.dims[2:-1]):
-            u, sing, vh = np.linalg.svd(remainder.reshape(d, -1),
-                                        full_matrices=False)
-            ratio = float(sing[1] / sing[0]) if sing.size > 1 else 0.0
-            residuals["tail_product_ratio"] = max(
-                residuals.get("tail_product_ratio", 0.0), ratio)
-            tails[k][l], ph = phase_fix(u[:, 0])
-            remainder = vh[0, :] * ph
-        tails[-1][l] = remainder
+        chis[l] *= ph1 * ph2
+    tails = _split_tails(chis, state.dims[2:], residuals)
 
     resids = [gram_residual(t) for t in tails]
     residuals["tail_orthonormality"] = max(resids)
@@ -412,6 +414,29 @@ def _assemble(state: StateTensor, p: np.ndarray, q: np.ndarray, s: np.ndarray,
         if resids[k] > tolerances.ORTH_TOL:
             tails[k] = polar(coeffs[:, None] * tail)
     return SchmidtDecomposition(state.dims, coeffs, (first, second, *tails))
+
+
+def _split_tails(rows: np.ndarray, dims: tuple[int, ...], residuals: dict) -> list[np.ndarray]:
+    """Split each row, a vector on dims, into one factor per subsystem.
+
+    Each tail cut takes one SVD of all rows at once; a row's leading
+    singular pair gives its factor there, phase-fixed row by row with the
+    phase pushed onto the rest, which is split at the next cut.  The
+    largest relative second singular value over rows and cuts is kept
+    as residuals["tail_product_ratio"].
+    """
+    factors = []
+    for d in dims[:-1]:
+        u, sing, vh = np.linalg.svd(rows.reshape(len(rows), d, -1), full_matrices=False)
+        ratio = float((sing[:, 1] / sing[:, 0]).max()) if sing.shape[1] > 1 else 0.0
+        residuals["tail_product_ratio"] = max(
+            residuals.get("tail_product_ratio", 0.0), ratio)
+        factors.append(np.empty((len(rows), d), dtype=complex))
+        rows = vh[:, 0, :]
+        for l in range(len(rows)):
+            factors[-1][l], ph = phase_fix(u[l, :, 0])
+            rows[l] = rows[l] * ph
+    return [*factors, rows]
 
 
 def random_decomposition(dims, rank: int, seed: int = 0) -> SchmidtDecomposition:

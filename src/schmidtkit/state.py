@@ -322,7 +322,8 @@ def reconstruct(decomposition: SchmidtDecomposition) -> StateTensor:
     for fam in leading:
         head = row_kron(head, fam)
     total = (head.T @ last).reshape(-1)
-    return StateTensor(decomposition.dims, total / np.linalg.norm(total))
+    total /= np.linalg.norm(total)
+    return StateTensor(decomposition.dims, total)
 
 
 def pure_density(state: StateTensor) -> DensityMatrix:

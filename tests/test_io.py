@@ -194,3 +194,21 @@ def test_report_to_dict_converts_complex_and_passes_the_rest():
         "phase": [0.5, -1.5], "note": "overlap", "missing": None}
     assert doc["residuals"] == {"scale": [1.0, 2.0]}
     assert json.loads(dumps_canonical(doc))["witness"] == doc["witness"]
+
+
+def test_report_to_dict_keeps_bools_and_gives_1d_complex_flat_pairs():
+    # a bool stays a bool (it is also an int), numpy's bool becomes one,
+    # and a 1-D complex array gets one flat list of pairs, the nesting a
+    # 1-D real array gets
+    rep = DecomposabilityReport(
+        False, "SNotScaledUnitary",
+        {"flag": True, "numpy_flag": np.bool_(False),
+         "diagonal": np.array([1 + 1j, 2]), "real": np.array([1.0, 2.0])})
+    doc = report_to_dict(rep)
+    assert doc["witness"] == {"flag": True, "numpy_flag": False,
+                              "diagonal": [[1.0, 1.0], [2.0, 0.0]], "real": [1.0, 2.0]}
+    assert type(doc["witness"]["flag"]) is bool
+    assert type(doc["witness"]["numpy_flag"]) is bool
+    text = dumps_canonical(doc)
+    assert '"flag": true' in text and '"numpy_flag": false' in text
+    assert json.loads(text)["witness"] == doc["witness"]

@@ -1,9 +1,11 @@
 """Joint decomposability engine: slicing, diagonalization, verdicts."""
 
+import functools
 import itertools
 import os
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -37,7 +39,8 @@ from schmidtkit import (
     reconstruct,
     w_state,
 )
-from schmidtkit.linalg import haar_unitary
+from schmidtkit.bipartite import spectra
+from schmidtkit.linalg import haar_unitary, phase_fix
 from schmidtkit.multipartite import (
     find_diagonalizing_pair,
     positive_products_commute,
@@ -528,10 +531,10 @@ def test_equal_spectra_work_is_linear_in_cuts(monkeypatch):
 
 
 def test_accept_and_reject_do_no_table_work_twice(monkeypatch):
-    # an accept compares the n single-site spectra and never builds the
-    # table; a reject builds it from the cuts already taken, so no cut
-    # is computed twice, and stops at the first failing cut: Haar on six
-    # qubits fails at site 2's cut and then at the first two-site cut
+    # an accept compares site 1's spectrum with site 2's only and never
+    # builds the table; a reject builds it from the cuts already taken, so
+    # no cut is computed twice, and stops at the first failing cut: Haar
+    # on six qubits fails at site 2's cut and then at the first two-site cut
     calls = []
     real_spectra = multipartite.spectra
 
@@ -547,7 +550,7 @@ def test_accept_and_reject_do_no_table_work_twice(monkeypatch):
         patch.setattr(multipartite, "equal_spectra_check", no_table)
         rep = check_decomposable(random_decomposable_state((2,) * 6, 2, seed=1))
     assert rep.decomposable
-    assert len(calls) == 6
+    assert calls == [(1,), (1, 3, 4, 5, 6)]
     for dims, cuts in (((3, 3, 3), 3), ((2,) * 6, 3)):
         calls.clear()
         rep = check_decomposable(haar_random_state(dims, seed=4))
@@ -851,3 +854,184 @@ def test_spectra_reject_stops_at_first_failing_cut(build, most, monkeypatch):
     assert len(calls) <= most and calls[-1] == (1, 2)
     # a partial table: the cuts computed and their complements
     assert len(rep.witness["spectra"]) == 2 * len(calls) < 2 ** state.subsystem_count - 2
+
+
+def swap12_symmetric_state(dims, seed):
+    """A Haar state plus its 1<->2 swap, normalised: sites 1 and 2 agree."""
+    tensor = haar_random_state(dims, seed).tensor()
+    flat = (tensor + np.swapaxes(tensor, 0, 1)).reshape(-1)
+    return StateTensor(dims, flat / np.linalg.norm(flat))
+
+
+@pytest.mark.parametrize("build", [
+    lambda: StateTensor((2, 2, 2), RT2 * np.eye(8)[[0, 6]].sum(0)),
+    lambda: swap12_symmetric_state((2, 2, 2, 2), 7),
+    lambda: swap12_symmetric_state((3, 3, 3), 7),
+], ids=["bell12-0-222", "swap12-2222", "swap12-333"])
+def test_sites_after_the_second_are_left_to_rebuild_and_table(build, monkeypatch):
+    # sites 1 and 2 agree and site 3 does not: the decision compares only
+    # the first two, goes on to the pair search and rejects; the explain
+    # walk then finds a failing cut, so the stage is still SpectraUnequal
+    state = build()
+    n = state.subsystem_count
+    site = [spectra(state, (k,)) for k in range(1, n + 1)]
+    assert multipartite._same_nonzero(site[0], site[1], tolerances.SPECTRA_TOL)
+    assert not multipartite._same_nonzero(site[0], site[2], tolerances.SPECTRA_TOL)
+    searched = []
+    real = multipartite.find_diagonalizing_pair
+
+    def pair(stack, seed=0):
+        searched.append(stack.shape)
+        return real(stack, seed)
+
+    monkeypatch.setattr(multipartite, "find_diagonalizing_pair", pair)
+    rep = check_decomposable(state)
+    assert searched
+    assert rep.stage == "SpectraUnequal" and rep.decomposition is None
+    if n == 3:
+        # every cut containing subsystem 1 is taken: the table is whole
+        _, table = equal_spectra_check(state)
+        assert len(rep.witness["spectra"]) == len(table) == 6
+        assert rep.witness["spectra"] == {
+            ",".join(map(str, cut)): spec.tolist() for cut, spec in table.items()}
+
+
+def masked_off_diagonal_max(matrices):
+    """The boolean-mask gather that _off_diagonal_residual replaced."""
+    mask = ~np.eye(*matrices.shape[-2:], dtype=bool)
+    return float(np.abs(matrices[..., mask]).max(initial=0.0))
+
+
+def _complex_gaussian(rng, *shape):
+    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+
+def _off_diagonal_cases():
+    rng = np.random.default_rng(5)
+    nan_on, nan_off = _complex_gaussian(rng, 3, 4, 4), _complex_gaussian(rng, 3, 4, 4)
+    nan_on[1, 2, 2] = np.nan
+    nan_off[2, 0, 3] = np.nan
+    return {
+        "square-stack": _complex_gaussian(rng, 5, 4, 4),
+        "wide-stack": _complex_gaussian(rng, 5, 3, 6),
+        "tall-stack": _complex_gaussian(rng, 5, 6, 3),
+        "matrix": _complex_gaussian(rng, 4, 4),
+        "wide-matrix": _complex_gaussian(rng, 2, 5),
+        "one-by-one": _complex_gaussian(rng, 3, 1, 1),
+        "real-stack": rng.standard_normal((4, 3, 3)),
+        "diagonal-stack": np.eye(4) * _complex_gaussian(rng, 3, 1, 1),
+        "strided-slices": slice_tensor(haar_random_state((3, 4, 5), seed=1)),
+        "nan-on-diagonal": nan_on,
+        "nan-off-diagonal": nan_off,
+    }
+
+
+OFF_DIAGONAL_CASES = _off_diagonal_cases()
+
+
+@pytest.mark.parametrize("name", sorted(OFF_DIAGONAL_CASES))
+def test_off_diagonal_residual_matches_masked_gather(name):
+    matrices = OFF_DIAGONAL_CASES[name]
+    before = matrices.copy()
+    got = multipartite._off_diagonal_residual(matrices)
+    want = masked_off_diagonal_max(matrices)
+    assert type(got) is float
+    assert np.array_equal(got, want, equal_nan=True)
+    assert np.isnan(got) == (name == "nan-off-diagonal")
+    assert np.array_equal(matrices, before, equal_nan=True)
+
+
+@pytest.mark.parametrize("dims", [(2, 2, 2), (2, 3, 4), (7, 5, 3), (4, 4, 4, 4),
+                                  (2,) * 8, (16, 16, 16)], ids=str)
+def test_random_combination_matches_tensordot(dims):
+    # the slice view and a contiguous copy of it give the same bits
+    for seed in range(3):
+        raw = slice_tensor(haar_random_state(dims, seed=seed))
+        for stack in (raw, np.ascontiguousarray(raw)):
+            got = multipartite._random_combination(stack, np.random.default_rng(seed))
+            rng = np.random.default_rng(seed)
+            coeffs = _complex_gaussian(rng, len(stack))
+            assert np.array_equal(got, np.tensordot(coeffs, stack, axes=1))
+
+
+def per_row_tail_split(rows, dims):
+    """The split _split_tails replaced: one SVD per row and tail cut."""
+    ratio = 0.0
+    factors = [np.empty((len(rows), d), dtype=complex) for d in dims]
+    for l, remainder in enumerate(rows):
+        for k, d in enumerate(dims[:-1]):
+            u, sing, vh = np.linalg.svd(remainder.reshape(d, -1), full_matrices=False)
+            ratio = max(ratio, float(sing[1] / sing[0]) if sing.size > 1 else 0.0)
+            factors[k][l], ph = phase_fix(u[:, 0])
+            remainder = vh[0, :] * ph
+        factors[-1][l] = remainder
+    return factors, ratio
+
+
+@pytest.mark.parametrize("dims", [(3,), (2, 2), (2, 3, 4), (4, 4), (1, 3), (3, 1),
+                                  (2,) * 6], ids=str)
+def test_split_tails_matches_per_row_split(dims):
+    rng = np.random.default_rng(len(dims))
+    products = np.array([functools.reduce(np.kron, (_complex_gaussian(rng, d) for d in dims))
+                         for _ in range(3)])
+    generic = _complex_gaussian(rng, 3, int(np.prod(dims)))
+    for rows in (products, generic):
+        rows = rows / np.linalg.norm(rows, axis=1, keepdims=True)
+        before = rows.copy()
+        residuals = {}
+        got = multipartite._split_tails(rows, dims, residuals)
+        want, ratio = per_row_tail_split(rows, dims)
+        assert len(got) == len(want)
+        assert all(np.array_equal(a, b) for a, b in zip(got, want))
+        assert residuals == ({"tail_product_ratio": ratio} if len(dims) > 1 else {})
+        assert np.array_equal(rows, before)
+
+
+@pytest.mark.parametrize("build", [
+    lambda: slice_tensor(haar_random_state((3, 4, 5), seed=2)),
+    lambda: slice_tensor(haar_random_state((4, 3, 2, 3), seed=2)),
+    lambda: slice_tensor(w_state()),
+    lambda: slice_tensor(eqspec_state()),
+    lambda: find_diagonalizing_pair(slice_tensor(
+        random_decomposable_state((8, 8, 8), 8, seed=2)))[3],
+    lambda: near_diagonal_stack((8, 3, 5), 1e-8, 0),
+], ids=["haar-345", "haar-4323", "w", "eqspec", "rotated-888", "near-diagonal-835"])
+def test_commute_products_match_fresh_products(build, monkeypatch):
+    # both families share one buffer; each must equal a freshly allocated
+    # product, and the verdict's residual the fresh families' one
+    stack = build()
+    families = []
+    real = multipartite._commute_residual
+
+    def recording(family):
+        families.append(family.copy())
+        return real(family)
+
+    monkeypatch.setattr(multipartite, "_commute_residual", recording)
+    ok, worst = positive_products_commute(stack)
+    adjoint = stack.conj().transpose(0, 2, 1)
+    fresh = [stack @ adjoint, adjoint @ stack]
+    assert len(families) == 2
+    assert all(np.array_equal(got, want) for got, want in zip(families, fresh))
+    assert worst == max(real(fresh[0]), real(fresh[1]))
+    assert ok == (worst <= tolerances.DIAG_TOL)
+
+
+def test_large_accept_makes_no_throwaway_full_size_copy():
+    # tracemalloc sees numpy's array buffers.  The peak of a (32,32,32)
+    # rank-32 accept was 5.26 times the state's bytes while the accept
+    # made throwaway full-size copies, and is 4.24 times without them
+    state = random_decomposable_state((32, 32, 32), 32, seed=1)
+    assert check_decomposable(state).decomposable  # warm every lazy cache
+    tracing = tracemalloc.is_tracing()
+    tracemalloc.start()
+    start = tracemalloc.get_traced_memory()[0]
+    tracemalloc.reset_peak()
+    try:
+        rep = check_decomposable(state)
+        peak = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+    assert rep.decomposable
+    assert peak <= 4.25 * state.amplitudes.nbytes

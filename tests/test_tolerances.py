@@ -147,3 +147,25 @@ def test_no_threshold_literal_outside_tolerances():
                  if path.name != "tolerances.py"
                  for expr in threshold_literals(path.read_text())]
     assert offenders == []
+
+
+def assert_statements(source: str) -> list[str]:
+    """The assert statements in source: python -O strips every one."""
+    return [ast.unparse(node) for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.Assert)]
+
+
+def test_assert_guard_flags_assert_statements_only():
+    source = ("assert x > 0, 'x'\n"
+              "if not ok:\n"
+              "    raise AssertionError('assert')\n"
+              "assert_ok = check(x)\n")
+    assert assert_statements(source) == ["assert x > 0, 'x'"]
+
+
+def test_no_assert_under_src():
+    # a check must raise, or it vanishes under python -O
+    src = Path(schmidtkit.__file__).parent
+    offenders = [f"{path.relative_to(src)}: {stmt}" for path in sorted(src.rglob("*.py"))
+                 for stmt in assert_statements(path.read_text())]
+    assert offenders == []
