@@ -435,7 +435,7 @@ def _split_tails(rows: np.ndarray, dims: tuple[int, ...], residuals: dict) -> li
         rows = vh[:, 0, :]
         for l in range(len(rows)):
             factors[-1][l], ph = phase_fix(u[l, :, 0])
-            rows[l] = rows[l] * ph
+            rows[l] *= ph
     return [*factors, rows]
 
 
