@@ -1,6 +1,7 @@
 """Canonical JSON formats for states, density matrices and decompositions.
 
 All files carry "version": 1.  Complex numbers are [re, im] pairs.
+Numbers are JSON numbers: true and false are not, though Python's bool is an int.
 
 state          {"version", "dims", "amplitudes": [[re, im], ...], "label"?}
                amplitudes flattened row-major, subsystem 1 slowest.
@@ -61,7 +62,7 @@ def _unpairs(raw, what: str) -> np.ndarray:
     out = np.empty(len(raw), dtype=complex)
     for i, pair in enumerate(raw):
         if (not isinstance(pair, list) or len(pair) != 2
-                or not all(isinstance(x, (int, float)) for x in pair)):
+                or not all(type(x) in (int, float) for x in pair)):
             raise InvalidArgs(f"{what}[{i}] is not a [re, im] pair: {pair!r}")
         out[i] = complex(pair[0], pair[1])
     return out
@@ -74,7 +75,7 @@ def _read(path) -> dict:
         raise InvalidArgs(f"{path}: not valid JSON ({exc})") from exc
     if not isinstance(doc, dict):
         raise InvalidArgs(f"{path}: top level must be an object")
-    if doc.get("version") != VERSION:
+    if doc.get("version") != VERSION or doc["version"] is True:
         raise InvalidArgs(
             f"{path}: unsupported version {doc.get('version')!r}")
     return doc
@@ -83,7 +84,7 @@ def _read(path) -> dict:
 def _dims(doc: dict, path) -> tuple[int, ...]:
     dims = doc.get("dims")
     if (not isinstance(dims, list) or not dims
-            or not all(isinstance(d, int) and d >= 1 for d in dims)):
+            or not all(type(d) is int and d >= 1 for d in dims)):
         raise InvalidArgs(f"{path}: dims must be a list of positive integers")
     return tuple(dims)
 
@@ -150,7 +151,7 @@ def load_decomposition(path) -> SchmidtDecomposition:
     dims = _dims(doc, path)
     coeffs = doc.get("coefficients")
     if (not isinstance(coeffs, list) or not coeffs
-            or not all(isinstance(c, (int, float)) for c in coeffs)):
+            or not all(type(c) in (int, float) for c in coeffs)):
         raise InvalidArgs(f"{path}: coefficients must be a list of numbers")
     families = doc.get("subsystems")
     if not isinstance(families, list) or len(families) != len(dims):

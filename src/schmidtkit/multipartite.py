@@ -22,14 +22,15 @@ tail vectors are products, the tail families orthonormal and the later
 sites' spectra equal: the accept is its own proof, and its
 max_commutator is read from R R+ and R+ R, with no eigensolve when they
 are diagonal.  A reject is explained by the earlier necessary
-conditions, run only then: the spectra table, walked by cut size and
-stopped at the first cut that fails (so for n >= 4 its witness is a
-partial table), and the commutation of the positive products
-C_c = A_c A_c+ (and A_c+ A_c), tested in the eigenbasis P of one
-combination of them unless already diagonal; with no pair,
-S[l][c] = sqrt((P+ C_c P)_ll) is read there (W's rows overlap).  A
-reject whose sites 1 and 2 agree pays for the pair search before its
-table, and one whose spectra all agree still computes every cut.
+conditions, run only then: the spectra walk by cut size, stopped at
+the first cut that fails, whose table is the cuts computed and their
+complements (so for n >= 4 a partial table), and the commutation of
+the positive products C_c = A_c A_c+ (and A_c+ A_c), tested in the
+eigenbasis P of one combination of them unless already diagonal; with
+no pair, S[l][c] = sqrt((P+ C_c P)_ll) is read there (W's rows
+overlap).  A reject whose sites 1 and 2 agree pays for the pair search
+before its table, and one whose spectra all agree still computes every
+cut.
 """
 
 from __future__ import annotations
@@ -246,19 +247,17 @@ def equal_spectra_check(
 ) -> tuple[bool, dict[tuple[int, ...], np.ndarray]]:
     """Necessary condition: all reduced spectra agree after dropping zeros.
 
-    The table maps nonempty proper subsets of subsystems to their
-    reduced spectra (descending).  Only the subsets containing
-    subsystem 1 are computed, one small Gram eigensolve each, unless
-    cuts (a dict of such spectra) holds them; a complement's entry is
-    the same values padded or cut to its dimension.  The verdict
-    compares the nonzero parts (above SPECTRA_TOL) of the subsets
-    containing subsystem 1, walked by size, against subset (1,).
+    The subsets containing subsystem 1 are walked by size and their
+    reduced spectra (descending) computed, one small Gram eigensolve
+    each, unless cuts (a dict of such spectra) holds them already; the
+    verdict compares their nonzero parts (above SPECTRA_TOL) against
+    subset (1,).  Passing cuts, as check_decomposable's explain pass
+    does, stops the walk at the first subset that fails; without it the
+    walk computes every such subset.
 
-    Without cuts the table holds every subset.  Passing cuts, as
-    check_decomposable's explain pass does, stops the walk at the first
-    subset that fails: the table then holds only the cuts in cuts by
-    then (those taken before the call count) and their complements, in
-    the same key order.  Either way the verdict is the same.
+    The table is the cuts in cuts and their complements, ordered by size
+    and then subset; a complement's entry is its cut's values padded or
+    cut to its dimension, and a cut with no complement has no entry.
     """
     stop_early = cuts is not None
     cuts = {} if cuts is None else cuts
@@ -273,17 +272,13 @@ def equal_spectra_check(
             if stop_early:
                 break
     table: dict[tuple[int, ...], np.ndarray] = {}
-    for size in range(1, len(everyone)):
-        for subset in itertools.combinations(everyone, size):
-            if subset[0] == 1:
-                if subset in cuts:
-                    table[subset] = cuts[subset]
-                continue
-            spec = cuts.get(tuple(i for i in everyone if i not in subset))
-            if spec is not None:
-                table[subset] = np.zeros(prod(state.dims[i - 1] for i in subset))
-                table[subset][:spec.size] = spec[:table[subset].size]
-    return ok, table
+    for cut, spec in cuts.items():
+        complement = tuple(sorted(set(everyone).difference(cut)))
+        if complement:
+            table[cut] = spec
+            table[complement] = np.zeros(prod(state.dims[i - 1] for i in complement))
+            table[complement][:spec.size] = spec[:table[complement].size]
+    return ok, dict(sorted(table.items(), key=lambda entry: (len(entry[0]), entry[0])))
 
 
 def _cut(state: StateTensor, cuts: dict, subset: tuple[int, ...]) -> np.ndarray:

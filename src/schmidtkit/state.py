@@ -8,7 +8,7 @@ Conventions used everywhere in the package:
   (row-major order).
 * All container types are immutable after construction and validate
   their own invariants, so downstream operations can assume well-formed
-  inputs.
+  inputs.  Each check is written so that a NaN fails it.
 """
 
 from __future__ import annotations
@@ -76,7 +76,7 @@ class StateTensor:
             raise DimensionMismatch(
                 f"expected {prod(dims)} amplitudes for dims {dims}, got shape {amps.shape}")
         norm = np.linalg.norm(amps)
-        if abs(norm - 1.0) > tolerances.NORM_TOL:
+        if not abs(norm - 1.0) <= tolerances.NORM_TOL:  # a NaN fails too
             raise NotNormalizable(
                 f"state norm {norm!r} is not 1 within {tolerances.NORM_TOL}; "
                 "use new_state() to repair near-normal input")
@@ -111,7 +111,7 @@ def new_state(dims, amplitudes, label: str | None = None) -> StateTensor:
     norm = np.linalg.norm(amps)
     if norm == 0.0:
         raise NotNormalizable("zero vector cannot be normalized")
-    if abs(norm - 1.0) > tolerances.REPAIR_WINDOW:
+    if not abs(norm - 1.0) <= tolerances.REPAIR_WINDOW:
         raise NotNormalizable(
             f"norm {norm!r} differs from 1 by more than {tolerances.REPAIR_WINDOW}")
     return StateTensor(dims, amps / norm, label)
@@ -169,13 +169,13 @@ class DensityMatrix:
             raise DimensionMismatch(
                 f"expected a {d}x{d} matrix for dims {dims}, got {entries.shape}")
         herm = np.abs(entries - entries.conj().T).max()
-        if herm > tolerances.HERMITIAN_TOL:
+        if not herm <= tolerances.HERMITIAN_TOL:
             raise NotPSD(f"matrix is not Hermitian (residual {herm:.3e})")
         trace = entries.trace()
-        if abs(trace - 1.0) > tolerances.NORM_TOL:
+        if not abs(trace - 1.0) <= tolerances.NORM_TOL:
             raise DimensionMismatch(f"trace {trace!r} is not 1")
         low = np.linalg.eigvalsh(entries).min()
-        if low < -tolerances.PSD_TOL:
+        if not low >= -tolerances.PSD_TOL:
             raise NotPSD(f"eigenvalue {low:.3e} below -{tolerances.PSD_TOL}")
         object.__setattr__(self, "dims", dims)
         object.__setattr__(self, "entries", entries)
@@ -204,11 +204,11 @@ class SchmidtDecomposition:
         coeffs = _frozen_array(self.coefficients, float)
         if coeffs.ndim != 1 or coeffs.size == 0:
             raise DimensionMismatch("coefficients must be a nonempty 1-D array")
-        if np.any(coeffs <= 0.0):
+        if not np.all(coeffs > 0.0):  # a NaN fails too
             raise DimensionMismatch("coefficients must be strictly positive")
-        if np.any(np.diff(coeffs) > 0.0):
+        if not np.all(np.diff(coeffs) <= 0.0):
             raise DimensionMismatch("coefficients must be sorted descending")
-        if abs(np.sum(coeffs ** 2) - 1.0) > tolerances.COEFF_NORM_TOL:
+        if not abs(np.sum(coeffs ** 2) - 1.0) <= tolerances.COEFF_NORM_TOL:
             raise NotNormalizable("squared coefficients must sum to 1")
         if coeffs.size > min(dims):
             raise RankTooLarge(
@@ -221,7 +221,7 @@ class SchmidtDecomposition:
                     f"family {k + 1} has shape {fam.shape}, expected "
                     f"({coeffs.size}, {dims[k]})")
             resid = np.abs(fam @ fam.conj().T - np.eye(coeffs.size)).max()
-            if resid > tolerances.ORTH_TOL:
+            if not resid <= tolerances.ORTH_TOL:
                 raise DimensionMismatch(
                     f"family {k + 1} not orthonormal (residual {resid:.3e})")
             fams.append(fam)

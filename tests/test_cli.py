@@ -116,16 +116,41 @@ def rounded_digest(text):
     return hashlib.sha256(doc.encode()).hexdigest()
 
 
+# the argv of every golden label, as the benchmark's cli_files runs them
+GOLDEN_ARGV = {
+    "gen w": ["gen", "--fixture", "w", "--out", "w.json"],
+    "gen ghz4": ["gen", "--fixture", "ghz4", "--out", "ghz4.json"],
+    **{label: argv for f, cut in (("w.json", "1|2,3"), ("ghz4.json", "1,2|3,4"))
+       for label, argv in ((f"check {f}", ["check", f]),
+                           (f"decompose {f}", ["decompose", f]),
+                           (f"decompose --cut {f}", ["decompose", f, "--cut", cut]),
+                           (f"number {f}", ["number", f, "--cut", cut]),
+                           (f"spectra {f}", ["spectra", f]),
+                           (f"spectra --equal {f}", ["spectra", f, "--equal"]))},
+    "partition qubits16": ["partition", "--dims", ",".join(["2"] * 16)],
+}
+
+
 def test_fixture_reports_match_golden_digests(tmp_path, monkeypatch, capsys):
-    # the pinned check and decompose output of the W and GHZ4 fixture
-    # files, so a change to W's witness or GHZ4's residuals fails here
+    # the pinned output of every golden label: the W and GHZ4 fixture files,
+    # each verb read on them, and the 16-qubit partition, so a change to
+    # W's witness, GHZ4's residuals or a spectra table fails here
     golden = json.loads(GOLDEN.read_text())
+    assert sorted(GOLDEN_ARGV) == sorted(golden)
     monkeypatch.chdir(tmp_path)
-    for name in ("w", "ghz4"):
-        assert run(capsys, "gen", "--fixture", name, "--out", f"{name}.json")[0] == 0
-        for verb in ("check", "decompose"):
-            code, out, _ = run(capsys, verb, f"{name}.json")
-            assert [code, rounded_digest(out)] == golden[f"{verb} {name}.json"], verb
+    for label, argv in GOLDEN_ARGV.items():
+        code, out, _ = run(capsys, *argv)
+        assert [code, rounded_digest(out)] == golden[label], label
+
+
+def test_check_on_nan_state_file_is_a_usage_error(tmp_path, capsys):
+    # exit 2, not 1 ("not decomposable") from a LinAlgError traceback
+    path = tmp_path / "nan.json"
+    path.write_text('{"version": 1, "dims": [2, 2, 2], "amplitudes": '
+                    '[[NaN, 0]' + ', [0, 0]' * 6 + ', [1, 0]]}')
+    code, out, err = run(capsys, "check", str(path))
+    assert code == 2 and out == ""
+    assert "norm" in err
 
 
 def test_check_output_is_deterministic(tmp_path, capsys):

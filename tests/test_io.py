@@ -112,6 +112,31 @@ def test_state_document_validation(tmp_path, mutate, message):
         load_state(path)
 
 
+STATE_DOC = {"version": 1, "dims": [1, 2], "amplitudes": [[1.0, 0.0], [0.0, 0.0]]}
+DECOMPOSITION_DOC = {"version": 1, "dims": [1, 1], "coefficients": [1.0],
+                     "subsystems": [[[[1.0, 0.0]]], [[[1.0, 0.0]]]]}
+
+
+@pytest.mark.parametrize("load, doc, message", [
+    (load_state, {**STATE_DOC, "version": True}, "version"),
+    (load_state, {**STATE_DOC, "dims": [True, 2]}, "dims"),
+    (load_state, {**STATE_DOC, "amplitudes": [[True, False], [0.0, 0.0]]}, "pair"),
+    (load_density, {"version": 1, "dims": [1], "entries": [[True, 0.0]]}, "pair"),
+    (load_decomposition, {**DECOMPOSITION_DOC, "coefficients": [True]}, "coefficients"),
+    (load_decomposition, {**DECOMPOSITION_DOC, "subsystems": [[[[True, 0.0]]], [[[1.0, 0.0]]]]},
+     "pair"),
+], ids=["version", "dims", "amplitude", "density-entry", "coefficient", "family-vector"])
+def test_json_booleans_are_not_numbers(tmp_path, load, doc, message):
+    # bool is an int in Python, so true would pass as 1 without its own
+    # check; the same document with numbers in place of the booleans loads
+    path = tmp_path / "bool.json"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(InvalidArgs, match=message):
+        load(path)
+    path.write_text(json.dumps(doc).replace("true", "1").replace("false", "0"))
+    load(path)
+
+
 def test_non_json_and_non_object_inputs(tmp_path):
     path = tmp_path / "bad.json"
     path.write_text("{not json")

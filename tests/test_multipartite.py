@@ -425,17 +425,18 @@ def test_reconstruct_decomposition_of_w_cut():
     assert np.max(np.abs(rebuilt.amplitudes - st.amplitudes)) < 1e-9
 
 
-@pytest.mark.parametrize("dims", [(2, 2, 2), (2, 3, 4), (3, 3, 3), (2, 2, 2, 2),
+@pytest.mark.parametrize("dims", [(3,), (2, 3), (2, 2, 2), (2, 3, 4), (3, 3, 3), (2, 2, 2, 2),
                                   (3, 2, 4, 2), (2,) * 5], ids=str)
 def test_equal_spectra_table_matches_partial_trace_oracle(dims):
-    # complements are filled from their partner's spectrum, so check them too
+    # complements are filled from their partner's spectrum, so check them
+    # too; one subsystem has no proper cut, so its table is empty
     n = len(dims)
-    subsets = [tuple(i + 1 for i in range(n) if mask >> i & 1)
-               for mask in range(1, 2 ** n - 1)]
+    subsets = sorted((tuple(i + 1 for i in range(n) if mask >> i & 1)
+                      for mask in range(1, 2 ** n - 1)), key=lambda s: (len(s), s))
     for state in (haar_random_state(dims, seed=5),
                   random_decomposable_state(dims, min(dims), seed=5)):
         _, table = equal_spectra_check(state)
-        assert sorted(table) == sorted(subsets)
+        assert list(table) == subsets
         for keep in subsets:
             rho = partial_trace(pure_density(state), keep)
             want = np.linalg.eigvalsh(rho.entries)[::-1]
@@ -528,6 +529,25 @@ def test_equal_spectra_work_is_linear_in_cuts(monkeypatch):
     assert len(calls) == 31 and all(keep[0] == 1 for keep in calls)
     assert len(table) == 62
     assert densities == []
+
+
+def test_large_haar_reject_work_is_independent_of_subset_count():
+    # a (2,)x16 Haar reject computes three cuts, so its table has six
+    # entries; building it must not visit the 2^16 - 2 subsets of {1..16}
+    calls = 0
+
+    def count(frame, event, arg):
+        nonlocal calls
+        calls += event == "call"
+
+    state = haar_random_state((2,) * 16, 1)
+    sys.setprofile(count)
+    try:
+        rep = check_decomposable(state)
+    finally:
+        sys.setprofile(None)
+    assert rep.stage == "SpectraUnequal" and len(rep.witness["spectra"]) == 6
+    assert calls < 1000
 
 
 def test_accept_and_reject_do_no_table_work_twice(monkeypatch):

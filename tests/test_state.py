@@ -17,6 +17,7 @@ from schmidtkit import (
     NotPSD,
     RankTooLarge,
     SchmidtDecomposition,
+    SchmidtError,
     StateTensor,
     basis_state,
     bell,
@@ -237,6 +238,23 @@ E2 = np.eye(2, dtype=complex)
         "family-shape", "family-count", "flatten-count", "trace-labels"])
 def test_constructor_input_checks(build, exc, message):
     with pytest.raises(exc, match=message):
+        build()
+
+
+NAN_ROW = np.array([np.nan, 0.0])
+
+
+@pytest.mark.parametrize("build", [
+    lambda: StateTensor((2,), NAN_ROW),
+    lambda: new_state((2,), NAN_ROW),
+    lambda: DensityMatrix((2,), np.diag(NAN_ROW)),
+    lambda: SchmidtDecomposition((2, 2), [np.nan], (E2[:1], E2[:1])),
+    lambda: SchmidtDecomposition((2, 2), [1.0], (NAN_ROW[None], E2[:1])),
+], ids=["state-amplitude", "new-state-amplitude", "density-entry", "coefficient",
+        "family-vector"])
+def test_nan_entries_fail_container_checks(build):
+    # every comparison with NaN is False, so each check must be one that NaN fails
+    with pytest.raises(SchmidtError):
         build()
 
 
