@@ -63,11 +63,8 @@ def schmidt_decompose_bipartite(
     u, sing, vh = np.linalg.svd(m, full_matrices=False)
     keep = sing > tolerances.RANK_TOL * sing[0]
     coeffs = sing[keep]
-    left = u[:, keep].T.copy()
-    right = vh[keep, :].copy()
-    for l in range(coeffs.size):
-        left[l], phase = phase_fix(left[l])
-        right[l] = right[l] * phase
+    left, phases = phase_fix(u.T[keep])
+    right = vh[keep, :] * phases[:, None]
     dims = (left.shape[1], right.shape[1])
     dec = SchmidtDecomposition(dims, coeffs / np.linalg.norm(coeffs), (left, right))
     return BipartiteDecomposition(dec, bipartition)

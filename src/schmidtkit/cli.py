@@ -25,7 +25,7 @@ from .errors import (
 )
 from .fixtures import bell, ghz, haar_random_state, w_state
 from .multipartite import check_decomposable, equal_spectra_check, random_decomposable_state
-from .partition import decide, max_schmidt_number
+from .partition import max_schmidt_number
 from .purify import Purification, linking_unitary, purify
 from .state import Bipartition, StateTensor
 
@@ -149,19 +149,19 @@ def _fmt_side(indices) -> str:
 
 def _cmd_partition(args) -> int:
     dims = _parse_ints(args.dims, "--dims")
+    if args.target is not None and args.target < 1:
+        raise InvalidArgs(f"target must be a positive integer, got {args.target}")
+    sol = max_schmidt_number(dims)
     if args.target is None:
-        sol = max_schmidt_number(dims)
         doc = _partition_doc(dims, sol)
         doc["summary"] = (f"K={sol.k} left={_fmt_side(sol.bipartition.left)} "
                           f"right={_fmt_side(sol.bipartition.right)}")
         _emit(doc, args.out)
         return 0
-    sol = decide(dims, args.target)
-    if sol is None:
-        best = max_schmidt_number(dims)
+    if sol.k < args.target:  # decide's rule: feasible exactly when target <= K
         _emit({"dims": list(dims), "target": args.target, "feasible": False,
-               "max_k": best.k,
-               "summary": f"infeasible: max K={best.k} < {args.target}"},
+               "max_k": sol.k,
+               "summary": f"infeasible: max K={sol.k} < {args.target}"},
               args.out)
         return 1
     doc = _partition_doc(dims, sol)
@@ -230,7 +230,7 @@ def _cmd_link(args) -> int:
     second = _as_purification(io.load_state(args.second), args.second)
     u, residual = linking_unitary(first, second)
     _emit({"reference_dim": second.reference_dim,
-           "unitary": [io.complex_pairs(row) for row in u],
+           "unitary": io.complex_pairs(u),
            "residual": residual},
           args.out)
     return 0

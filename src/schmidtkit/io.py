@@ -1,6 +1,8 @@
 """Canonical JSON formats for states, density matrices and decompositions.
 
-All files carry "version": 1.  Complex numbers are [re, im] pairs.
+All files carry "version": 1.  Complex numbers are [re, im] pairs, all
+written by complex_pairs, which keeps an array's shape: a 1-D array is
+one list of pairs, a family one such list per vector.
 Numbers are JSON numbers: true and false are not, though Python's bool is an int.
 
 state          {"version", "dims", "amplitudes": [[re, im], ...], "label"?}
@@ -50,10 +52,10 @@ def dumps_canonical(document: dict) -> str:
                       allow_nan=False) + "\n"
 
 
-def complex_pairs(values) -> list[list[float]]:
-    """Flatten an array row-major into [re, im] pairs."""
-    flat = np.asarray(values, dtype=complex).reshape(-1)
-    return [[float(z.real), float(z.imag)] for z in flat]
+def complex_pairs(values) -> list:
+    """An array as nested lists of its own shape, each entry an [re, im] pair."""
+    values = np.asarray(values, dtype=complex)
+    return np.stack([values.real, values.imag], axis=-1).tolist()
 
 
 def _unpairs(raw, what: str) -> np.ndarray:
@@ -128,7 +130,7 @@ def load_density(path) -> DensityMatrix:
 
 def save_density(path, rho: DensityMatrix) -> None:
     doc = {"version": VERSION, "dims": list(rho.dims),
-           "entries": complex_pairs(rho.entries)}
+           "entries": complex_pairs(rho.entries.reshape(-1))}
     Path(path).write_text(dumps_canonical(doc))
 
 
@@ -137,8 +139,7 @@ def decomposition_to_dict(dec: SchmidtDecomposition, bipartition=None) -> dict:
         "version": VERSION,
         "dims": list(dec.dims),
         "coefficients": [float(c) for c in dec.coefficients],
-        "subsystems": [[complex_pairs(vec) for vec in family]
-                       for family in dec.vectors],
+        "subsystems": [complex_pairs(family) for family in dec.vectors],
     }
     if bipartition is not None:
         doc["bipartition"] = {"left": list(bipartition.left),
@@ -174,10 +175,9 @@ def save_decomposition(path, dec: SchmidtDecomposition) -> None:
 
 
 def _jsonable(value):
+    if isinstance(value, (np.ndarray, complex)) and np.iscomplexobj(value):
+        return complex_pairs(value)
     if isinstance(value, np.ndarray):
-        if np.iscomplexobj(value):
-            # the array's own nesting, each entry an [re, im] pair
-            return np.stack([value.real, value.imag], axis=-1).tolist()
         return np.asarray(value, dtype=float).tolist()
     if isinstance(value, (np.bool_, bool)):  # before int: bool is an int
         return bool(value)
@@ -185,8 +185,6 @@ def _jsonable(value):
         return float(value)
     if isinstance(value, (np.integer, int)):
         return int(value)
-    if isinstance(value, complex):
-        return [value.real, value.imag]
     if isinstance(value, dict):
         return {str(k): _jsonable(v) for k, v in value.items()}
     if isinstance(value, (list, tuple)):

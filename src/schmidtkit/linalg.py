@@ -7,21 +7,25 @@ import numpy as np
 from . import tolerances
 
 
-def phase_fix(vector: np.ndarray) -> tuple[np.ndarray, complex]:
-    """Rotate a vector so its first nonzero component is real positive.
+def phase_fix(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Rotate each row of a family so its first nonzero component is real positive.
 
-    Returns the rotated vector and the phase that was removed, so the
-    caller can push the compensating phase onto a partner vector.  The
-    first component with magnitude above PHASE_TOL * max|v| counts as the
-    first nonzero one.
+    Returns the rotated rows as a new array and one phase per row, the
+    phase that was removed, so the caller can push the compensating
+    phase onto a partner vector.  In each row the first component with
+    magnitude above PHASE_TOL * max|row| counts as the first nonzero
+    one; a zero row is returned unchanged with phase 1.
     """
-    mags = np.abs(vector)
-    top = mags.max()
-    if top == 0.0:
-        return vector.copy(), 1.0 + 0.0j
-    idx = int(np.argmax(mags > tolerances.PHASE_TOL * top))
-    phase = vector[idx] / mags[idx]
-    return vector * np.conj(phase), phase
+    mags = np.abs(rows)
+    top = np.maximum.reduce(mags, 1, keepdims=True)
+    lead = np.arange(len(rows)), (mags > tolerances.PHASE_TOL * top).argmax(1)
+    size, phases = mags[lead], rows[lead]
+    zero = size == 0.0  # phase 1, and the row's signed zeros kept as they are
+    size[zero] = phases[zero] = 1.0
+    phases /= size
+    fixed = rows * phases.conj()[:, None]
+    np.copyto(fixed, rows, where=zero[:, None])
+    return fixed, phases
 
 
 def gram_residual(rows: np.ndarray) -> float:

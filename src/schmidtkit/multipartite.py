@@ -394,13 +394,9 @@ def _assemble(state: StateTensor, p: np.ndarray, q: np.ndarray, s: np.ndarray,
     order = keep[np.argsort(norms[keep])[::-1]][:min(state.dims)]
     coeffs = norms[order] / np.linalg.norm(norms[order])
 
-    first = p[:, order].T.copy()
-    second = q[order, :].copy()
-    chis = s[order, :] / norms[order, None]
-    for l in range(coeffs.size):
-        first[l], ph1 = phase_fix(first[l])
-        second[l], ph2 = phase_fix(second[l])
-        chis[l] *= ph1 * ph2
+    first, ph1 = phase_fix(p.T[order])
+    second, ph2 = phase_fix(q[order, :])
+    chis = s[order, :] / norms[order, None] * (ph1 * ph2)[:, None]
     tails = _split_tails(chis, state.dims[2:], residuals)
 
     resids = [gram_residual(t) for t in tails]
@@ -415,8 +411,8 @@ def _split_tails(rows: np.ndarray, dims: tuple[int, ...], residuals: dict) -> li
     """Split each row, a vector on dims, into one factor per subsystem.
 
     Each tail cut takes one SVD of all rows at once; a row's leading
-    singular pair gives its factor there, phase-fixed row by row with the
-    phase pushed onto the rest, which is split at the next cut.  The
+    singular pair gives its factor there, phase-fixed, with the phase
+    pushed onto the row's rest, which is split at the next cut.  The
     largest relative second singular value over rows and cuts is kept
     as residuals["tail_product_ratio"].
     """
@@ -426,11 +422,9 @@ def _split_tails(rows: np.ndarray, dims: tuple[int, ...], residuals: dict) -> li
         ratio = float((sing[:, 1] / sing[:, 0]).max()) if sing.shape[1] > 1 else 0.0
         residuals["tail_product_ratio"] = max(
             residuals.get("tail_product_ratio", 0.0), ratio)
-        factors.append(np.empty((len(rows), d), dtype=complex))
-        rows = vh[:, 0, :]
-        for l in range(len(rows)):
-            factors[-1][l], ph = phase_fix(u[l, :, 0])
-            rows[l] *= ph
+        factor, ph = phase_fix(u[:, :, 0])
+        factors.append(factor)
+        rows = vh[:, 0, :] * ph[:, None]
     return [*factors, rows]
 
 

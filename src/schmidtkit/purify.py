@@ -66,11 +66,7 @@ def _spectral(rho: DensityMatrix):
     order = np.argsort(vals)[::-1]
     vals, vecs = vals[order], vecs[:, order]
     keep = vals > tolerances.RANK_TOL * max(vals[0], 1.0)
-    vals, vecs = vals[keep], vecs[:, keep]
-    fixed = np.empty_like(vecs)
-    for i in range(vecs.shape[1]):
-        fixed[:, i], _ = phase_fix(vecs[:, i])
-    return vals, fixed
+    return vals[keep], phase_fix(vecs.T[keep])[0].T
 
 
 def purify(

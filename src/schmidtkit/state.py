@@ -27,7 +27,7 @@ from .errors import (
     NotPSD,
     RankTooLarge,
 )
-from .linalg import row_kron
+from .linalg import gram_residual, row_kron
 
 __all__ = [
     "StateTensor",
@@ -78,7 +78,7 @@ class StateTensor:
         norm = np.linalg.norm(amps)
         if not abs(norm - 1.0) <= tolerances.NORM_TOL:  # a NaN fails too
             raise NotNormalizable(
-                f"state norm {norm!r} is not 1 within {tolerances.NORM_TOL}; "
+                f"state norm {float(norm)} is not 1 within {tolerances.NORM_TOL}; "
                 "use new_state() to repair near-normal input")
         object.__setattr__(self, "dims", dims)
         object.__setattr__(self, "amplitudes", amps)
@@ -113,7 +113,7 @@ def new_state(dims, amplitudes, label: str | None = None) -> StateTensor:
         raise NotNormalizable("zero vector cannot be normalized")
     if not abs(norm - 1.0) <= tolerances.REPAIR_WINDOW:
         raise NotNormalizable(
-            f"norm {norm!r} differs from 1 by more than {tolerances.REPAIR_WINDOW}")
+            f"norm {float(norm)} differs from 1 by more than {tolerances.REPAIR_WINDOW}")
     return StateTensor(dims, amps / norm, label)
 
 
@@ -173,7 +173,7 @@ class DensityMatrix:
             raise NotPSD(f"matrix is not Hermitian (residual {herm:.3e})")
         trace = entries.trace()
         if not abs(trace - 1.0) <= tolerances.NORM_TOL:
-            raise DimensionMismatch(f"trace {trace!r} is not 1")
+            raise DimensionMismatch(f"trace {complex(trace)} is not 1")
         low = np.linalg.eigvalsh(entries).min()
         if not low >= -tolerances.PSD_TOL:
             raise NotPSD(f"eigenvalue {low:.3e} below -{tolerances.PSD_TOL}")
@@ -220,7 +220,7 @@ class SchmidtDecomposition:
                 raise DimensionMismatch(
                     f"family {k + 1} has shape {fam.shape}, expected "
                     f"({coeffs.size}, {dims[k]})")
-            resid = np.abs(fam @ fam.conj().T - np.eye(coeffs.size)).max()
+            resid = gram_residual(fam)
             if not resid <= tolerances.ORTH_TOL:
                 raise DimensionMismatch(
                     f"family {k + 1} not orthonormal (residual {resid:.3e})")

@@ -13,14 +13,17 @@ from schmidtkit import (
     InvalidArgs,
     MalformedCut,
     basis_state,
+    dumps_canonical,
     ghz,
     haar_random_state,
+    max_schmidt_number,
     new_state,
     reduced_density,
     save_density,
     save_state,
     w_state,
 )
+from schmidtkit import cli, partition
 from schmidtkit.cli import main, parse_cut, parse_grouping
 
 RT2 = 2 ** -0.5
@@ -151,6 +154,23 @@ def test_check_on_nan_state_file_is_a_usage_error(tmp_path, capsys):
     code, out, err = run(capsys, "check", str(path))
     assert code == 2 and out == ""
     assert "norm" in err
+
+
+@pytest.mark.parametrize("verb, body, shown", [
+    ("check", '"dims": [2, 2], "amplitudes": [[NaN, 0], [0, 0], [0, 0], [1, 0]]',
+     "norm nan differs"),
+    ("check", '"dims": [2, 2], "amplitudes": [[Infinity, 0], [0, 0], [0, 0], [1, 0]]',
+     "norm inf differs"),
+    ("purify", '"dims": [2], "entries": [[0.6, 0], [0, 0], [0, 0], [0.5, 0]]',
+     "trace (1.1+0j) is not 1"),
+], ids=["nan", "inf", "trace"])
+def test_container_errors_show_plain_numbers(tmp_path, capsys, verb, body, shown):
+    # a user reads Python's numbers, not numpy's repr of its scalars
+    path = tmp_path / "in.json"
+    path.write_text(f'{{"version": 1, {body}}}')
+    code, out, err = run(capsys, verb, str(path))
+    assert code == 2 and out == ""
+    assert shown in err and "np." not in err
 
 
 def test_check_output_is_deterministic(tmp_path, capsys):
@@ -406,6 +426,32 @@ def test_usage_and_input_errors(tmp_path, capsys):
     code, _, err = run(capsys, "partition", "--dims", "2,3,4,5",
                        "--target", "0")
     assert code == 2
+    assert "InvalidArgs: target must be a positive integer, got 0" in err
+
+
+@pytest.mark.parametrize("target, code, doc", [
+    (None, 0, {"dims": [2, 3, 4, 5], "k": 10, "left": [1, 4], "right": [2, 3],
+               "left_product": 10, "right_product": 12,
+               "summary": "K=10 left={1,4} right={2,3}"}),
+    ("10", 0, {"dims": [2, 3, 4, 5], "k": 10, "left": [1, 4], "right": [2, 3],
+               "left_product": 10, "right_product": 12, "target": 10, "feasible": True,
+               "summary": "K=10 >= 10 via left={1,4}"}),
+    ("11", 1, {"dims": [2, 3, 4, 5], "target": 11, "feasible": False, "max_k": 10,
+               "summary": "infeasible: max K=10 < 11"}),
+], ids=["no-target", "feasible", "infeasible"])
+def test_partition_solves_once(monkeypatch, capsys, target, code, doc):
+    solves = []
+
+    def counted(dims):
+        solves.append(dims)
+        return max_schmidt_number(dims)
+
+    # decide reaches the solver through the partition module, the CLI through its own name
+    monkeypatch.setattr(partition, "max_schmidt_number", counted)
+    monkeypatch.setattr(cli, "max_schmidt_number", counted)
+    argv = ["partition", "--dims", "2,3,4,5"] + (["--target", target] if target else [])
+    assert run(capsys, *argv) == (code, dumps_canonical(doc), "")
+    assert len(solves) == 1
 
 
 @pytest.mark.parametrize("argv, message", [

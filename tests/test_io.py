@@ -24,7 +24,7 @@ from schmidtkit import (
     schmidt_decompose_bipartite,
     w_state,
 )
-from schmidtkit.io import decomposition_to_dict
+from schmidtkit.io import complex_pairs, decomposition_to_dict
 
 
 def test_state_round_trip_exact(tmp_path):
@@ -237,3 +237,24 @@ def test_report_to_dict_keeps_bools_and_gives_1d_complex_flat_pairs():
     text = dumps_canonical(doc)
     assert '"flag": true' in text and '"numpy_flag": false' in text
     assert json.loads(text)["witness"] == doc["witness"]
+
+
+def per_element_pairs(values: np.ndarray) -> list:
+    """The encoding complex_pairs replaced: one [re, im] per element, nested by hand."""
+    if values.ndim > 1:
+        return [per_element_pairs(row) for row in values]
+    return [[float(z.real), float(z.imag)] for z in values]
+
+
+@pytest.mark.parametrize("shape", [(7,), (3, 5), (2, 3, 4)], ids=str)
+def test_complex_pairs_keeps_shape_and_per_element_text(shape):
+    rng = np.random.default_rng(len(shape))
+    size = int(np.prod(shape))
+    values = rng.standard_normal(size) + 1j * rng.standard_normal(size)
+    values *= 10.0 ** rng.integers(-320, 300, size)  # subnormals to near overflow
+    values[:4] = [complex(-0.0, 0.0), complex(0.0, -0.0), complex(-0.0, -0.0), 5e-324 - 5e-324j]
+    values = values.reshape(shape)
+    pairs = complex_pairs(values)
+    assert np.array(pairs).shape == shape + (2,)
+    assert json.dumps(pairs) == json.dumps(per_element_pairs(values))
+    assert "-0.0" in json.dumps(pairs) and "5e-324" in json.dumps(pairs)

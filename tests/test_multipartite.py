@@ -40,7 +40,7 @@ from schmidtkit import (
     w_state,
 )
 from schmidtkit.bipartite import spectra
-from schmidtkit.linalg import haar_unitary, phase_fix
+from schmidtkit.linalg import haar_unitary
 from schmidtkit.multipartite import (
     find_diagonalizing_pair,
     positive_products_commute,
@@ -50,6 +50,7 @@ from schmidtkit.multipartite import (
 )
 
 from commute_oracle import commutator_eigenbasis, commutator_pairwise
+from phase_oracle import phase_fix_row
 from spectra_oracle import all_cuts_with_first, svd_spectrum
 
 RT2 = 1.0 / np.sqrt(2.0)
@@ -982,7 +983,7 @@ def per_row_tail_split(rows, dims):
         for k, d in enumerate(dims[:-1]):
             u, sing, vh = np.linalg.svd(remainder.reshape(d, -1), full_matrices=False)
             ratio = max(ratio, float(sing[1] / sing[0]) if sing.size > 1 else 0.0)
-            factors[k][l], ph = phase_fix(u[:, 0])
+            factors[k][l], ph = phase_fix_row(u[:, 0])
             remainder = vh[0, :] * ph
         factors[-1][l] = remainder
     return factors, ratio

@@ -33,6 +33,8 @@ from schmidtkit import (
 )
 from schmidtkit.linalg import phase_fix
 
+from phase_oracle import phase_fix_row
+
 RT3 = 1.0 / np.sqrt(3.0)
 RT2 = 1.0 / np.sqrt(2.0)
 
@@ -258,10 +260,56 @@ def test_nan_entries_fail_container_checks(build):
         build()
 
 
+@pytest.mark.parametrize("value", [np.nan, np.inf], ids=str)
+def test_state_norm_error_shows_a_plain_number(value):
+    # new_state and DensityMatrix are read through the CLI in test_cli
+    with pytest.raises(NotNormalizable) as err:
+        StateTensor((2,), [value, 0.0])
+    assert f"state norm {value} is not 1" in str(err.value) and "np." not in str(err.value)
+
+
 def test_phase_fix_leaves_zero_vector():
-    zero = np.zeros(3, dtype=complex)
-    fixed, phase = phase_fix(zero)
-    assert phase == 1.0 and np.array_equal(fixed, zero) and fixed is not zero
+    zero = np.zeros((1, 3), dtype=complex)
+    fixed, phases = phase_fix(zero)
+    assert phases.tolist() == [1.0] and np.array_equal(fixed, zero) and fixed is not zero
+
+
+def bits(values) -> bytes:
+    return np.ascontiguousarray(values, dtype=complex).tobytes()
+
+
+def random_family(rng, k: int, d: int) -> np.ndarray:
+    """k rows of d entries, each plain, zero (either sign), led by entries
+    below PHASE_TOL * max, or led by exact zeros."""
+    rows = rng.standard_normal((k, d)) + 1j * rng.standard_normal((k, d))
+    for row in rows:
+        kind, lead = rng.integers(5), rng.integers(d)
+        if kind == 1:
+            row[:] = 0.0 if rng.integers(2) else complex(-0.0, -0.0)
+        elif kind == 2:
+            row[:lead] *= 10.0 ** rng.uniform(-20, -11, lead)
+        elif kind == 3:
+            row[:lead] = 0.0
+    return rows
+
+
+@pytest.mark.parametrize("layout", ["c", "fortran", "strided"])
+def test_phase_fix_family_matches_row_by_row_bits(layout):
+    # the family rule gives, row by row, the bits of the one-vector rule
+    rng = np.random.default_rng(18)
+    for trial in range(300):
+        rows = random_family(rng, 1 + trial % 6, int(rng.integers(1, 12)))
+        if layout == "fortran":
+            rows = np.asfortranarray(rows)
+        elif layout == "strided":
+            rows = np.repeat(rows, 2, axis=1)[:, ::2]
+        before = bits(rows)
+        fixed, phases = phase_fix(rows)
+        assert fixed.shape == rows.shape and phases.shape == (len(rows),)
+        for row, got, phase in zip(rows, fixed, phases):
+            want, want_phase = phase_fix_row(row)
+            assert bits(got) == bits(want) and bits(phase) == bits(want_phase)
+        assert bits(rows) == before
 
 
 def test_reconstruct_round_trip():

@@ -169,3 +169,46 @@ def test_no_assert_under_src():
     offenders = [f"{path.relative_to(src)}: {stmt}" for path in sorted(src.rglob("*.py"))
                  for stmt in assert_statements(path.read_text())]
     assert offenders == []
+
+
+ARRAY_WIDE = ("phase_fix", "complex_pairs")
+LOOPS = (ast.For, ast.AsyncFor, ast.While, ast.ListComp, ast.SetComp, ast.DictComp,
+         ast.GeneratorExp)
+# whole-array calls that sit in a loop over something other than rows:
+# one call per family (families differ in width) and one per tail cut
+LOOPED_ON_PURPOSE = {"io.py: complex_pairs(family)",
+                     "multipartite.py: phase_fix(u[:, :, 0])"}
+
+
+def calls_in_loops(source: str, names=ARRAY_WIDE) -> list[str]:
+    """Calls of the named functions anywhere in a loop or a comprehension, sorted.
+
+    phase_fix and complex_pairs each take a whole array, so a call in a
+    loop is most likely a call per row, the loop they replaced.
+    """
+    return sorted({
+        ast.unparse(call) for loop in ast.walk(ast.parse(source)) if isinstance(loop, LOOPS)
+        for call in ast.walk(loop) if isinstance(call, ast.Call)
+        and getattr(call.func, "id", getattr(call.func, "attr", None)) in names})
+
+
+def test_loop_call_guard_flags_calls_in_loops_only():
+    source = ("fixed, phases = phase_fix(rows)\n"
+              "pairs = io.complex_pairs(u)\n"
+              "for l in range(k):\n"
+              "    for j in range(2):\n"
+              "        left[l], ph = phase_fix(left[l])\n"
+              "rows = [io.complex_pairs(row) for row in u]\n"
+              "while todo:\n"
+              "    todo = complex_pairs(todo.pop())\n"
+              "names = [fix_phase(row) for row in u]\n")
+    assert calls_in_loops(source) == ["complex_pairs(todo.pop())", "io.complex_pairs(row)",
+                                      "phase_fix(left[l])"]
+
+
+def test_no_array_wide_call_in_a_loop_under_src():
+    src = Path(schmidtkit.__file__).parent
+    offenders = [f"{path.relative_to(src)}: {call}" for path in sorted(src.rglob("*.py"))
+                 for call in calls_in_loops(path.read_text())]
+    assert sorted(set(offenders) - LOOPED_ON_PURPOSE) == []
+    assert LOOPED_ON_PURPOSE <= set(offenders)  # and each exception is still there
