@@ -3,9 +3,9 @@
 Exit codes: 0 for success or an affirmative verdict, 1 for a negative
 verdict (not decomposable, infeasible, condition fails), 2 for usage
 or input errors.  Reports go to standard output as deterministic JSON;
---out additionally writes them to a file.  The verbs with a randomized
-step (check, decompose, inequality, gen) take --seed, which defaults
-to 0, so identical invocations produce identical bytes.
+--out additionally writes them to a file.  Only gen, which writes a
+random state, takes --seed (default 0); every other verb reads its
+inputs alone, so identical invocations produce identical bytes.
 """
 
 from __future__ import annotations
@@ -94,7 +94,7 @@ def _emit(doc: dict, out: str | None) -> None:
 
 def _cmd_check(args) -> int:
     state = io.load_state(args.state)
-    report = check_decomposable(state, args.seed)
+    report = check_decomposable(state)
     _emit(io.report_to_dict(report), args.out)
     return 0 if report.decomposable else 1
 
@@ -107,7 +107,7 @@ def _cmd_decompose(args) -> int:
         bi = schmidt_decompose_bipartite(state, cut)
         _emit(io.decomposition_to_dict(bi.decomposition, cut), args.out)
         return 0
-    report = check_decomposable(state, args.seed)
+    report = check_decomposable(state)
     if report.decomposable:
         _emit(io.decomposition_to_dict(report.decomposition), args.out)
         return 0
@@ -201,7 +201,7 @@ def _cmd_inequality(args) -> int:
     cut = None
     if args.cut is not None:
         cut = parse_cut(args.cut, phi.subsystem_count)
-    report = rank_inequality_check(phi, gamma, alpha, beta, cut, args.seed)
+    report = rank_inequality_check(phi, gamma, alpha, beta, cut)
     doc = {"applicable": report.applicable, "holds": report.holds,
            "mode": report.mode, "rank_phi": report.rank_phi,
            "rank_gamma": report.rank_gamma, "rank_psi": report.rank_psi}
@@ -278,13 +278,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     sub = add("check", _cmd_check, "decide joint decomposability of a state file")
     sub.add_argument("state")
-    sub.add_argument("--seed", type=int, default=0)
 
     sub = add("decompose", _cmd_decompose,
               "compute a decomposition (joint, or across --cut)")
     sub.add_argument("state")
     sub.add_argument("--cut", default=None)
-    sub.add_argument("--seed", type=int, default=0)
 
     sub = add("number", _cmd_number, "Schmidt number across a cut")
     sub.add_argument("state")
@@ -311,10 +309,9 @@ def build_parser() -> argparse.ArgumentParser:
               "rank inequality for alpha*phi + beta*gamma")
     sub.add_argument("phi")
     sub.add_argument("gamma")
-    sub.add_argument("--alpha", required=True)
-    sub.add_argument("--beta", required=True)
+    for name in ("--alpha", "--beta"):
+        sub.add_argument(name, required=True, help=f"re,im; write {name}=-1,0 when re < 0")
     sub.add_argument("--cut", default=None)
-    sub.add_argument("--seed", type=int, default=0)
 
     sub = add("purify", _cmd_purify, "purify a density-matrix file")
     sub.add_argument("density")

@@ -136,7 +136,6 @@ def rank_inequality_check(
     alpha: complex,
     beta: complex,
     cut: Bipartition | None = None,
-    seed: int = 0,
 ) -> RankInequalityReport:
     """Verify Sch(alpha*phi + beta*gamma) >= |Sch(phi) - Sch(gamma)|.
 
@@ -164,13 +163,13 @@ def rank_inequality_check(
 
     reports = {}
     for name, st in (("phi", phi), ("gamma", gamma)):
-        reports[name] = check_decomposable(st, seed)
+        reports[name] = check_decomposable(st)
         if not reports[name].decomposable:
             raise NotDecomposable(
                 f"{name} is not decomposable (stage {reports[name].stage})")
     rp = reports["phi"].decomposition.rank
     rg = reports["gamma"].decomposition.rank
-    rep_psi = check_decomposable(psi, seed)
+    rep_psi = check_decomposable(psi)
     if not rep_psi.decomposable:
         return RankInequalityReport(
             False, None, rp, rg, None, mode="multipartite",

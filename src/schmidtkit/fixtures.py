@@ -48,10 +48,10 @@ def basis_state(dims, occupation) -> StateTensor:
     return StateTensor(dims, amps)
 
 
-def haar_random_state(dims, seed: int = 0, label: str | None = None) -> StateTensor:
+def haar_random_state(dims, seed: int = 0) -> StateTensor:
     """A generic random pure state (complex Gaussian, normalized)."""
     dims = tuple(int(d) for d in dims)
     rng = np.random.default_rng(seed)
     size = int(np.prod(dims))
     amps = rng.standard_normal(size) + 1j * rng.standard_normal(size)
-    return new_state(dims, amps / np.linalg.norm(amps), label)
+    return new_state(dims, amps / np.linalg.norm(amps))

@@ -157,7 +157,7 @@ def _commute_weights(count: int) -> np.ndarray:
     return np.random.default_rng(0).uniform(1.0, 2.0, count)
 
 
-def find_diagonalizing_pair(stack: np.ndarray, seed: int = 0) -> tuple[np.ndarray, ...]:
+def find_diagonalizing_pair(stack: np.ndarray) -> tuple[np.ndarray, ...]:
     """Search for unitaries (P, Q) with every P+ A_c Q+ diagonal within DIAG_TOL.
 
     Returns the tuple (p, q, s, r): r is the rotated stack it checked,
@@ -168,16 +168,15 @@ def find_diagonalizing_pair(stack: np.ndarray, seed: int = 0) -> tuple[np.ndarra
     decomposable state with generically distinct combined singular
     values its singular bases diagonalize every slice.  Degenerate
     singular values are refined block by block with a second
-    combination.  Up to MAX_PAIR_ATTEMPTS seeded retries; raises
-    NoPairFound (with the best residual seen) when all fail.
+    combination.  Up to MAX_PAIR_ATTEMPTS attempts, with fixed weights
+    (_pair_weights); raises NoPairFound (the best residual seen) when all fail.
     """
-    _, d1, d2 = stack.shape
+    count, d1, d2 = stack.shape
     if _off_diagonal_residual(stack) <= tolerances.DIAG_TOL:
         return np.eye(d1, dtype=complex), np.eye(d2, dtype=complex), _diagonals(stack), stack
     best = np.inf
     for attempt in range(MAX_PAIR_ATTEMPTS):
-        rng = np.random.default_rng((int(seed), attempt))
-        p, q = _pair_attempt(stack, rng)
+        p, q = _pair_attempt(stack, _pair_weights(count, attempt))
         rotated = p.conj().T @ stack @ q.conj().T
         resid = _off_diagonal_residual(rotated)
         if resid <= tolerances.DIAG_TOL:
@@ -190,17 +189,27 @@ def find_diagonalizing_pair(stack: np.ndarray, seed: int = 0) -> tuple[np.ndarra
     raise err
 
 
-def _random_combination(stack: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+@functools.lru_cache(maxsize=None)
+def _pair_weights(count: int, attempt: int) -> np.ndarray:
+    """The pair search's two combinations for attempt, read-only, one row each.
+
+    Drawn from default_rng((0, attempt)): the first combination's real
+    parts, then its imaginary parts, then the second's, count of each.
+    """
+    draws = np.random.default_rng((0, attempt)).standard_normal((2, 2, count))
+    weights = draws[:, 0] + 1j * draws[:, 1]
+    weights.flags.writeable = False
+    return weights
+
+
+def _random_combination(stack: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
     count, d1, d2 = stack.shape
-    coeffs = rng.standard_normal(count) + 1j * rng.standard_normal(count)
     # slice_tensor's stack is a view of (d1, d2, C) amplitudes: no copy
     return (stack.transpose(1, 2, 0).reshape(d1 * d2, count) @ coeffs).reshape(d1, d2)
 
 
-def _pair_attempt(
-    stack: np.ndarray, rng: np.random.Generator
-) -> tuple[np.ndarray, np.ndarray]:
-    u, sing, vh = np.linalg.svd(_random_combination(stack, rng), full_matrices=True)
+def _pair_attempt(stack: np.ndarray, weights: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    u, sing, vh = np.linalg.svd(_random_combination(stack, weights[0]), full_matrices=True)
     scale = sing[0] if sing.size and sing[0] > 0 else 1.0
     blocks = [
         b for b in _split_blocks(sing, tolerances.PAIR_GAP_TOL * scale)
@@ -208,7 +217,7 @@ def _pair_attempt(
     ]
     if blocks:
         # a second combination splits subspaces the first one left mixed
-        second = _random_combination(stack, rng)
+        second = _random_combination(stack, weights[1])
         for block in blocks:
             sub = u[:, block].conj().T @ second @ vh[block, :].conj().T
             u2, _, vh2 = np.linalg.svd(sub)
@@ -300,7 +309,7 @@ def _positive_product_s(rotated: np.ndarray) -> np.ndarray:
     return np.sqrt(np.real(np.diagonal(rotated, axis1=1, axis2=2)).clip(0.0)).T
 
 
-def check_decomposable(state: StateTensor, seed: int = 0) -> DecomposabilityReport:
+def check_decomposable(state: StateTensor) -> DecomposabilityReport:
     """Decide whether a state on >= 3 subsystems has a joint Schmidt form.
 
     Decision path: site 1's spectrum agrees with site 2's (read off the
@@ -319,7 +328,7 @@ def check_decomposable(state: StateTensor, seed: int = 0) -> DecomposabilityRepo
     rotated stack R, a reject's that of the raw stack.
     """
     used = {"rank_tol": tolerances.RANK_TOL, "diag_tol": tolerances.DIAG_TOL,
-            "orth_tol": tolerances.ORTH_TOL, "seed": int(seed)}
+            "orth_tol": tolerances.ORTH_TOL, "seed": 0}  # the pair search's fixed stream
     n = state.subsystem_count
     if n < 3:
         raise TooFewSubsystems(f"need >= 3 subsystems, got {n}")
@@ -350,7 +359,7 @@ def check_decomposable(state: StateTensor, seed: int = 0) -> DecomposabilityRepo
     stack = slice_tensor(state)
 
     try:
-        p, q, s, rotated = find_diagonalizing_pair(stack, seed)
+        p, q, s, rotated = find_diagonalizing_pair(stack)
     except NoPairFound as err:
         residuals["max_off_diagonal"] = err.residual
         ok, gram, _ = scaled_unitary_check(_positive_product_s(
@@ -466,11 +475,7 @@ def apply_local_unitaries(state: StateTensor, unitaries) -> StateTensor:
     return StateTensor(state.dims, flat / np.linalg.norm(flat), state.label)
 
 
-def local_unitary_link(
-    target: StateTensor,
-    source: StateTensor,
-    seed: int = 0,
-) -> list[np.ndarray]:
+def local_unitary_link(target: StateTensor, source: StateTensor) -> list[np.ndarray]:
     """Unitaries U_k with (U_1 x ... x U_n)|source> = |target>.
 
     Both states must be decomposable with matching Schmidt coefficient
@@ -483,8 +488,8 @@ def local_unitary_link(
     if target.dims != source.dims:
         raise DimensionMismatch(
             f"states live on different dims {target.dims} vs {source.dims}")
-    rep_t = check_decomposable(target, seed)
-    rep_s = check_decomposable(source, seed)
+    rep_t = check_decomposable(target)
+    rep_s = check_decomposable(source)
     for name, rep in (("target", rep_t), ("source", rep_s)):
         if not rep.decomposable:
             raise NotDecomposable(f"{name} state is not decomposable "

@@ -141,7 +141,6 @@ def purification_class(
     rho: DensityMatrix,
     reference_dim: int | None = None,
     base_dims: tuple[int, ...] | None = None,
-    seed: int = 0,
 ) -> DecomposabilityReport:
     """Decomposability verdict for a purification of a multipartite rho.
 
@@ -158,4 +157,4 @@ def purification_class(
         raise TooFewSubsystems(
             f"need a composite base system, got dims {base_dims}")
     pur = purify(rho, reference_dim, base_dims)
-    return check_decomposable(pur.state, seed)
+    return check_decomposable(pur.state)

@@ -141,7 +141,7 @@ class Bipartition:
     @classmethod
     def from_left(cls, left, n: int) -> "Bipartition":
         left = tuple(sorted(int(i) for i in left))
-        right = tuple(i for i in range(1, n + 1) if i not in set(left))
+        right = tuple(sorted(set(range(1, n + 1)).difference(left)))
         return cls(left, right)
 
     @property

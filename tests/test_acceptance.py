@@ -118,7 +118,7 @@ def test_criterion_4_soundness_and_completeness():
         dims = DIMS_CHECK[i % len(DIMS_CHECK)]
         rank = 1 + (i // 4) % min(dims)
         dec = _nondegenerate_decomposition(dims, rank, seed=i)
-        report = check_decomposable(reconstruct(dec), seed=0)
+        report = check_decomposable(reconstruct(dec))
         assert report.decomposable, (i, report.stage)
         assert report.decomposition.rank == rank
         resid = report.residuals["reconstruction"]

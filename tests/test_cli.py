@@ -18,6 +18,7 @@ from schmidtkit import (
     haar_random_state,
     max_schmidt_number,
     new_state,
+    rank_inequality_check,
     reduced_density,
     save_density,
     save_state,
@@ -330,6 +331,20 @@ def test_inequality_verb(tmp_path, capsys):
     assert doc["detail"] == "superposition is not decomposable; inequality not applicable"
 
 
+def test_inequality_reads_negative_parts_after_equals(tmp_path, capsys):
+    phi, gamma = ghz(3), haar_random_state((2, 2, 2), seed=1)
+    cut = Bipartition((1,), (2, 3))
+    want = rank_inequality_check(phi, gamma, 1, -1, cut)
+    code, out, _ = run(capsys, "inequality", write_fixture(tmp_path, "phi", phi),
+                       write_fixture(tmp_path, "gamma", gamma),
+                       "--alpha=1,0", "--beta=-1,0", "--cut", "1|2,3")
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["holds"] is True and doc["mode"] == "bipartite"
+    assert (doc["rank_phi"], doc["rank_gamma"], doc["rank_psi"]) == \
+        (want.rank_phi, want.rank_gamma, want.rank_psi)
+
+
 def test_purify_and_link_verbs(tmp_path, capsys):
     rho = reduced_density(ghz(3), (1, 2))
     dpath = tmp_path / "rho.json"
@@ -461,11 +476,19 @@ def test_partition_solves_once(monkeypatch, capsys, target, code, doc):
      "InvalidArgs: --alpha 'a,b' must be 're,im'"),
     (["gen", "--fixture", "dicke"], "InvalidArgs: unknown fixture 'dicke'"),
     (["link", "{qubit}", "{qubit}"], "a purification needs a reference subsystem"),
-    # only the verbs with a randomized step take --seed
+    # argparse reads a value that starts with "-" as an option: write --beta=-1,0
+    (["inequality", "{ghz}", "{ghz}", "--alpha", "1,0", "--beta", "-1,0"],
+     "argument --beta: expected one argument"),
+    # only gen takes --seed (test_gen_verb checks that it changes the state)
     (["number", "{ghz}", "--cut", "1|2,3", "--seed", "1"],
      "unrecognized arguments: --seed 1"),
+    (["check", "{ghz}", "--seed", "1"], "unrecognized arguments: --seed 1"),
+    (["decompose", "{ghz}", "--seed", "1"], "unrecognized arguments: --seed 1"),
+    (["inequality", "{ghz}", "{ghz}", "--alpha", "1,0", "--beta", "0,1", "--seed", "1"],
+     "unrecognized arguments: --seed 1"),
 ], ids=["alpha-one-part", "alpha-not-float", "unknown-fixture", "link-one-subsystem",
-        "number-seed"])
+        "beta-negative-without-equals", "number-seed", "check-seed", "decompose-seed",
+        "inequality-seed"])
 def test_cli_argument_errors_exit_2(argv, message, tmp_path, capsys):
     files = {"ghz": write_fixture(tmp_path, "ghz", ghz(3)),
              "qubit": write_fixture(tmp_path, "qubit", basis_state((2,), (0,)))}

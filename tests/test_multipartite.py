@@ -165,7 +165,7 @@ def test_find_pair_ghz_fast_path():
 def test_find_pair_on_random_decomposable():
     st = random_decomposable_state((3, 3, 3), 3, seed=4)
     stack = slice_tensor(st)
-    p, q, _, _ = find_diagonalizing_pair(stack, seed=0)
+    p, q, _, _ = find_diagonalizing_pair(stack)
     for m in stack:
         rotated = p.conj().T @ m @ q.conj().T
         off = np.abs(rotated - np.diag(np.diag(rotated))).max()
@@ -183,7 +183,7 @@ def test_find_pair_hands_over_checked_diagonals(dims):
     # R is exactly the rotated stack the pair search checked and S its
     # diagonals, so R's off-diagonals are within diag_tol
     stack = slice_tensor(random_decomposable_state(dims, 2, seed=4))
-    p, q, s, r = find_diagonalizing_pair(stack, seed=0)
+    p, q, s, r = find_diagonalizing_pair(stack)
     rotated = p.conj().T @ stack @ q.conj().T
     assert np.array_equal(r, rotated)
     assert np.array_equal(s, np.diagonal(rotated, axis1=1, axis2=2).T)
@@ -660,8 +660,8 @@ def test_accept_reads_commutator_from_pair_rotation(build, monkeypatch):
     real_commute = multipartite.positive_products_commute
     real_rotate = multipartite._rotate_to_combination
 
-    def pair(stack, seed=0):
-        pairs.append(real_pair(stack, seed))
+    def pair(stack):
+        pairs.append(real_pair(stack))
         return pairs[-1]
 
     def commute(stack):
@@ -901,9 +901,9 @@ def test_sites_after_the_second_are_left_to_rebuild_and_table(build, monkeypatch
     searched = []
     real = multipartite.find_diagonalizing_pair
 
-    def pair(stack, seed=0):
+    def pair(stack):
         searched.append(stack.shape)
-        return real(stack, seed)
+        return real(stack)
 
     monkeypatch.setattr(multipartite, "find_diagonalizing_pair", pair)
     rep = check_decomposable(state)
@@ -968,11 +968,55 @@ def test_random_combination_matches_tensordot(dims):
     # the slice view and a contiguous copy of it give the same bits
     for seed in range(3):
         raw = slice_tensor(haar_random_state(dims, seed=seed))
+        coeffs = _complex_gaussian(np.random.default_rng(seed), len(raw))
         for stack in (raw, np.ascontiguousarray(raw)):
-            got = multipartite._random_combination(stack, np.random.default_rng(seed))
-            rng = np.random.default_rng(seed)
-            coeffs = _complex_gaussian(rng, len(stack))
+            got = multipartite._random_combination(stack, coeffs)
             assert np.array_equal(got, np.tensordot(coeffs, stack, axes=1))
+
+
+def sequential_pair_draws(count, attempt):
+    """The pair search's draws before _pair_weights: one Generator per attempt.
+
+    Each combination takes count real parts, then count imaginary parts,
+    the first combination before the block-refining second one.
+    """
+    rng = np.random.default_rng((0, attempt))
+    first = rng.standard_normal(count) + 1j * rng.standard_normal(count)
+    second = rng.standard_normal(count) + 1j * rng.standard_normal(count)
+    return first, second
+
+
+@pytest.mark.parametrize("count", [1, 8, 64, 256])
+def test_pair_weights_match_sequential_draws(count):
+    for attempt in range(multipartite.MAX_PAIR_ATTEMPTS):
+        weights = multipartite._pair_weights(count, attempt)
+        assert weights.shape == (2, count) and not weights.flags.writeable
+        for got, want in zip(weights, sequential_pair_draws(count, attempt)):
+            assert got.tobytes() == want.tobytes(), (attempt, count)
+
+
+@pytest.mark.parametrize("build", [
+    lambda: random_decomposable_state((3, 3, 3), 3, seed=4),
+    lambda: random_decomposable_state((2,) * 6, 2, seed=4),
+    w_state,
+    lambda: haar_random_state((2, 3, 4), seed=4),
+], ids=["333-r3", "2x6-r2", "w", "haar"])
+def test_warm_check_builds_no_generator(build, monkeypatch):
+    # the pair search's and the commute test's weights are cached, so a
+    # second call on the same shape draws nothing
+    state = build()
+    first = check_decomposable(state)
+    built = []
+    real = np.random.default_rng
+
+    def counting(*args, **kwargs):
+        built.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(np.random, "default_rng", counting)
+    again = check_decomposable(state)
+    assert (again.verdict, again.stage) == (first.verdict, first.stage)
+    assert built == []
 
 
 def per_row_tail_split(rows, dims):

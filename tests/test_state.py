@@ -87,6 +87,23 @@ def test_bipartition_validation():
         Bipartition((0, 1), (2,))
 
 
+def from_left_formula(left, n):
+    """Bipartition.from_left as it was, with set(left) rebuilt per index."""
+    left = tuple(sorted(int(i) for i in left))
+    return Bipartition(left, tuple(i for i in range(1, n + 1) if i not in set(left)))
+
+
+def test_from_left_matches_the_per_index_formula():
+    for n in range(2, 11):
+        for size in range(1, n):
+            for left in itertools.combinations(range(1, n + 1), size):
+                assert Bipartition.from_left(left[::-1], n) == from_left_formula(left, n)
+    rng = np.random.default_rng(30)
+    for _ in range(200):
+        left = list(rng.choice(np.arange(1, 31), size=int(rng.integers(1, 30)), replace=False))
+        assert Bipartition.from_left(left, 30) == from_left_formula(left, 30)
+
+
 def test_flatten_w_state_pinned():
     # across 1|23 the W amplitudes arrange as 1/sqrt3 * [[0,1,1,0],[1,0,0,0]]
     m = flatten(w_state(), Bipartition((1,), (2, 3)))

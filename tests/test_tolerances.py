@@ -78,12 +78,12 @@ def test_rank_tol_reaches_assemble_and_schmidt_number(monkeypatch):
     assert schmidt_number(state, cut) == 2
 
     monkeypatch.setattr(tolerances, "RANK_TOL", 1e-12)
-    rep = check_decomposable(state, seed=3)
+    rep = check_decomposable(state)
     assert rep.decomposable and rep.decomposition.rank == 3
     assert schmidt_number(state, cut) == 3
     assert rep.tolerances_used == {"rank_tol": 1e-12,
                                    "diag_tol": tolerances.DIAG_TOL,
-                                   "orth_tol": tolerances.ORTH_TOL, "seed": 3}
+                                   "orth_tol": tolerances.ORTH_TOL, "seed": 0}
 
 
 def _public_callables():
@@ -212,3 +212,62 @@ def test_no_array_wide_call_in_a_loop_under_src():
                  for call in calls_in_loops(path.read_text())]
     assert sorted(set(offenders) - LOOPED_ON_PURPOSE) == []
     assert LOOPED_ON_PURPOSE <= set(offenders)  # and each exception is still there
+
+
+# a verdict depends on the state alone: only these functions build a
+# Generator, and only the state and decomposition generators take a seed
+RNG_OWNERS = {"random_decomposition", "haar_random_state", "_pair_weights", "_commute_weights"}
+SEEDED = {"random_decomposition", "random_decomposable_state", "haar_random_state"}
+
+
+def generator_calls(source: str) -> list[str]:
+    """Each default_rng call in source as 'function: call', by innermost function."""
+    found = []
+
+    def visit(node, owner):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, child.name)
+                continue
+            if isinstance(child, ast.Call) and \
+                    getattr(child.func, "id", getattr(child.func, "attr", None)) == "default_rng":
+                found.append(f"{owner}: {ast.unparse(child)}")
+            visit(child, owner)
+
+    visit(ast.parse(source), "<module>")
+    return found
+
+
+def seed_parameters(source: str) -> list[str]:
+    """The public functions in source with a parameter named seed."""
+    return [node.name for node in ast.walk(ast.parse(source))
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+            and not node.name.startswith("_")
+            and "seed" in [a.arg for a in (*node.args.posonlyargs, *node.args.args,
+                                           *node.args.kwonlyargs)]]
+
+
+def test_randomness_guard_flags_calls_and_seed_parameters():
+    source = ("RNG = np.random.default_rng(1)\n"
+              "def haar_random_state(dims, seed=0):\n"
+              "    return np.random.default_rng(seed)\n"
+              "def check(state, *, seed=0):\n"
+              "    def inner():\n"
+              "        return default_rng((seed, 0))\n"
+              "    return inner\n"
+              "def _private(seed):\n"
+              "    return seed_rng(seed)\n")
+    assert generator_calls(source) == ["<module>: np.random.default_rng(1)",
+                                       "haar_random_state: np.random.default_rng(seed)",
+                                       "inner: default_rng((seed, 0))"]
+    assert seed_parameters(source) == ["haar_random_state", "check"]
+
+
+def test_only_the_generators_take_a_seed_or_build_a_generator_under_src():
+    src = Path(schmidtkit.__file__).parent
+    sources = {path.relative_to(src): path.read_text() for path in sorted(src.rglob("*.py"))}
+    calls = [f"{path}: {call}" for path, text in sources.items()
+             for call in generator_calls(text) if call.split(":")[0] not in RNG_OWNERS]
+    seeded = [f"{path}: {name}" for path, text in sources.items()
+              for name in seed_parameters(text) if name not in SEEDED]
+    assert calls == [] and seeded == []
