@@ -168,15 +168,16 @@ def find_diagonalizing_pair(stack: np.ndarray) -> tuple[np.ndarray, ...]:
     decomposable state with generically distinct combined singular
     values its singular bases diagonalize every slice.  Degenerate
     singular values are refined block by block with a second
-    combination.  Up to MAX_PAIR_ATTEMPTS attempts, with fixed weights
-    (_pair_weights); raises NoPairFound (the best residual seen) when all fail.
+    combination.  Up to MAX_PAIR_ATTEMPTS attempts, attempt k drawing
+    from the fixed stream default_rng((0, k)); raises NoPairFound (with
+    the best residual seen) when all fail.
     """
-    count, d1, d2 = stack.shape
+    _, d1, d2 = stack.shape
     if _off_diagonal_residual(stack) <= tolerances.DIAG_TOL:
         return np.eye(d1, dtype=complex), np.eye(d2, dtype=complex), _diagonals(stack), stack
     best = np.inf
     for attempt in range(MAX_PAIR_ATTEMPTS):
-        p, q = _pair_attempt(stack, _pair_weights(count, attempt))
+        p, q = _pair_attempt(stack, np.random.default_rng((0, attempt)))
         rotated = p.conj().T @ stack @ q.conj().T
         resid = _off_diagonal_residual(rotated)
         if resid <= tolerances.DIAG_TOL:
@@ -189,27 +190,17 @@ def find_diagonalizing_pair(stack: np.ndarray) -> tuple[np.ndarray, ...]:
     raise err
 
 
-@functools.lru_cache(maxsize=None)
-def _pair_weights(count: int, attempt: int) -> np.ndarray:
-    """The pair search's two combinations for attempt, read-only, one row each.
-
-    Drawn from default_rng((0, attempt)): the first combination's real
-    parts, then its imaginary parts, then the second's, count of each.
-    """
-    draws = np.random.default_rng((0, attempt)).standard_normal((2, 2, count))
-    weights = draws[:, 0] + 1j * draws[:, 1]
-    weights.flags.writeable = False
-    return weights
-
-
-def _random_combination(stack: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
+def _random_combination(stack: np.ndarray, rng: np.random.Generator) -> np.ndarray:
     count, d1, d2 = stack.shape
+    coeffs = rng.standard_normal(count) + 1j * rng.standard_normal(count)
     # slice_tensor's stack is a view of (d1, d2, C) amplitudes: no copy
     return (stack.transpose(1, 2, 0).reshape(d1 * d2, count) @ coeffs).reshape(d1, d2)
 
 
-def _pair_attempt(stack: np.ndarray, weights: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    u, sing, vh = np.linalg.svd(_random_combination(stack, weights[0]), full_matrices=True)
+def _pair_attempt(
+    stack: np.ndarray, rng: np.random.Generator
+) -> tuple[np.ndarray, np.ndarray]:
+    u, sing, vh = np.linalg.svd(_random_combination(stack, rng), full_matrices=True)
     scale = sing[0] if sing.size and sing[0] > 0 else 1.0
     blocks = [
         b for b in _split_blocks(sing, tolerances.PAIR_GAP_TOL * scale)
@@ -217,7 +208,7 @@ def _pair_attempt(stack: np.ndarray, weights: np.ndarray) -> tuple[np.ndarray, n
     ]
     if blocks:
         # a second combination splits subspaces the first one left mixed
-        second = _random_combination(stack, weights[1])
+        second = _random_combination(stack, rng)
         for block in blocks:
             sub = u[:, block].conj().T @ second @ vh[block, :].conj().T
             u2, _, vh2 = np.linalg.svd(sub)

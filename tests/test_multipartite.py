@@ -968,55 +968,11 @@ def test_random_combination_matches_tensordot(dims):
     # the slice view and a contiguous copy of it give the same bits
     for seed in range(3):
         raw = slice_tensor(haar_random_state(dims, seed=seed))
-        coeffs = _complex_gaussian(np.random.default_rng(seed), len(raw))
         for stack in (raw, np.ascontiguousarray(raw)):
-            got = multipartite._random_combination(stack, coeffs)
+            got = multipartite._random_combination(stack, np.random.default_rng(seed))
+            rng = np.random.default_rng(seed)
+            coeffs = _complex_gaussian(rng, len(stack))
             assert np.array_equal(got, np.tensordot(coeffs, stack, axes=1))
-
-
-def sequential_pair_draws(count, attempt):
-    """The pair search's draws before _pair_weights: one Generator per attempt.
-
-    Each combination takes count real parts, then count imaginary parts,
-    the first combination before the block-refining second one.
-    """
-    rng = np.random.default_rng((0, attempt))
-    first = rng.standard_normal(count) + 1j * rng.standard_normal(count)
-    second = rng.standard_normal(count) + 1j * rng.standard_normal(count)
-    return first, second
-
-
-@pytest.mark.parametrize("count", [1, 8, 64, 256])
-def test_pair_weights_match_sequential_draws(count):
-    for attempt in range(multipartite.MAX_PAIR_ATTEMPTS):
-        weights = multipartite._pair_weights(count, attempt)
-        assert weights.shape == (2, count) and not weights.flags.writeable
-        for got, want in zip(weights, sequential_pair_draws(count, attempt)):
-            assert got.tobytes() == want.tobytes(), (attempt, count)
-
-
-@pytest.mark.parametrize("build", [
-    lambda: random_decomposable_state((3, 3, 3), 3, seed=4),
-    lambda: random_decomposable_state((2,) * 6, 2, seed=4),
-    w_state,
-    lambda: haar_random_state((2, 3, 4), seed=4),
-], ids=["333-r3", "2x6-r2", "w", "haar"])
-def test_warm_check_builds_no_generator(build, monkeypatch):
-    # the pair search's and the commute test's weights are cached, so a
-    # second call on the same shape draws nothing
-    state = build()
-    first = check_decomposable(state)
-    built = []
-    real = np.random.default_rng
-
-    def counting(*args, **kwargs):
-        built.append(args)
-        return real(*args, **kwargs)
-
-    monkeypatch.setattr(np.random, "default_rng", counting)
-    again = check_decomposable(state)
-    assert (again.verdict, again.stage) == (first.verdict, first.stage)
-    assert built == []
 
 
 def per_row_tail_split(rows, dims):

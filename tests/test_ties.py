@@ -157,9 +157,9 @@ def test_near_tie_block_is_split_by_a_second_combination(monkeypatch):
     calls = []
     real = multipartite._random_combination
 
-    def counting(stack, coeffs):
+    def counting(stack, rng):
         calls.append(len(stack))
-        return real(stack, coeffs)
+        return real(stack, rng)
 
     monkeypatch.setattr(multipartite, "_random_combination", counting)
     coeffs = np.array([1.0, 5e-8, 3e-8])

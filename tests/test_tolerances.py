@@ -214,24 +214,40 @@ def test_no_array_wide_call_in_a_loop_under_src():
     assert LOOPED_ON_PURPOSE <= set(offenders)  # and each exception is still there
 
 
-# a verdict depends on the state alone: only these functions build a
-# Generator, and only the state and decomposition generators take a seed
-RNG_OWNERS = {"random_decomposition", "haar_random_state", "_pair_weights", "_commute_weights"}
+# only these functions build a Generator, nothing under src/ touches any
+# other numpy.random member (a global draw, RandomState, a bit generator),
+# and only the state and decomposition generators take a seed
+RNG_OWNERS = {"random_decomposition", "haar_random_state", "find_diagonalizing_pair",
+              "_commute_weights"}
 SEEDED = {"random_decomposition", "random_decomposable_state", "haar_random_state"}
 
 
-def generator_calls(source: str) -> list[str]:
-    """Each default_rng call in source as 'function: call', by innermost function."""
+def random_uses(source: str) -> list[tuple[str, str, str]]:
+    """Each use of numpy.random in source as (innermost function, member, text).
+
+    A use is a call of default_rng or of an attribute of a name spelled
+    random (np.random.standard_normal, numpy.random.Generator, ...), or an
+    import from numpy.random; an import's member is "import".
+    """
     found = []
+
+    def member(func):
+        if isinstance(func, ast.Name) and func.id == "default_rng":
+            return func.id
+        if isinstance(func, ast.Attribute) and \
+                getattr(func.value, "attr", getattr(func.value, "id", None)) == "random":
+            return func.attr
+        return None
 
     def visit(node, owner):
         for child in ast.iter_child_nodes(node):
             if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 visit(child, child.name)
                 continue
-            if isinstance(child, ast.Call) and \
-                    getattr(child.func, "id", getattr(child.func, "attr", None)) == "default_rng":
-                found.append(f"{owner}: {ast.unparse(child)}")
+            if isinstance(child, ast.Call) and member(child.func):
+                found.append((owner, member(child.func), ast.unparse(child)))
+            if isinstance(child, ast.ImportFrom) and (child.module or "").startswith("numpy.random"):
+                found.append((owner, "import", ast.unparse(child)))
             visit(child, owner)
 
     visit(ast.parse(source), "<module>")
@@ -247,8 +263,9 @@ def seed_parameters(source: str) -> list[str]:
                                            *node.args.kwonlyargs)]]
 
 
-def test_randomness_guard_flags_calls_and_seed_parameters():
-    source = ("RNG = np.random.default_rng(1)\n"
+def test_randomness_guard_flags_calls_imports_and_seed_parameters():
+    source = ("from numpy.random import standard_normal\n"
+              "RNG = np.random.default_rng(1)\n"
               "def haar_random_state(dims, seed=0):\n"
               "    return np.random.default_rng(seed)\n"
               "def check(state, *, seed=0):\n"
@@ -256,18 +273,28 @@ def test_randomness_guard_flags_calls_and_seed_parameters():
               "        return default_rng((seed, 0))\n"
               "    return inner\n"
               "def _private(seed):\n"
-              "    return seed_rng(seed)\n")
-    assert generator_calls(source) == ["<module>: np.random.default_rng(1)",
-                                       "haar_random_state: np.random.default_rng(seed)",
-                                       "inner: default_rng((seed, 0))"]
+              "    np.random.standard_normal(3)\n"
+              "    gen = numpy.random.Generator(np.random.PCG64(seed))\n"
+              "    return rng.standard_normal(3), seed_rng(seed)\n")
+    assert random_uses(source) == [
+        ("<module>", "import", "from numpy.random import standard_normal"),
+        ("<module>", "default_rng", "np.random.default_rng(1)"),
+        ("haar_random_state", "default_rng", "np.random.default_rng(seed)"),
+        ("inner", "default_rng", "default_rng((seed, 0))"),
+        ("_private", "standard_normal", "np.random.standard_normal(3)"),
+        ("_private", "Generator", "numpy.random.Generator(np.random.PCG64(seed))"),
+        ("_private", "PCG64", "np.random.PCG64(seed)")]
     assert seed_parameters(source) == ["haar_random_state", "check"]
 
 
 def test_only_the_generators_take_a_seed_or_build_a_generator_under_src():
     src = Path(schmidtkit.__file__).parent
     sources = {path.relative_to(src): path.read_text() for path in sorted(src.rglob("*.py"))}
-    calls = [f"{path}: {call}" for path, text in sources.items()
-             for call in generator_calls(text) if call.split(":")[0] not in RNG_OWNERS]
+    stray = [f"{path}: {text}" for path, source in sources.items()
+             for owner, name, text in random_uses(source)
+             if owner not in RNG_OWNERS or name != "default_rng"]
     seeded = [f"{path}: {name}" for path, text in sources.items()
               for name in seed_parameters(text) if name not in SEEDED]
-    assert calls == [] and seeded == []
+    assert stray == [] and seeded == []
+    owners = {owner for text in sources.values() for owner, _, _ in random_uses(text)}
+    assert owners == RNG_OWNERS  # and each owner still draws
