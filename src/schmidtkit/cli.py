@@ -218,16 +218,9 @@ def _cmd_purify(args) -> int:
     return 0
 
 
-def _as_purification(state: StateTensor, path: str) -> Purification:
-    if state.subsystem_count < 2:
-        raise InvalidArgs(
-            f"{path}: a purification needs a reference subsystem")
-    return Purification(state, state.dims[:-1], state.dims[-1])
-
-
 def _cmd_link(args) -> int:
-    first = _as_purification(io.load_state(args.first), args.first)
-    second = _as_purification(io.load_state(args.second), args.second)
+    first = Purification(io.load_state(args.first))
+    second = Purification(io.load_state(args.second))
     u, residual = linking_unitary(first, second)
     _emit({"reference_dim": second.reference_dim,
            "unitary": io.complex_pairs(u),
@@ -250,14 +243,12 @@ def _cmd_gen(args) -> int:
             state = ghz(n)
         else:
             raise InvalidArgs(f"unknown fixture {args.fixture!r}")
-    elif args.dims is not None:
+    else:
         dims = _parse_ints(args.dims, "--dims")
         if args.rank is not None:
             state = random_decomposable_state(dims, args.rank, args.seed)
         else:
             state = haar_random_state(dims, args.seed)
-    else:
-        raise InvalidArgs("gen needs --fixture or --dims")
     if args.label is not None:
         state = StateTensor(state.dims, state.amplitudes, args.label)
     _emit(io.state_to_dict(state), args.out)
@@ -291,8 +282,9 @@ def build_parser() -> argparse.ArgumentParser:
     sub = add("spectra", _cmd_spectra,
               "reduced spectrum (or --equal for the all-cuts comparison)")
     sub.add_argument("state")
-    sub.add_argument("--cut", default=None)
-    sub.add_argument("--equal", action="store_true")
+    which = sub.add_mutually_exclusive_group()
+    which.add_argument("--cut", default=None)
+    which.add_argument("--equal", action="store_true")
 
     sub = add("partition", _cmd_partition,
               "best bipartition of given dimensions (optional --target)")
@@ -323,9 +315,10 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_argument("second")
 
     sub = add("gen", _cmd_gen, "write fixture or seeded random state files")
-    sub.add_argument("--fixture", default=None,
-                     help="w, bell, ghz or ghzN for N parts")
-    sub.add_argument("--dims", default=None)
+    source = sub.add_mutually_exclusive_group(required=True)
+    source.add_argument("--fixture", default=None,
+                        help="w, bell, ghz or ghzN for N parts")
+    source.add_argument("--dims", default=None)
     sub.add_argument("--rank", type=int, default=None)
     sub.add_argument("--seed", type=int, default=0)
     sub.add_argument("--label", default=None)

@@ -77,9 +77,9 @@ def _read(path) -> dict:
         raise InvalidArgs(f"{path}: not valid JSON ({exc})") from exc
     if not isinstance(doc, dict):
         raise InvalidArgs(f"{path}: top level must be an object")
-    if doc.get("version") != VERSION or doc["version"] is True:
-        raise InvalidArgs(
-            f"{path}: unsupported version {doc.get('version')!r}")
+    version = doc.get("version")
+    if not (type(version) is int and version == VERSION):
+        raise InvalidArgs(f"{path}: unsupported version {version!r}")
     return doc
 
 

@@ -14,7 +14,7 @@ Conventions used everywhere in the package:
 from __future__ import annotations
 
 import string
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from math import prod
 
 import numpy as np
@@ -197,7 +197,7 @@ class SchmidtDecomposition:
 
     dims: tuple[int, ...]
     coefficients: np.ndarray
-    vectors: tuple[np.ndarray, ...] = field(default=())
+    vectors: tuple[np.ndarray, ...]
 
     def __post_init__(self):
         dims = _check_dims(self.dims)

@@ -263,8 +263,7 @@ def test_criterion_9_purification():
         for _ in range(10):
             v = haar_unitary(d, rng)
             amps = (base.state.amplitudes.reshape(-1, d) @ v.T).reshape(-1)
-            alt = Purification(StateTensor(base.state.dims, amps),
-                               base.base_dims, d)
+            alt = Purification(StateTensor(base.state.dims, amps))
             u, _ = linking_unitary(base, alt)
             moved = alt.state.amplitudes.reshape(-1, d) @ u.T
             resid = float(np.linalg.norm(
@@ -275,7 +274,7 @@ def test_criterion_9_purification():
     for source, want in ((ghz(3), "Decomposable"),
                          (w_state(), "NotDecomposable")):
         rho = reduced_density(source, (1, 2))
-        base = purify(rho, 2, rho.dims)
+        base = purify(rho, 2)
         d = base.reference_dim
         verdicts = set()
         for _ in range(10):

@@ -475,7 +475,8 @@ def test_partition_solves_once(monkeypatch, capsys, target, code, doc):
     (["inequality", "{ghz}", "{ghz}", "--alpha", "a,b", "--beta", "0,0"],
      "InvalidArgs: --alpha 'a,b' must be 're,im'"),
     (["gen", "--fixture", "dicke"], "InvalidArgs: unknown fixture 'dicke'"),
-    (["link", "{qubit}", "{qubit}"], "a purification needs a reference subsystem"),
+    (["link", "{qubit}", "{qubit}"],
+     "TooFewSubsystems: a purification needs a reference subsystem, got dims (2,)"),
     # argparse reads a value that starts with "-" as an option: write --beta=-1,0
     (["inequality", "{ghz}", "{ghz}", "--alpha", "1,0", "--beta", "-1,0"],
      "argument --beta: expected one argument"),
@@ -486,9 +487,14 @@ def test_partition_solves_once(monkeypatch, capsys, target, code, doc):
     (["decompose", "{ghz}", "--seed", "1"], "unrecognized arguments: --seed 1"),
     (["inequality", "{ghz}", "{ghz}", "--alpha", "1,0", "--beta", "0,1", "--seed", "1"],
      "unrecognized arguments: --seed 1"),
+    # options that would otherwise be ignored
+    (["spectra", "{ghz}", "--equal", "--cut", "1|2,3"],
+     "argument --cut: not allowed with argument --equal"),
+    (["gen", "--fixture", "w", "--dims", "2,2", "--rank", "1"],
+     "argument --dims: not allowed with argument --fixture"),
 ], ids=["alpha-one-part", "alpha-not-float", "unknown-fixture", "link-one-subsystem",
         "beta-negative-without-equals", "number-seed", "check-seed", "decompose-seed",
-        "inequality-seed"])
+        "inequality-seed", "spectra-equal-and-cut", "gen-fixture-and-dims"])
 def test_cli_argument_errors_exit_2(argv, message, tmp_path, capsys):
     files = {"ghz": write_fixture(tmp_path, "ghz", ghz(3)),
              "qubit": write_fixture(tmp_path, "qubit", basis_state((2,), (0,)))}

@@ -94,6 +94,7 @@ def test_dumps_canonical_rejects_nan():
 @pytest.mark.parametrize("mutate, message", [
     (lambda d: d.pop("version"), "version"),
     (lambda d: d.update(version=2), "version"),
+    (lambda d: d.update(version=1.0), "version"),
     (lambda d: d.update(dims=[2, 0]), "dims"),
     (lambda d: d.update(dims="2"), "dims"),
     (lambda d: d.update(amplitudes=[[0.5, 0.0, 0.0]] * 2), "pair"),

@@ -1,5 +1,7 @@
 """Purification construction, linking, class invariance."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -36,15 +38,14 @@ def random_density(dim, rank, rng):
 def rotate_reference(base, v):
     d = base.reference_dim
     amps = (base.state.amplitudes.reshape(-1, d) @ v.T).reshape(-1)
-    return Purification(StateTensor(base.state.dims, amps),
-                        base.base_dims, d)
+    return Purification(StateTensor(base.state.dims, amps))
 
 
 def test_purify_diagonal_pinned():
     p = purify(DensityMatrix((2,), np.diag([0.64, 0.36])))
     assert p.state.dims == (2, 2)
     assert np.allclose(p.state.amplitudes, [0.8, 0, 0, 0.6])
-    assert p.reference_axis == 2
+    assert (p.base_dims, p.reference_dim) == ((2,), 2)
 
 
 def test_purify_maximally_mixed():
@@ -77,11 +78,24 @@ def test_purify_composite_base_dims():
     rho = reduced_density(ghz(3), (1, 2))
     p = purify(rho)
     assert p.state.dims == (2, 2, 2)
-    assert p.base_dims == (2, 2)
-    with pytest.raises(DimensionMismatch, match=r"do not multiply to 4"):
-        purify(rho, base_dims=(2, 3))
-    with pytest.raises(DimensionMismatch, match="purification dims"):
-        Purification(p.state, (2,), 2)
+    assert (p.base_dims, p.reference_dim) == ((2, 2), 2)
+
+
+@pytest.mark.parametrize("dims", [(2, 2), (2, 3), (2, 2, 2), (4,)])
+def test_trace_out_reference_returns_rho_on_its_dims(dims):
+    rng = np.random.default_rng(18)
+    dim = int(np.prod(dims))
+    rho = DensityMatrix(dims, random_density(dim, 2, rng).entries)
+    for reference_dim in (None, 3):
+        back = trace_out_reference(purify(rho, reference_dim))
+        assert back.dims == dims
+        assert np.max(np.abs(back.entries - rho.entries)) < 1e-12
+
+
+def test_purification_is_its_state():
+    assert [f.name for f in dataclasses.fields(Purification)] == ["state"]
+    with pytest.raises(TooFewSubsystems, match=r"got dims \(2,\)"):
+        Purification(StateTensor((2,), [1.0, 0.0]))
 
 
 def test_trace_back_random_densities():
@@ -100,8 +114,8 @@ def test_linking_swapped_bell_is_exchange():
     a1[0] = a1[3] = RT2
     a2 = np.zeros(4)
     a2[1] = a2[2] = RT2
-    u, _ = linking_unitary(Purification(StateTensor((2, 2), a1), (2,), 2),
-                           Purification(StateTensor((2, 2), a2), (2,), 2))
+    u, _ = linking_unitary(Purification(StateTensor((2, 2), a1)),
+                           Purification(StateTensor((2, 2), a2)))
     assert np.allclose(u, [[0, 1], [1, 0]])
 
 
@@ -162,7 +176,7 @@ def test_purification_class_needs_composite_base():
     with pytest.raises(TooFewSubsystems):
         purification_class(rho)
     # same matrix with declared 2x2 structure is fine
-    rep = purification_class(rho, base_dims=(2, 2))
+    rep = purification_class(DensityMatrix((2, 2), rho.entries))
     assert rep.verdict in ("Decomposable", "NotDecomposable")
 
 
@@ -170,7 +184,7 @@ def test_purification_class_invariant_across_purifications():
     rng = np.random.default_rng(17)
     for source, want in ((ghz(3), "Decomposable"), (w_state(), "NotDecomposable")):
         rho = reduced_density(source, (1, 2))
-        base = purify(rho, 2, rho.dims)
+        base = purify(rho, 2)
         for _ in range(5):
             alt = rotate_reference(base, haar_unitary(2, rng))
             assert check_decomposable(alt.state).verdict == want
