@@ -18,7 +18,7 @@ import numpy as np
 from . import tolerances
 from .linalg import phase_fix
 from .state import (Bipartition, SchmidtDecomposition, StateTensor, _flatten,
-                    _keep_set, flatten)
+                    _keep_set, _slabs, flatten)
 
 __all__ = [
     "BipartiteDecomposition",
@@ -85,7 +85,9 @@ def spectra(state: StateTensor, keep) -> np.ndarray:
 
     Read from the Gram matrix of the smaller side of the flattening
     M = keep | rest (M M+, or M^T conj(M) with the same nonzero
-    eigenvalues), accurate to about 1e-16 absolute and clipped at 0.
+    eigenvalues), accurate to about 1e-16 absolute and clipped at 0.  A
+    cut that is no prefix or suffix of 1..n, so no view, sums the Gram over
+    slabs of the other side's first subsystem and never copies the state.
     Returned descending, padded with zeros to the kept dimension;
     keeping every subsystem gives the pure spectrum [1, 0, ...].
     """
@@ -95,8 +97,15 @@ def spectra(state: StateTensor, keep) -> np.ndarray:
     if len(keep) == n:
         vals[0] = 1.0
         return vals
-    m = _flatten(state, keep)
-    m = m.T if m.shape[0] > m.shape[1] else m
-    eig = np.linalg.eigvalsh(m @ m.conj().T)
-    vals[:eig.size] = eig[::-1].clip(0.0)
+    side = min(vals.size, state.amplitudes.size // vals.size)  # the Gram's dimension
+    axis, parts, gram = 0, [slice(None)], None  # a prefix or suffix cut flattens to a view
+    if keep[-1] != len(keep) and keep[0] != n - len(keep) + 1:  # else slab the other side
+        axis = keep[0] - 1 if side < vals.size else next(i for i in range(n) if i + 1 not in keep)
+        parts = _slabs(state.dims[axis], state.amplitudes.size)
+    for part in parts:
+        m = _flatten(state.tensor()[(slice(None),) * axis + (part,)], keep)
+        m = m.T if side < vals.size else m
+        gram = m @ m.conj().T if gram is None else np.add(gram, m @ m.conj().T, out=gram)
+    eig = np.linalg.eigvalsh(gram)
+    np.maximum(eig[::-1], 0.0, out=vals[:eig.size])
     return vals

@@ -231,6 +231,8 @@ def _cmd_link(args) -> int:
 
 def _cmd_gen(args) -> int:
     if args.fixture is not None:
+        if args.rank is not None or args.seed is not None:
+            raise InvalidArgs("--rank and --seed need --dims, not --fixture")
         if args.fixture == "w":
             state = w_state()
         elif args.fixture == "bell":
@@ -246,9 +248,9 @@ def _cmd_gen(args) -> int:
     else:
         dims = _parse_ints(args.dims, "--dims")
         if args.rank is not None:
-            state = random_decomposable_state(dims, args.rank, args.seed)
+            state = random_decomposable_state(dims, args.rank, args.seed or 0)
         else:
-            state = haar_random_state(dims, args.seed)
+            state = haar_random_state(dims, args.seed or 0)
     if args.label is not None:
         state = StateTensor(state.dims, state.amplitudes, args.label)
     _emit(io.state_to_dict(state), args.out)
@@ -320,7 +322,7 @@ def build_parser() -> argparse.ArgumentParser:
                         help="w, bell, ghz or ghzN for N parts")
     source.add_argument("--dims", default=None)
     sub.add_argument("--rank", type=int, default=None)
-    sub.add_argument("--seed", type=int, default=0)
+    sub.add_argument("--seed", type=int, default=None, help="default 0")
     sub.add_argument("--label", default=None)
     return parser
 

@@ -35,7 +35,6 @@ cut.
 
 from __future__ import annotations
 
-import functools
 import itertools
 from dataclasses import dataclass, field
 from math import prod
@@ -53,7 +52,7 @@ from .errors import (
     TooFewSubsystems,
 )
 from .linalg import _split_blocks, gram_residual, phase_fix, polar
-from .state import SchmidtDecomposition, StateTensor, reconstruct
+from .state import SchmidtDecomposition, StateTensor, _rebuild, _slabs, reconstruct
 from .bipartite import spectra
 
 __all__ = [
@@ -115,32 +114,34 @@ def slice_tensor(state: StateTensor) -> np.ndarray:
 def positive_products_commute(stack: np.ndarray) -> tuple[bool, float]:
     """Do {A_c A_c+} and {A_c+ A_c} each commute?  A necessary condition.
 
-    A family already diagonal within DIAG_TOL is read as it stands, in
-    the identity basis, with no eigensolve (the rule of the pair search's
-    GHZ fast path).  Any other family is rotated into the eigenbasis of
-    one fixed pseudo-random positive combination of its members: if they
-    commute, that is a common eigenbasis, with gaps as wide as the
-    members' even where their sum's eigenvalues nearly meet.  Returns
-    the verdict, which passes when the largest off-diagonal magnitude of
-    the families so read is at most DIAG_TOL, and that magnitude (the
-    witness).
+    A family already diagonal within DIAG_TOL is read as it stands, a
+    slab of slices at a time, in the identity basis, with no eigensolve
+    (the rule of the pair search's GHZ fast path).  Any other family is
+    formed whole and rotated into the eigenbasis of one fixed
+    pseudo-random positive combination of its members: if they commute,
+    that is a common eigenbasis, with gaps as wide as the members' even
+    where their sum's eigenvalues nearly meet.  Returns the verdict, which
+    passes when the largest off-diagonal magnitude of the families so
+    read is at most DIAG_TOL, and that magnitude (the witness).
     """
-    count, d1, d2 = stack.shape
-    adjoint = stack.conj().transpose(0, 2, 1)
-    # one buffer holds each family in turn: the second is made once the
-    # first is read
-    buffer = np.empty(count * max(d1, d2) ** 2, dtype=complex)
-    worst = max(_commute_residual(np.matmul(a, b, out=buffer[:count * d * d].reshape(count, d, d)))
-                for a, b, d in ((stack, adjoint, d1), (adjoint, stack, d2)))
+    worst = max(_commute_residual(stack, adjoint_first) for adjoint_first in (False, True))
     return worst <= tolerances.DIAG_TOL, worst
 
 
-def _commute_residual(family: np.ndarray) -> float:
-    """The family's off-diagonal witness: as it stands if diagonal, else rotated."""
-    resid = _off_diagonal_residual(family)
-    if resid <= tolerances.DIAG_TOL:
-        return resid
-    return _off_diagonal_residual(_rotate_to_combination(family))
+def _products(stack: np.ndarray, adjoint_first: bool) -> np.ndarray:
+    adjoint = stack.conj().transpose(0, 2, 1)
+    return adjoint @ stack if adjoint_first else stack @ adjoint
+
+
+def _commute_residual(stack: np.ndarray, adjoint_first: bool) -> float:
+    """One family's off-diagonal witness: read in slabs if diagonal, else rotated whole."""
+    worst = 0.0
+    for part in _slabs(len(stack), stack.size):
+        resid = _off_diagonal_residual(_products(stack[part], adjoint_first))
+        if not resid <= tolerances.DIAG_TOL:  # a NaN fails too
+            return _off_diagonal_residual(_rotate_to_combination(_products(stack, adjoint_first)))
+        worst = max(worst, resid)
+    return worst
 
 
 def _rotate_to_combination(family: np.ndarray) -> np.ndarray:
@@ -151,9 +152,8 @@ def _rotate_to_combination(family: np.ndarray) -> np.ndarray:
     return basis.conj().T @ family @ basis
 
 
-@functools.lru_cache(maxsize=None)
 def _commute_weights(count: int) -> np.ndarray:
-    """positive_products_commute's weights: default_rng(0), uniform in [1, 2]."""
+    """positive_products_commute's weights: default_rng(0), uniform in [1, 2], drawn per call."""
     return np.random.default_rng(0).uniform(1.0, 2.0, count)
 
 
@@ -316,7 +316,8 @@ def check_decomposable(state: StateTensor) -> DecomposabilityReport:
     complements.  For n = 3 the walk reaches every cut containing
     subsystem 1 that the decision did not take, so the table is whole.
     An accept's max_commutator is the commutation test of the pair's
-    rotated stack R, a reject's that of the raw stack.
+    rotated stack R, read before the gate so that R is gone when the
+    rebuild is formed; a reject's is that of the raw stack.
     """
     used = {"rank_tol": tolerances.RANK_TOL, "diag_tol": tolerances.DIAG_TOL,
             "orth_tol": tolerances.ORTH_TOL, "seed": 0}  # the pair search's fixed stream
@@ -354,7 +355,7 @@ def check_decomposable(state: StateTensor) -> DecomposabilityReport:
     except NoPairFound as err:
         residuals["max_off_diagonal"] = err.residual
         ok, gram, _ = scaled_unitary_check(_positive_product_s(
-            _rotate_to_combination(stack @ stack.conj().transpose(0, 2, 1))))
+            _rotate_to_combination(_products(stack, False))))
         if not ok:
             return reject(STAGE_SCALED, {"ss_dagger": gram})
         return reject(STAGE_DIAG, {"max_off_diagonal": err.residual})
@@ -364,14 +365,18 @@ def check_decomposable(state: StateTensor) -> DecomposabilityReport:
         return reject(STAGE_SCALED, {"ss_dagger": gram})
 
     candidate = _assemble(state, p, q, s, gram, residuals)
-    resid = float(np.abs(reconstruct(candidate).amplitudes - state.amplitudes).max())
-    residuals["reconstruction"] = resid
-    if resid > tolerances.RECONSTRUCT_TOL:
+    found = {"max_commutator": positive_products_commute(rotated)[1]}
+    del rotated  # so the rebuild is the gate's one full-size array, read in slabs
+    diff = _rebuild(candidate)
+    diff -= state.amplitudes
+    resid = residuals["reconstruction"] = float(np.max(  # NaN if the rebuild has one
+        [np.abs(diff[part]).max() for part in _slabs(diff.size, diff.size)]))
+    del diff
+    if not resid <= tolerances.RECONSTRUCT_TOL:  # a NaN rebuild fails too
         # the discarded off-diagonal mass, or a tail that is no product,
         # was too large to represent the state; report it at the
         # diagonalization stage
         return reject(STAGE_DIAG, {"reconstruction": resid})
-    found = {"max_commutator": positive_products_commute(rotated)[1]}
     return DecomposabilityReport(True, None, {}, {**found, **residuals}, candidate, used)
 
 

@@ -248,21 +248,26 @@ def flatten(state: StateTensor, bipartition: Bipartition) -> np.ndarray:
         raise InvalidPartition(
             f"bipartition covers {bipartition.subsystem_count} subsystems, "
             f"state has {state.subsystem_count}")
-    return _flatten(state, bipartition.left)
+    return _flatten(state.tensor(), bipartition.left)
 
 
-def _flatten(state: StateTensor, left: tuple[int, ...]) -> np.ndarray:
-    """flatten() across left | rest, left sorted 1-based and already checked."""
+def _flatten(tensor: np.ndarray, left: tuple[int, ...]) -> np.ndarray:
+    """flatten() of a one-axis-per-subsystem tensor, left sorted 1-based and checked."""
     axes = [i - 1 for i in left]
-    perm = axes + [i for i in range(state.subsystem_count) if i not in axes]
-    d_left = prod(state.dims[i] for i in axes)
-    return np.transpose(state.tensor(), perm).reshape(d_left, -1)
+    moved = tensor.transpose(axes + [i for i in range(tensor.ndim) if i not in axes])
+    return moved.reshape(prod(moved.shape[:len(axes)]), -1)
+
+
+def _slabs(length: int, size: int) -> list[slice]:
+    """Slices over range(length), an axis of size entries, of about 2^13 entries each."""
+    step = (1 << 13) * length // size or 1  # 128 KiB of complex
+    return [slice(start, start + step) for start in range(0, length, step)]
 
 
 def _keep_set(keep, n: int) -> tuple[int, ...]:
     """Sorted, deduplicated 1-based kept subsystems, checked against 1..n."""
-    keep = tuple(sorted(set(int(i) for i in keep)))
-    if not keep or any(i < 1 or i > n for i in keep):
+    keep = tuple(sorted({int(i) for i in keep}))
+    if not keep or keep[0] < 1 or keep[-1] > n:
         raise InvalidPartition(f"keep set {keep} invalid for {n} subsystems")
     return keep
 
@@ -278,7 +283,7 @@ def reduced_density(state: StateTensor, keep) -> DensityMatrix:
     keep = _keep_set(keep, n)
     if len(keep) == n:
         return pure_density(state)
-    m = _flatten(state, keep)
+    m = _flatten(state.tensor(), keep)
     kept_dims = tuple(state.dims[i - 1] for i in keep)
     return DensityMatrix(kept_dims, m @ m.conj().T)
 
@@ -310,20 +315,27 @@ def partial_trace(density: DensityMatrix, keep) -> DensityMatrix:
 
 
 def reconstruct(decomposition: SchmidtDecomposition) -> StateTensor:
-    """Rebuild the state sum_l c_l (x)_k v_lk from a decomposition.
+    """Rebuild the state sum_l c_l (x)_k v_lk from a decomposition (see _rebuild)."""
+    return StateTensor(decomposition.dims, _rebuild(decomposition))
 
-    The coefficients are folded into the first family, the families
-    before the last are multiplied out row by row, and the last one is
-    contracted by a single matrix product, so no rank x total_dim array
-    is ever formed.
+
+def _rebuild(decomposition: SchmidtDecomposition) -> np.ndarray:
+    """reconstruct()'s normalised amplitudes, built a slab at a time.
+
+    The coefficients are folded into the first family; over each slab of
+    its index the families before the last are multiplied out row by row
+    and contracted with the last, so the rebuild is the one full-size array.
     """
     *leading, last = decomposition.vectors
-    head = decomposition.coefficients[:, None]
-    for fam in leading:
-        head = row_kron(head, fam)
-    total = (head.T @ last).reshape(-1)
+    first = decomposition.coefficients[:, None] * (leading.pop(0) if leading else 1.0)
+    total = np.empty((first.shape[1], prod(decomposition.dims[1:-1]), last.shape[1]), complex)
+    for part in _slabs(len(total), first.size * total.shape[1]):
+        head = first[:, part]
+        for fam in leading:
+            head = row_kron(head, fam)
+        np.matmul(head.T, last, out=total[part].reshape(-1, last.shape[1]))
     total /= np.linalg.norm(total)
-    return StateTensor(decomposition.dims, total)
+    return total.reshape(-1)
 
 
 def pure_density(state: StateTensor) -> DensityMatrix:

@@ -181,6 +181,11 @@ GRAM_CASES = {
     "rank2-3232": lambda: random_decomposable_state((3, 2, 3, 2), 2, seed=2),
     "tiny-333": tiny_coefficient_state,
     "w": w_state,
+    # read in slabs: the Gram on the rest's side for a kept side led by
+    # subsystem 1, and on the kept side, sliced along subsystem 2, for (1, 3)
+    "haar-323232": lambda: haar_random_state((32, 32, 32), seed=2),
+    "rank32-323232": lambda: random_decomposable_state((32, 32, 32), 32, seed=2),
+    "haar-816816": lambda: haar_random_state((8, 16, 8, 16), seed=2),
 }
 
 

@@ -394,6 +394,9 @@ def test_gen_verb(tmp_path, capsys):
     assert out == first
     code, out, _ = run(capsys, "gen", "--dims", "2,3", "--seed", "6")
     assert out != first
+    # no --seed is seed 0
+    assert run(capsys, "gen", "--dims", "2,3")[1] == \
+        run(capsys, "gen", "--dims", "2,3", "--seed", "0")[1]
 
     code, out, _ = run(capsys, "gen", "--dims", "2,2,2", "--rank", "2",
                        "--label", "probe")
@@ -492,9 +495,17 @@ def test_partition_solves_once(monkeypatch, capsys, target, code, doc):
      "argument --cut: not allowed with argument --equal"),
     (["gen", "--fixture", "w", "--dims", "2,2", "--rank", "1"],
      "argument --dims: not allowed with argument --fixture"),
+    # a fixture takes neither, not even the default seed spelled out
+    (["gen", "--fixture", "w", "--rank", "1", "--seed", "5"],
+     "InvalidArgs: --rank and --seed need --dims, not --fixture"),
+    (["gen", "--fixture", "ghz4", "--seed", "0"],
+     "InvalidArgs: --rank and --seed need --dims, not --fixture"),
+    (["gen", "--fixture", "bell", "--rank", "1"],
+     "InvalidArgs: --rank and --seed need --dims, not --fixture"),
 ], ids=["alpha-one-part", "alpha-not-float", "unknown-fixture", "link-one-subsystem",
         "beta-negative-without-equals", "number-seed", "check-seed", "decompose-seed",
-        "inequality-seed", "spectra-equal-and-cut", "gen-fixture-and-dims"])
+        "inequality-seed", "spectra-equal-and-cut", "gen-fixture-and-dims",
+        "gen-fixture-rank-and-seed", "gen-fixture-default-seed", "gen-fixture-rank"])
 def test_cli_argument_errors_exit_2(argv, message, tmp_path, capsys):
     files = {"ghz": write_fixture(tmp_path, "ghz", ghz(3)),
              "qubit": write_fixture(tmp_path, "qubit", basis_state((2,), (0,)))}

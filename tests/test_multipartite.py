@@ -1016,43 +1016,97 @@ def test_split_tails_matches_per_row_split(dims):
     lambda: find_diagonalizing_pair(slice_tensor(
         random_decomposable_state((8, 8, 8), 8, seed=2)))[3],
     lambda: near_diagonal_stack((8, 3, 5), 1e-8, 0),
-], ids=["haar-345", "haar-4323", "w", "eqspec", "rotated-888", "near-diagonal-835"])
+    lambda: find_diagonalizing_pair(slice_tensor(
+        random_decomposable_state((32, 32, 32), 32, seed=2)))[3],
+    lambda: slice_tensor(haar_random_state((32, 32, 32), seed=2)),
+], ids=["haar-345", "haar-4323", "w", "eqspec", "rotated-888", "near-diagonal-835",
+        "rotated-323232", "haar-323232"])
 def test_commute_products_match_fresh_products(build, monkeypatch):
-    # both families share one buffer; each must equal a freshly allocated
-    # product, and the verdict's residual the fresh families' one
+    # a family is formed a slab of slices at a time while it reads
+    # diagonal, then whole if a slab does not; the slabs formed must make
+    # up a freshly allocated family, or the last one formed must be it,
+    # and the verdict's residual must be the fresh families' one
     stack = build()
-    families = []
-    real = multipartite._commute_residual
+    formed = {False: [], True: []}
+    real = multipartite._products
 
-    def recording(family):
-        families.append(family.copy())
-        return real(family)
+    def recording(part, adjoint_first):
+        formed[adjoint_first].append(real(part, adjoint_first))
+        return formed[adjoint_first][-1]
 
-    monkeypatch.setattr(multipartite, "_commute_residual", recording)
+    def fresh_residual(family):
+        resid = multipartite._off_diagonal_residual(family)
+        if resid <= tolerances.DIAG_TOL:
+            return resid
+        return multipartite._off_diagonal_residual(multipartite._rotate_to_combination(family))
+
+    monkeypatch.setattr(multipartite, "_products", recording)
     ok, worst = positive_products_commute(stack)
     adjoint = stack.conj().transpose(0, 2, 1)
-    fresh = [stack @ adjoint, adjoint @ stack]
-    assert len(families) == 2
-    assert all(np.array_equal(got, want) for got, want in zip(families, fresh))
-    assert worst == max(real(fresh[0]), real(fresh[1]))
+    fresh = {False: stack @ adjoint, True: adjoint @ stack}
+    for flip, families in formed.items():
+        whole = len(families) > 1 and len(families[-1]) == len(stack)
+        got = families[-1] if whole else np.concatenate(families)
+        assert np.array_equal(got, fresh[flip])
+    assert len(formed[False]) > 1 or stack.size <= 8192
+    assert worst == max(fresh_residual(fresh[False]), fresh_residual(fresh[True]))
     assert ok == (worst <= tolerances.DIAG_TOL)
 
 
-def test_large_accept_makes_no_throwaway_full_size_copy():
-    # tracemalloc sees numpy's array buffers.  The peak of a (32,32,32)
-    # rank-32 accept was 5.26 times the state's bytes while the accept
-    # made throwaway full-size copies, and is 4.24 times without them
-    state = random_decomposable_state((32, 32, 32), 32, seed=1)
-    assert check_decomposable(state).decomposable  # warm every lazy cache
+def traced_peak(run, *args):
+    """The tracemalloc peak of run(*args) over what was allocated before it.
+
+    tracemalloc sees numpy's array buffers; run is called once before
+    tracing to warm every lazy cache.
+    """
+    run(*args)
     tracing = tracemalloc.is_tracing()
     tracemalloc.start()
     start = tracemalloc.get_traced_memory()[0]
     tracemalloc.reset_peak()
     try:
-        rep = check_decomposable(state)
+        result = run(*args)
         peak = tracemalloc.get_traced_memory()[1] - start
     finally:
         if not tracing:
             tracemalloc.stop()
+    return result, peak
+
+
+def test_large_accept_makes_no_throwaway_full_size_copy():
+    # the peak of a (32,32,32) rank-32 accept was 5.26 times the state's
+    # bytes with throwaway full-size copies, and 4.24 times while the
+    # rebuild gate, the spectra and the commutator each made full-size
+    # temporaries; it is now the pair search's rotation, about 2.1 times
+    state = random_decomposable_state((32, 32, 32), 32, seed=1)
+    rep, peak = traced_peak(check_decomposable, state)
     assert rep.decomposable
-    assert peak <= 4.25 * state.amplitudes.nbytes
+    assert peak <= 2.25 * state.amplitudes.nbytes
+
+
+def test_large_reject_and_site_two_cut_hold_one_copy_at_most():
+    # site 2's cut (1, 3) sums its Gram over slabs (2.05 times the state's
+    # bytes with a transposed and a conjugated copy), so a Haar (32,32,32)
+    # reject holds at most the one conjugated copy of a prefix cut (2.05
+    # times while site 2's cut copied the state twice)
+    state = haar_random_state((32, 32, 32), 1)
+    rep, peak = traced_peak(check_decomposable, state)
+    assert rep.stage == "SpectraUnequal"
+    assert peak <= 1.1 * state.amplitudes.nbytes
+    vals, peak = traced_peak(spectra, state, (1, 3))
+    assert vals.tolist() == rep.witness["spectra"]["1,3"]
+    assert peak <= 1.1 * state.amplitudes.nbytes
+
+
+def test_nan_rebuild_fails_the_gate(monkeypatch):
+    # a rebuild holding a NaN is no accept: the gate's test is
+    # "not resid <= RECONSTRUCT_TOL", and the explain pass, whose
+    # necessary conditions all pass, reports the gate's stage
+    def nan_rebuild(candidate):
+        return np.full(int(np.prod(candidate.dims)), np.nan, complex)
+
+    monkeypatch.setattr(multipartite, "_rebuild", nan_rebuild)
+    rep = check_decomposable(random_decomposable_state((3, 3, 3), 2, seed=1))
+    assert not rep.decomposable and rep.decomposition is None
+    assert rep.stage == "SlicesNotSimultaneouslyDiagonalizable"
+    assert np.isnan(rep.witness["reconstruction"])
