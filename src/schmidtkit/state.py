@@ -260,7 +260,7 @@ def _flatten(tensor: np.ndarray, left: tuple[int, ...]) -> np.ndarray:
 
 def _slabs(length: int, size: int) -> list[slice]:
     """Slices over range(length), an axis of size entries, of about 2^13 entries each."""
-    step = (1 << 13) * length // size or 1  # 128 KiB of complex
+    step = (1 << 13) * length // max(size, 1) or 1  # 128 KiB of complex
     return [slice(start, start + step) for start in range(0, length, step)]
 
 

@@ -116,6 +116,8 @@ def test_positive_products_commute_cases():
     assert ok and resid < 1e-14
     ok, resid = positive_products_commute(slice_tensor(eqspec_state()))
     assert not ok and resid > 1e-3
+    # an empty stack has nothing off the diagonal
+    assert positive_products_commute(np.zeros((0, 2, 2), complex)) == (True, 0.0)
 
 
 def test_commute_on_degenerate_sums():
