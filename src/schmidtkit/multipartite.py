@@ -183,6 +183,7 @@ def find_diagonalizing_pair(stack: np.ndarray) -> tuple[np.ndarray, ...]:
         if resid <= tolerances.DIAG_TOL:
             return p, q, _diagonals(rotated), rotated
         best = min(best, resid)
+        del rotated  # freed before the next attempt's, and not kept by NoPairFound's traceback
     err = NoPairFound(
         f"no diagonalizing pair after {MAX_PAIR_ATTEMPTS} attempts "
         f"(best off-diagonal residual {best:.3e})")

@@ -1100,6 +1100,20 @@ def test_large_reject_and_site_two_cut_hold_one_copy_at_most():
     assert peak <= 1.1 * state.amplitudes.nbytes
 
 
+def test_pair_search_frees_each_failed_rotation():
+    # a 1<->2-symmetric Haar state passes site 2's comparison and fails
+    # all eight pair attempts; a failed attempt's rotated stack is freed
+    # before the next attempt and before NoPairFound keeps the frame (4.15
+    # times the state's bytes while both stayed), leaving the rotation of
+    # the whole product family in the no-pair branch as the peak
+    tensor = haar_random_state((32, 32, 32), 2).tensor()
+    amplitudes = (tensor + tensor.transpose(1, 0, 2)).reshape(-1)
+    state = StateTensor((32, 32, 32), amplitudes / np.linalg.norm(amplitudes))
+    rep, peak = traced_peak(check_decomposable, state)
+    assert rep.stage == "SpectraUnequal"
+    assert peak <= 3.25 * state.amplitudes.nbytes
+
+
 def test_nan_rebuild_fails_the_gate(monkeypatch):
     # a rebuild holding a NaN is no accept: the gate's test is
     # "not resid <= RECONSTRUCT_TOL", and the explain pass, whose
