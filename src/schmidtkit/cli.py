@@ -338,7 +338,7 @@ def main(argv=None) -> int:
     except SchmidtError as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
-    except FileNotFoundError as exc:
+    except OSError as exc:  # missing, unreadable or unwritable file
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -86,3 +86,7 @@ class MalformedCut(SchmidtError):
 
 class IndicesOutOfRange(SchmidtError):
     """Cut or keep indices are out of range, duplicated, or missing."""
+
+
+# every class above is public, in the order defined
+__all__ = [name for name, value in globals().items() if isinstance(value, type)]

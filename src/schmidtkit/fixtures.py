@@ -7,6 +7,8 @@ import numpy as np
 from .errors import DimensionMismatch, IndicesOutOfRange
 from .state import StateTensor, new_state
 
+__all__ = ["w_state", "ghz", "bell", "basis_state", "haar_random_state"]
+
 
 def w_state() -> StateTensor:
     """(|001> + |010> + |100>) / sqrt(3) on three qubits."""

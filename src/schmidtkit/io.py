@@ -2,8 +2,10 @@
 
 All files carry "version": 1.  Complex numbers are [re, im] pairs, all
 written by complex_pairs, which keeps an array's shape: a 1-D array is
-one list of pairs, a family one such list per vector.
-Numbers are JSON numbers: true and false are not, though Python's bool is an int.
+one list of pairs, a family one such list per vector; the loaders read
+each back through its inverse, checked against the shape the dims give.
+Numbers are JSON numbers that fit a float: true and false are not,
+though Python's bool is an int.  Any other document raises InvalidArgs.
 
 state          {"version", "dims", "amplitudes": [[re, im], ...], "label"?}
                amplitudes flattened row-major, subsystem 1 slowest.
@@ -21,6 +23,7 @@ same object always produces byte-identical output.
 from __future__ import annotations
 
 import json
+import math
 from pathlib import Path
 
 import numpy as np
@@ -58,22 +61,34 @@ def complex_pairs(values) -> list:
     return np.stack([values.real, values.imag], axis=-1).tolist()
 
 
-def _unpairs(raw, what: str) -> np.ndarray:
-    if not isinstance(raw, list):
-        raise InvalidArgs(f"{what} must be a list of [re, im] pairs")
-    out = np.empty(len(raw), dtype=complex)
-    for i, pair in enumerate(raw):
-        if (not isinstance(pair, list) or len(pair) != 2
-                or not all(type(x) in (int, float) for x in pair)):
-            raise InvalidArgs(f"{what}[{i}] is not a [re, im] pair: {pair!r}")
-        out[i] = complex(pair[0], pair[1])
-    return out
+def _decode(raw, shape, dtype, message: str) -> np.ndarray:
+    """Inverse of complex_pairs: the dtype array of shape that raw lists.
+
+    A complex entry is an [re, im] pair; None in shape is any nonzero
+    length.  Anything but JSON numbers that fit a float, nested to that
+    shape, raises InvalidArgs(message).
+    """
+    level, sizes = [raw], []
+    for size in (*shape, 2) if dtype is complex else shape:
+        if not all(type(node) is list for node in level):
+            raise InvalidArgs(message)
+        sizes.append(size or len(level[0]) or -1)  # None: the first node's, if not 0
+        if any(len(node) != sizes[-1] for node in level):
+            raise InvalidArgs(message)
+        level = [item for node in level for item in node]
+    if not all(type(x) in (int, float) for x in level):  # a bool is an int
+        raise InvalidArgs(message)
+    try:
+        out = np.array(level, dtype=float).reshape(sizes)
+    except OverflowError:
+        raise InvalidArgs(f"{message}; a number is too large for a float") from None
+    return out.view(complex)[..., 0] if dtype is complex else out
 
 
 def _read(path) -> dict:
     try:
-        doc = json.loads(Path(path).read_text())
-    except json.JSONDecodeError as exc:
+        doc = json.loads(Path(path).read_bytes())
+    except (ValueError, RecursionError) as exc:  # also bytes that are not UTF-8
         raise InvalidArgs(f"{path}: not valid JSON ({exc})") from exc
     if not isinstance(doc, dict):
         raise InvalidArgs(f"{path}: top level must be an object")
@@ -94,10 +109,10 @@ def _dims(doc: dict, path) -> tuple[int, ...]:
 def load_state(path) -> StateTensor:
     doc = _read(path)
     dims = _dims(doc, path)
-    amps = _unpairs(doc.get("amplitudes"), "amplitudes")
-    if amps.size != int(np.prod(dims)):
-        raise InvalidArgs(
-            f"{path}: {amps.size} amplitudes for dims {list(dims)}")
+    size = math.prod(dims)
+    amps = _decode(doc.get("amplitudes"), (size,), complex,
+                   f"{path}: amplitudes must be a list of {size} [re, im] "
+                   f"pairs for dims {list(dims)}")
     label = doc.get("label")
     if label is not None and not isinstance(label, str):
         raise InvalidArgs(f"{path}: label must be a string")
@@ -119,12 +134,10 @@ def save_state(path, state: StateTensor) -> None:
 def load_density(path) -> DensityMatrix:
     doc = _read(path)
     dims = _dims(doc, path)
-    entries = _unpairs(doc.get("entries"), "entries")
-    d = int(np.prod(dims))
-    if entries.size != d * d:
-        raise InvalidArgs(
-            f"{path}: {entries.size} entries, expected {d * d} for dims "
-            f"{list(dims)}")
+    d = math.prod(dims)
+    entries = _decode(doc.get("entries"), (d * d,), complex,
+                      f"{path}: entries must be a list of {d * d} [re, im] "
+                      f"pairs for dims {list(dims)}")
     return DensityMatrix(dims, entries.reshape(d, d))
 
 
@@ -150,24 +163,18 @@ def decomposition_to_dict(dec: SchmidtDecomposition, bipartition=None) -> dict:
 def load_decomposition(path) -> SchmidtDecomposition:
     doc = _read(path)
     dims = _dims(doc, path)
-    coeffs = doc.get("coefficients")
-    if (not isinstance(coeffs, list) or not coeffs
-            or not all(type(c) in (int, float) for c in coeffs)):
-        raise InvalidArgs(f"{path}: coefficients must be a list of numbers")
+    coeffs = _decode(doc.get("coefficients"), (None,), float,
+                     f"{path}: coefficients must be a nonempty list of numbers")
     families = doc.get("subsystems")
     if not isinstance(families, list) or len(families) != len(dims):
         raise InvalidArgs(
             f"{path}: subsystems must hold one family per subsystem")
-    vectors = []
-    for k, family in enumerate(families):
-        if not isinstance(family, list) or len(family) != len(coeffs):
-            raise InvalidArgs(
-                f"{path}: subsystem {k + 1} needs one vector per coefficient")
-        rows = [_unpairs(vec, f"subsystems[{k}][{i}]")
-                for i, vec in enumerate(family)]
-        vectors.append(np.array(rows))
-    return SchmidtDecomposition(dims, np.array(coeffs, dtype=float),
-                                tuple(vectors))
+    vectors = tuple(
+        _decode(family, (coeffs.size, d), complex,
+                f"{path}: subsystem {k + 1} needs one vector per coefficient, "
+                f"each a list of {d} [re, im] pairs")
+        for k, (family, d) in enumerate(zip(families, dims)))
+    return SchmidtDecomposition(dims, coeffs, vectors)
 
 
 def save_decomposition(path, dec: SchmidtDecomposition) -> None:

@@ -479,8 +479,13 @@ def local_unitary_link(target: StateTensor, source: StateTensor) -> list[np.ndar
     multisets; the link maps the source's l-th Schmidt vector onto the
     target's for every subsystem, which reproduces the target exactly
     because the pairing is shared across subsystems (ties included).
-    Each U_k is the polar factor of sum_l t_l s_l+; coefficients and the
-    rebuilt target must agree within LINK_TOL.
+    Each U_k is the polar factor of sum_l t_l s_l+ + P_t P_s, with P the
+    projector onto the orthogonal complement of a family, so U_k off the
+    support depends on the states alone (a state linked to itself gets
+    the identity).  It is unique when P_t P_s is invertible from the
+    source's complement onto the target's; where it is singular, the
+    SVD's rounding picks the completion.  Coefficients and the rebuilt
+    target must agree within LINK_TOL.
     """
     if target.dims != source.dims:
         raise DimensionMismatch(
@@ -496,8 +501,10 @@ def local_unitary_link(target: StateTensor, source: StateTensor) -> list[np.ndar
     if ct.size != cs.size or float(np.abs(ct - cs).max()) > tolerances.LINK_TOL:
         raise CoefficientsMismatch(
             f"coefficients differ: {ct.tolist()} vs {cs.tolist()}")
-    unitaries = [polar(ft.T @ fs.conj()) for ft, fs in
-                 zip(rep_t.decomposition.vectors, rep_s.decomposition.vectors)]
+    unitaries = [polar(ft.T @ fs.conj() + (np.eye(d) - ft.T @ ft.conj())
+                       @ (np.eye(d) - fs.T @ fs.conj()))
+                 for ft, fs, d in zip(rep_t.decomposition.vectors,
+                                      rep_s.decomposition.vectors, target.dims)]
     mapped = apply_local_unitaries(source, unitaries)
     overlap = np.vdot(target.amplitudes, mapped.amplitudes)
     aligned = mapped.amplitudes * np.conj(overlap) / max(abs(overlap), 1e-300)

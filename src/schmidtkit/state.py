@@ -213,9 +213,11 @@ class SchmidtDecomposition:
         if coeffs.size > min(dims):
             raise RankTooLarge(
                 f"rank {coeffs.size} exceeds smallest dimension {min(dims)}")
-        fams = []
-        for k, fam in enumerate(self.vectors):
-            fam = _frozen_array(fam, complex)
+        fams = tuple(_frozen_array(fam, complex) for fam in self.vectors)
+        if len(fams) != len(dims):
+            raise DimensionMismatch(
+                f"need {len(dims)} vector families, got {len(fams)}")
+        for k, fam in enumerate(fams):
             if fam.shape != (coeffs.size, dims[k]):
                 raise DimensionMismatch(
                     f"family {k + 1} has shape {fam.shape}, expected "
@@ -224,13 +226,9 @@ class SchmidtDecomposition:
             if not resid <= tolerances.ORTH_TOL:
                 raise DimensionMismatch(
                     f"family {k + 1} not orthonormal (residual {resid:.3e})")
-            fams.append(fam)
-        if len(fams) != len(dims):
-            raise DimensionMismatch(
-                f"need {len(dims)} vector families, got {len(fams)}")
         object.__setattr__(self, "dims", dims)
         object.__setattr__(self, "coefficients", coeffs)
-        object.__setattr__(self, "vectors", tuple(fams))
+        object.__setattr__(self, "vectors", fams)
 
     @property
     def rank(self) -> int:

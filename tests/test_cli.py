@@ -447,6 +447,39 @@ def test_usage_and_input_errors(tmp_path, capsys):
     assert "InvalidArgs: target must be a positive integer, got 0" in err
 
 
+STATE_WITH = '{"version": 1, "dims": [2], "amplitudes": [[1, 0], [%s, 0]]}'
+DECOMPOSITION_WITH = '{"version": 1, "dims": [2, 2], "coefficients": [%s], "subsystems": %s}'
+QUBIT_FAMILY = "[[[1, 0], [0, 0]]]"
+RAGGED_FAMILY = "[[[1, 0], [0, 0]], [[0, 1]]]"  # its second vector is one entry short
+
+
+@pytest.mark.parametrize("argv, content", [
+    (["check", "{f}"], None),
+    (["check", "{f}"], b'{"version": 1, "dims": [2], "label": "\xff"}'),
+    (["check", "{f}"], STATE_WITH % ("1" + "0" * 400)),
+    (["check", "{f}"], STATE_WITH % ("1" * 5000)),
+    (["check", "{f}"], "[" * 100000 + "]" * 100000),
+    (["compose", "{f}", "{f}", "--grouping", "1,1"],
+     DECOMPOSITION_WITH % ("0.8, 0.6", f"[{RAGGED_FAMILY}, {RAGGED_FAMILY}]")),
+    (["compose", "{f}", "{f}", "--grouping", "1,1"],
+     DECOMPOSITION_WITH % ("1" + "0" * 400, f"[{QUBIT_FAMILY}, {QUBIT_FAMILY}]")),
+    (["gen", "--fixture", "w", "--out", "{f}"], None),
+], ids=["directory", "not-utf8", "float-overflow", "int-digit-limit", "deep-nesting",
+        "ragged-family", "coefficient-overflow", "out-directory"])
+def test_unreadable_and_malformed_files_exit_2(tmp_path, capsys, argv, content):
+    # a file the loaders cannot read is an input error, never a traceback
+    # with exit 1, the code of a negative verdict; None makes f a directory
+    path = tmp_path / "in.json"
+    if content is None:
+        path.mkdir()
+    else:
+        path.write_bytes(content if isinstance(content, bytes) else content.encode())
+    code, _, err = run(capsys, *[arg.format(f=path) for arg in argv])
+    assert code == 2
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "Traceback" not in err
+
+
 @pytest.mark.parametrize("target, code, doc", [
     (None, 0, {"dims": [2, 3, 4, 5], "k": 10, "left": [1, 4], "right": [2, 3],
                "left_product": 10, "right_product": 12,

@@ -373,6 +373,23 @@ def test_local_unitary_link_ghz_identity():
     assert abs(abs(overlap) - 1.0) < 1e-10
 
 
+@pytest.mark.parametrize("dims", [(2, 3, 2, 3), (3, 4, 5), (4, 4, 4)], ids=str)
+def test_local_unitary_link_off_support_depends_on_the_states(dims):
+    # rank 2 leaves each family a complement, where U_k comes from the two
+    # states alone: identical states give the identity, and a change in
+    # the source's last bits leaves every U_k where it was
+    for seed in range(5):
+        phi = random_decomposable_state(dims, 2, seed)
+        for u in local_unitary_link(phi, phi):
+            assert np.abs(u - np.eye(len(u))).max() < 1e-12
+        rng = np.random.default_rng((seed, 7))
+        psi = apply_local_unitaries(phi, [haar_unitary(d, rng) for d in dims])
+        amps = phi.amplitudes * (1 + 1e-15 * rng.standard_normal(phi.amplitudes.size))
+        nudged = new_state(dims, amps / np.linalg.norm(amps))
+        for u, v in zip(local_unitary_link(psi, phi), local_unitary_link(psi, nudged)):
+            assert np.abs(u - v).max() < 1e-12
+
+
 def test_local_unitary_link_refusals():
     phi = ghz(3)
     psi = random_decomposable_state((2, 2, 2), 2, seed=11)

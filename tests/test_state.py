@@ -247,6 +247,9 @@ E2 = np.eye(2, dtype=complex)
      DimensionMismatch, r"family 1 has shape \(2, 2\)"),
     (lambda: SchmidtDecomposition((2, 2, 2), [1.0], (E2[:1], E2[:1])),
      DimensionMismatch, "need 3 vector families, got 2"),
+    # counted before any family is matched to its dimension
+    (lambda: SchmidtDecomposition((2, 2), [1.0], (E2[:1],) * 3),
+     DimensionMismatch, "need 2 vector families, got 3"),
     (lambda: flatten(ghz(3), Bipartition((1,), (2,))),
      InvalidPartition, "covers 2 subsystems, state has 3"),
     # 2 x 27 contraction labels is more than the 52 ASCII letters
@@ -254,7 +257,7 @@ E2 = np.eye(2, dtype=complex)
      DimensionMismatch, "too many subsystems"),
 ], ids=["ghz-1", "basis-count", "basis-range", "state-dim-0", "new-state-size",
         "density-shape", "coeffs-empty", "coeffs-ascending", "coeffs-norm",
-        "family-shape", "family-count", "flatten-count", "trace-labels"])
+        "family-shape", "family-count", "family-count-over", "flatten-count", "trace-labels"])
 def test_constructor_input_checks(build, exc, message):
     with pytest.raises(exc, match=message):
         build()
