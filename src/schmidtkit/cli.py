@@ -87,9 +87,9 @@ def _parse_complex(text: str, what: str) -> complex:
 
 def _emit(doc: dict, out: str | None) -> None:
     text = io.dumps_canonical(doc)
-    sys.stdout.write(text)
-    if out:
+    if out:  # first, so a failed write leaves stdout empty
         Path(out).write_text(text)
+    sys.stdout.write(text)
 
 
 def _cmd_check(args) -> int:

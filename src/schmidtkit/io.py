@@ -88,7 +88,7 @@ def _decode(raw, shape, dtype, message: str) -> np.ndarray:
 def _read(path) -> dict:
     try:
         doc = json.loads(Path(path).read_bytes())
-    except (ValueError, RecursionError) as exc:  # also bytes that are not UTF-8
+    except (ValueError, RecursionError) as exc:  # bad JSON or UTF-8, or too deep
         raise InvalidArgs(f"{path}: not valid JSON ({exc})") from exc
     if not isinstance(doc, dict):
         raise InvalidArgs(f"{path}: top level must be an object")

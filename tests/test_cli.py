@@ -467,15 +467,16 @@ RAGGED_FAMILY = "[[[1, 0], [0, 0]], [[0, 1]]]"  # its second vector is one entry
 ], ids=["directory", "not-utf8", "float-overflow", "int-digit-limit", "deep-nesting",
         "ragged-family", "coefficient-overflow", "out-directory"])
 def test_unreadable_and_malformed_files_exit_2(tmp_path, capsys, argv, content):
-    # a file the loaders cannot read is an input error, never a traceback
-    # with exit 1, the code of a negative verdict; None makes f a directory
+    # a file the loaders cannot read or --out cannot write is an input
+    # error, never a traceback with exit 1, the code of a negative verdict,
+    # and leaves stdout empty; None makes f a directory
     path = tmp_path / "in.json"
     if content is None:
         path.mkdir()
     else:
         path.write_bytes(content if isinstance(content, bytes) else content.encode())
-    code, _, err = run(capsys, *[arg.format(f=path) for arg in argv])
-    assert code == 2
+    code, out, err = run(capsys, *[arg.format(f=path) for arg in argv])
+    assert code == 2 and out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
     assert "Traceback" not in err
 
