@@ -109,3 +109,8 @@ def spectra(state: StateTensor, keep) -> np.ndarray:
     eig = np.linalg.eigvalsh(gram)
     np.maximum(eig[::-1], 0.0, out=vals[:eig.size])
     return vals
+
+
+def _spectra_doc(table: dict[tuple[int, ...], np.ndarray]) -> dict[str, list]:
+    """A table of spectra as JSON lists, each subset keyed "1,3"."""
+    return {",".join(map(str, subset)): spec.tolist() for subset, spec in table.items()}

@@ -2,10 +2,11 @@
 
 Exit codes: 0 for success or an affirmative verdict, 1 for a negative
 verdict (not decomposable, infeasible, condition fails), 2 for usage
-or input errors.  Reports go to standard output as deterministic JSON;
---out additionally writes them to a file.  Only gen, which writes a
-random state, takes --seed (default 0); every other verb reads its
-inputs alone, so identical invocations produce identical bytes.
+or input errors.  Each verb returns its report; main alone writes it
+as deterministic JSON, to the --out file first, so that a failed write
+leaves standard output empty, then to standard output.  Only gen, which
+writes a random state, takes --seed (default 0); every other verb reads
+its inputs alone, so identical invocations produce identical bytes.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ import sys
 from pathlib import Path
 
 from . import io
-from .bipartite import schmidt_decompose_bipartite, schmidt_number, spectra
+from .bipartite import _spectra_doc, schmidt_decompose_bipartite, schmidt_number, spectra
 from .compose import Grouping, compose, rank_inequality_check
 from .errors import (
     IndicesOutOfRange,
@@ -44,7 +45,7 @@ def parse_cut(text: str, n: int) -> Bipartition:
     sides = []
     for part in parts:
         items = [p.strip() for p in part.split(",")]
-        if not all(items) or not items:
+        if not all(items):
             raise MalformedCut(f"cut {text!r} has an empty index")
         try:
             sides.append(tuple(int(p) for p in items))
@@ -61,7 +62,7 @@ def parse_cut(text: str, n: int) -> Bipartition:
         missing = sorted(set(range(1, n + 1)) - set(seen))
         raise IndicesOutOfRange(
             f"cut {text!r} does not cover subsystems {missing}")
-    return Bipartition(tuple(sorted(left)), tuple(sorted(right)))
+    return Bipartition(left, right)
 
 
 def parse_grouping(text: str) -> Grouping:
@@ -85,115 +86,77 @@ def _parse_complex(text: str, what: str) -> complex:
         raise InvalidArgs(f"{what} {text!r} must be 're,im'") from None
 
 
-def _emit(doc: dict, out: str | None) -> None:
-    text = io.dumps_canonical(doc)
-    if out:  # first, so a failed write leaves stdout empty
-        Path(out).write_text(text)
-    sys.stdout.write(text)
-
-
-def _cmd_check(args) -> int:
+def _cmd_check(args) -> tuple[dict, int]:
     state = io.load_state(args.state)
     report = check_decomposable(state)
-    _emit(io.report_to_dict(report), args.out)
-    return 0 if report.decomposable else 1
+    return io.report_to_dict(report), 0 if report.decomposable else 1
 
 
-def _cmd_decompose(args) -> int:
+def _cmd_decompose(args) -> tuple[dict, int]:
     state = io.load_state(args.state)
     if args.cut is not None or state.subsystem_count == 2:
         cut = (Bipartition((1,), (2,)) if args.cut is None
                else parse_cut(args.cut, state.subsystem_count))
         bi = schmidt_decompose_bipartite(state, cut)
-        _emit(io.decomposition_to_dict(bi.decomposition, cut), args.out)
-        return 0
+        return io.decomposition_to_dict(bi.decomposition, cut), 0
     report = check_decomposable(state)
     if report.decomposable:
-        _emit(io.decomposition_to_dict(report.decomposition), args.out)
-        return 0
-    _emit(io.report_to_dict(report), args.out)
-    return 1
+        return io.decomposition_to_dict(report.decomposition), 0
+    return io.report_to_dict(report), 1
 
 
-def _cmd_number(args) -> int:
+def _cmd_number(args) -> tuple[dict, int]:
     state = io.load_state(args.state)
     cut = parse_cut(args.cut, state.subsystem_count)
     value = schmidt_number(state, cut)
-    _emit({"cut": {"left": list(cut.left), "right": list(cut.right)},
-           "schmidt_number": value}, args.out)
-    return 0
+    return {"cut": io._cut_doc(cut), "schmidt_number": value}, 0
 
 
-def _cmd_spectra(args) -> int:
+def _cmd_spectra(args) -> tuple[dict, int]:
     state = io.load_state(args.state)
     if args.equal:
         ok, table = equal_spectra_check(state)
-        _emit({"equal": ok,
-               "spectra": {",".join(map(str, k)): [float(x) for x in v]
-                           for k, v in sorted(table.items())}},
-              args.out)
-        return 0 if ok else 1
+        return {"equal": ok, "spectra": _spectra_doc(table)}, 0 if ok else 1
     if args.cut is not None:
         keep = parse_cut(args.cut, state.subsystem_count).left
     else:
         keep = (1,)
     values = spectra(state, keep)
-    _emit({"keep": list(keep), "spectrum": [float(v) for v in values]},
-          args.out)
-    return 0
+    return {"keep": list(keep), "spectrum": values.tolist()}, 0
 
 
 def _fmt_side(indices) -> str:
     return "{" + ",".join(map(str, indices)) + "}"
 
 
-def _cmd_partition(args) -> int:
+def _cmd_partition(args) -> tuple[dict, int]:
     dims = _parse_ints(args.dims, "--dims")
     if args.target is not None and args.target < 1:
         raise InvalidArgs(f"target must be a positive integer, got {args.target}")
     sol = max_schmidt_number(dims)
-    if args.target is None:
-        doc = _partition_doc(dims, sol)
-        doc["summary"] = (f"K={sol.k} left={_fmt_side(sol.bipartition.left)} "
-                          f"right={_fmt_side(sol.bipartition.right)}")
-        _emit(doc, args.out)
-        return 0
-    if sol.k < args.target:  # decide's rule: feasible exactly when target <= K
-        _emit({"dims": list(dims), "target": args.target, "feasible": False,
-               "max_k": sol.k,
-               "summary": f"infeasible: max K={sol.k} < {args.target}"},
-              args.out)
-        return 1
-    doc = _partition_doc(dims, sol)
-    doc["target"] = args.target
-    doc["feasible"] = True
-    doc["summary"] = (f"K={sol.k} >= {args.target} via "
-                      f"left={_fmt_side(sol.bipartition.left)}")
-    _emit(doc, args.out)
-    return 0
+    doc = {"dims": list(dims)}
+    if args.target is not None:  # decide's rule: feasible exactly when target <= K
+        doc.update(target=args.target, feasible=args.target <= sol.k)
+        if not doc["feasible"]:
+            doc.update(max_k=sol.k, summary=f"infeasible: max K={sol.k} < {args.target}")
+            return doc, 1
+    left, right = map(_fmt_side, (sol.bipartition.left, sol.bipartition.right))
+    doc.update(io._cut_doc(sol.bipartition), k=sol.k, left_product=sol.left_product,
+               right_product=sol.right_product)
+    doc["summary"] = (f"K={sol.k} left={left} right={right}" if args.target is None
+                      else f"K={sol.k} >= {args.target} via left={left}")
+    return doc, 0
 
 
-def _partition_doc(dims, sol) -> dict:
-    return {
-        "dims": list(dims),
-        "k": sol.k,
-        "left": list(sol.bipartition.left),
-        "right": list(sol.bipartition.right),
-        "left_product": sol.left_product,
-        "right_product": sol.right_product,
-    }
-
-
-def _cmd_compose(args) -> int:
+def _cmd_compose(args) -> tuple[dict, int]:
     left = io.load_decomposition(args.left)
     right = io.load_decomposition(args.right)
     grouping = parse_grouping(args.grouping)
     merged = compose(left, right, grouping)
-    _emit(io.decomposition_to_dict(merged), args.out)
-    return 0
+    return io.decomposition_to_dict(merged), 0
 
 
-def _cmd_inequality(args) -> int:
+def _cmd_inequality(args) -> tuple[dict, int]:
     phi = io.load_state(args.phi)
     gamma = io.load_state(args.gamma)
     alpha = _parse_complex(args.alpha, "--alpha")
@@ -207,29 +170,25 @@ def _cmd_inequality(args) -> int:
            "rank_gamma": report.rank_gamma, "rank_psi": report.rank_psi}
     if report.detail:
         doc["detail"] = report.detail
-    _emit(doc, args.out)
-    return 0 if report.applicable and report.holds else 1
+    return doc, 0 if report.applicable and report.holds else 1
 
 
-def _cmd_purify(args) -> int:
+def _cmd_purify(args) -> tuple[dict, int]:
     rho = io.load_density(args.density)
     pur = purify(rho, args.ref_dim)
-    _emit(io.state_to_dict(pur.state), args.out)
-    return 0
+    return io.state_to_dict(pur.state), 0
 
 
-def _cmd_link(args) -> int:
+def _cmd_link(args) -> tuple[dict, int]:
     first = Purification(io.load_state(args.first))
     second = Purification(io.load_state(args.second))
     u, residual = linking_unitary(first, second)
-    _emit({"reference_dim": second.reference_dim,
-           "unitary": io.complex_pairs(u),
-           "residual": residual},
-          args.out)
-    return 0
+    return {"reference_dim": second.reference_dim,
+            "unitary": io.complex_pairs(u),
+            "residual": residual}, 0
 
 
-def _cmd_gen(args) -> int:
+def _cmd_gen(args) -> tuple[dict, int]:
     if args.fixture is not None:
         if args.rank is not None or args.seed is not None:
             raise InvalidArgs("--rank and --seed need --dims, not --fixture")
@@ -246,6 +205,8 @@ def _cmd_gen(args) -> int:
         else:
             raise InvalidArgs(f"unknown fixture {args.fixture!r}")
     else:
+        if args.seed is not None and args.seed < 0:
+            raise InvalidArgs(f"--seed must be a nonnegative integer, got {args.seed}")
         dims = _parse_ints(args.dims, "--dims")
         if args.rank is not None:
             state = random_decomposable_state(dims, args.rank, args.seed or 0)
@@ -253,8 +214,7 @@ def _cmd_gen(args) -> int:
             state = haar_random_state(dims, args.seed or 0)
     if args.label is not None:
         state = StateTensor(state.dims, state.amplitudes, args.label)
-    _emit(io.state_to_dict(state), args.out)
-    return 0
+    return io.state_to_dict(state), 0
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -334,13 +294,18 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code) if exc.code else 0
     try:
-        return args.func(args)
+        doc, code = args.func(args)
+        text = io.dumps_canonical(doc)
+        if args.out:  # first, so a failed write leaves stdout empty
+            Path(args.out).write_text(text)
+        sys.stdout.write(text)
     except SchmidtError as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
     except OSError as exc:  # missing, unreadable or unwritable file
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    return code
 
 
 if __name__ == "__main__":

@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import DimensionMismatch, IndicesOutOfRange
-from .state import StateTensor, new_state
+from .state import StateTensor, _sized_dims, new_state
 
 __all__ = ["w_state", "ghz", "bell", "basis_state", "haar_random_state"]
 
@@ -21,9 +21,10 @@ def ghz(n: int = 3) -> StateTensor:
     """(|0...0> + |1...1>) / sqrt(2) on n qubits, n >= 2."""
     if n < 2:
         raise DimensionMismatch("GHZ needs at least two qubits")
-    amps = np.zeros(2 ** n)
+    dims, size = _sized_dims((2,) * n)
+    amps = np.zeros(size)
     amps[[0, -1]] = 1.0 / np.sqrt(2.0)
-    return StateTensor((2,) * n, amps, label=f"GHZ{n}")
+    return StateTensor(dims, amps, label=f"GHZ{n}")
 
 
 def bell() -> StateTensor:
@@ -35,7 +36,7 @@ def bell() -> StateTensor:
 
 def basis_state(dims, occupation) -> StateTensor:
     """The product basis state |i1 i2 ... in> for the given occupation."""
-    dims = tuple(int(d) for d in dims)
+    dims, size = _sized_dims(dims)
     occupation = tuple(int(i) for i in occupation)
     if len(occupation) != len(dims):
         raise DimensionMismatch(
@@ -45,15 +46,14 @@ def basis_state(dims, occupation) -> StateTensor:
     flat = 0
     for i, d in zip(occupation, dims):
         flat = flat * d + i
-    amps = np.zeros(int(np.prod(dims)))
+    amps = np.zeros(size)
     amps[flat] = 1.0
     return StateTensor(dims, amps)
 
 
 def haar_random_state(dims, seed: int = 0) -> StateTensor:
     """A generic random pure state (complex Gaussian, normalized)."""
-    dims = tuple(int(d) for d in dims)
+    dims, size = _sized_dims(dims)
     rng = np.random.default_rng(seed)
-    size = int(np.prod(dims))
     amps = rng.standard_normal(size) + 1j * rng.standard_normal(size)
     return new_state(dims, amps / np.linalg.norm(amps))

@@ -151,13 +151,17 @@ def decomposition_to_dict(dec: SchmidtDecomposition, bipartition=None) -> dict:
     doc = {
         "version": VERSION,
         "dims": list(dec.dims),
-        "coefficients": [float(c) for c in dec.coefficients],
+        "coefficients": dec.coefficients.tolist(),
         "subsystems": [complex_pairs(family) for family in dec.vectors],
     }
     if bipartition is not None:
-        doc["bipartition"] = {"left": list(bipartition.left),
-                              "right": list(bipartition.right)}
+        doc["bipartition"] = _cut_doc(bipartition)
     return doc
+
+
+def _cut_doc(cut) -> dict:
+    """A bipartition's sides as {"left": [...], "right": [...]}."""
+    return {"left": list(cut.left), "right": list(cut.right)}
 
 
 def load_decomposition(path) -> SchmidtDecomposition:

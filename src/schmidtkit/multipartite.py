@@ -52,8 +52,8 @@ from .errors import (
     TooFewSubsystems,
 )
 from .linalg import _split_blocks, gram_residual, phase_fix, polar
-from .state import SchmidtDecomposition, StateTensor, _rebuild, _slabs, reconstruct
-from .bipartite import spectra
+from .state import SchmidtDecomposition, StateTensor, _rebuild, _sized_dims, _slabs, reconstruct
+from .bipartite import _spectra_doc, spectra
 
 __all__ = [
     "DecomposabilityReport",
@@ -332,9 +332,8 @@ def check_decomposable(state: StateTensor) -> DecomposabilityReport:
     def reject(stage: str, witness: dict) -> DecomposabilityReport:
         ok, table = equal_spectra_check(state, cuts=cuts)
         if not ok:
-            return DecomposabilityReport(False, STAGE_SPECTRA, {"spectra": {
-                ",".join(map(str, s)): t.tolist() for s, t in table.items()}},
-                tolerances_used=used)
+            return DecomposabilityReport(False, STAGE_SPECTRA, {"spectra": _spectra_doc(table)},
+                                         tolerances_used=used)
         ok, comm_resid = positive_products_commute(stack)
         found = {"max_commutator": comm_resid}
         if not ok:  # a NaN residual fails too
@@ -436,7 +435,7 @@ def _split_tails(rows: np.ndarray, dims: tuple[int, ...], residuals: dict) -> li
 
 def random_decomposition(dims, rank: int, seed: int = 0) -> SchmidtDecomposition:
     """A random joint Schmidt form: simplex coefficients, QR families."""
-    dims = tuple(int(d) for d in dims)
+    dims, _ = _sized_dims(dims)
     if rank < 1 or rank > min(dims):
         raise RankTooLarge(f"rank {rank} not in 1..{min(dims)} for dims {dims}")
     rng = np.random.default_rng(seed)

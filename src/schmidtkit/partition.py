@@ -47,10 +47,10 @@ PRODUCT_BIT_LIMIT = 4096
 
 @dataclass(frozen=True)
 class PartitionInstance:
-    """A dimension list with an optional feasibility target."""
+    """A dimension list with its feasibility target."""
 
     dims: tuple[int, ...]
-    target: int | None = None
+    target: int
 
 
 @dataclass(frozen=True)

@@ -50,6 +50,15 @@ def _check_dims(dims) -> tuple[int, ...]:
     return dims
 
 
+def _sized_dims(dims) -> tuple[tuple[int, ...], int]:
+    """Checked dims and their product, which must fit a numpy array's index."""
+    dims = _check_dims(dims)
+    total, limit = prod(dims), np.iinfo(np.intp).max
+    if total > limit:
+        raise DimensionMismatch(f"dims multiply to more than {limit}, the most an array holds")
+    return dims, total
+
+
 def _frozen_array(values, dtype) -> np.ndarray:
     arr = np.array(values, dtype=dtype)
     arr.setflags(write=False)

@@ -1,5 +1,6 @@
 """CLI verbs, exit codes, and deterministic output."""
 
+import ast
 import hashlib
 import json
 from pathlib import Path
@@ -18,8 +19,10 @@ from schmidtkit import (
     haar_random_state,
     max_schmidt_number,
     new_state,
+    random_decomposition,
     rank_inequality_check,
     reduced_density,
+    save_decomposition,
     save_density,
     save_state,
     w_state,
@@ -181,12 +184,57 @@ def test_check_output_is_deterministic(tmp_path, capsys):
     assert first == second
 
 
-def test_out_file_matches_stdout(tmp_path, capsys):
-    g = write_fixture(tmp_path, "ghz", ghz(3))
+@pytest.mark.parametrize("argv, want", [
+    (["check", "{ghz}"], 0),
+    (["check", "{w}"], 1),
+    (["decompose", "{ghz}", "--cut", "1|2,3"], 0),
+    (["decompose", "{w}"], 1),
+    (["number", "{w}", "--cut", "1|2,3"], 0),
+    (["spectra", "{w}"], 0),
+    (["spectra", "{haar}", "--equal"], 1),
+    (["partition", "--dims", "2,3,4,5"], 0),
+    (["partition", "--dims", "2,3,4,5", "--target", "7"], 0),
+    (["partition", "--dims", "2,3,4,5", "--target", "11"], 1),
+    (["compose", "{left}", "{right}", "--grouping", "2,1"], 0),
+    (["inequality", "{ghz}", "{zero}", "--alpha", "1,0", "--beta", "0.5,0"], 0),
+    (["inequality", "{e1}", "{e2}", "--alpha", "1,0", "--beta", "1,0"], 1),
+    (["purify", "{rho}"], 0),
+    (["link", "{ghz}", "{ghz}"], 0),
+    (["gen", "--fixture", "w"], 0),
+], ids=["check-ghz", "check-w", "decompose-cut", "decompose-w", "number", "spectra",
+        "spectra-equal-haar", "partition", "partition-feasible", "partition-infeasible",
+        "compose", "inequality", "inequality-inapplicable", "purify", "link", "gen"])
+def test_out_file_matches_stdout(argv, want, tmp_path, capsys):
+    # every verb, its negative verdicts included, writes the same bytes to
+    # --out as to stdout
+    files = {name: write_fixture(tmp_path, name, state) for name, state in (
+        ("ghz", ghz(3)), ("w", w_state()), ("haar", haar_random_state((2, 2, 2), seed=1)),
+        ("zero", basis_state((2, 2, 2), (0, 0, 0))), ("e1", basis_state((2, 2, 2), (0, 0, 1))),
+        ("e2", basis_state((2, 2, 2), (0, 1, 0))))}
+    for name, dims in (("left", (2, 2, 3)), ("right", (2, 2))):
+        files[name] = str(tmp_path / f"{name}.json")
+        save_decomposition(files[name], random_decomposition(dims, 2, seed=5))
+    files["rho"] = str(tmp_path / "rho.json")
+    save_density(files["rho"], reduced_density(ghz(3), (1, 2)))
     target = tmp_path / "report.json"
-    code, out, _ = run(capsys, "check", g, "--out", str(target))
-    assert code == 0
-    assert target.read_text() == out
+    code, out, _ = run(capsys, *[arg.format(**files) for arg in argv], "--out", str(target))
+    assert code == want
+    assert target.read_bytes() == out.encode()
+
+
+def test_cli_writes_reports_only_in_main():
+    # one write path: the verbs return their reports and main alone writes
+    # --out and stdout, so a second copy of either write fails here
+    tree = ast.parse(Path(cli.__file__).read_text())
+
+    def writes(node):
+        calls = [ast.unparse(call.func) for call in ast.walk(node) if isinstance(call, ast.Call)]
+        return sorted("write_text" if name.endswith(".write_text") else name for name in calls
+                      if name == "sys.stdout.write" or name.endswith(".write_text"))
+
+    main_def = next(node for node in tree.body
+                    if isinstance(node, ast.FunctionDef) and node.name == "main")
+    assert writes(tree) == writes(main_def) == ["sys.stdout.write", "write_text"]
 
 
 def test_decompose_joint_and_cut(tmp_path, capsys):
@@ -536,10 +584,15 @@ def test_partition_solves_once(monkeypatch, capsys, target, code, doc):
      "InvalidArgs: --rank and --seed need --dims, not --fixture"),
     (["gen", "--fixture", "bell", "--rank", "1"],
      "InvalidArgs: --rank and --seed need --dims, not --fixture"),
+    (["gen", "--dims", "2,2", "--seed", "-1"],
+     "InvalidArgs: --seed must be a nonnegative integer, got -1"),
+    (["gen", "--dims", "2,-1,2"], "DimensionMismatch: dimensions must be positive integers"),
+    (["gen", "--fixture", "ghz1000"], "DimensionMismatch: dims multiply to"),
 ], ids=["alpha-one-part", "alpha-not-float", "unknown-fixture", "link-one-subsystem",
         "beta-negative-without-equals", "number-seed", "check-seed", "decompose-seed",
         "inequality-seed", "spectra-equal-and-cut", "gen-fixture-and-dims",
-        "gen-fixture-rank-and-seed", "gen-fixture-default-seed", "gen-fixture-rank"])
+        "gen-fixture-rank-and-seed", "gen-fixture-default-seed", "gen-fixture-rank",
+        "gen-negative-seed", "gen-negative-dim", "gen-fixture-too-large"])
 def test_cli_argument_errors_exit_2(argv, message, tmp_path, capsys):
     files = {"ghz": write_fixture(tmp_path, "ghz", ghz(3)),
              "qubit": write_fixture(tmp_path, "qubit", basis_state((2,), (0,)))}

@@ -27,6 +27,7 @@ from schmidtkit import (
     new_state,
     partial_trace,
     pure_density,
+    random_decomposition,
     reconstruct,
     reduced_density,
     w_state,
@@ -255,9 +256,18 @@ E2 = np.eye(2, dtype=complex)
     # 2 x 27 contraction labels is more than the 52 ASCII letters
     (lambda: partial_trace(DensityMatrix((1,) * 27, [[1.0]]), (1,)),
      DimensionMismatch, "too many subsystems"),
+    # the generators check dims, and size their arrays, before allocating
+    (lambda: haar_random_state((2, -1, 2)), DimensionMismatch, "positive integers"),
+    (lambda: random_decomposition((2, -1, 2), 1), DimensionMismatch, "positive integers"),
+    (lambda: basis_state((2 ** 32, 2 ** 32), (0, 0)), DimensionMismatch, "multiply to"),
+    (lambda: haar_random_state((2 ** 32, 2 ** 32)), DimensionMismatch, "multiply to"),
+    (lambda: random_decomposition((2 ** 32, 2 ** 32), 1), DimensionMismatch, "multiply to"),
+    (lambda: ghz(63), DimensionMismatch, "multiply to"),
 ], ids=["ghz-1", "basis-count", "basis-range", "state-dim-0", "new-state-size",
         "density-shape", "coeffs-empty", "coeffs-ascending", "coeffs-norm",
-        "family-shape", "family-count", "family-count-over", "flatten-count", "trace-labels"])
+        "family-shape", "family-count", "family-count-over", "flatten-count", "trace-labels",
+        "haar-dim-negative", "random-decomposition-dim-negative", "basis-total",
+        "haar-total", "random-decomposition-total", "ghz-total"])
 def test_constructor_input_checks(build, exc, message):
     with pytest.raises(exc, match=message):
         build()
