@@ -58,19 +58,3 @@ def haar_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:
     # normalize the QR phase ambiguity so the distribution is Haar
     return q * (np.diag(r) / np.abs(np.diag(r)))
 
-
-def _split_blocks(values: np.ndarray, tol: float) -> list[list[int]]:
-    """Group runs of sorted values whose neighbours differ by at most tol.
-
-    Works for ascending and descending input alike; returns index lists.
-    """
-    blocks: list[list[int]] = []
-    current = [0]
-    for i in range(1, len(values)):
-        if abs(values[i] - values[i - 1]) <= tol:
-            current.append(i)
-        else:
-            blocks.append(current)
-            current = [i]
-    blocks.append(current)
-    return blocks

@@ -27,10 +27,10 @@ the first cut that fails, whose table is the cuts computed and their
 complements (so for n >= 4 a partial table), and the commutation of
 the positive products C_c = A_c A_c+ (and A_c+ A_c), tested in the
 eigenbasis P of one combination of them unless already diagonal; with
-no pair, S[l][c] = sqrt((P+ C_c P)_ll) is read there (W's rows
-overlap).  A reject whose sites 1 and 2 agree pays for the pair search
-before its table, and one whose spectra all agree still computes every
-cut.
+no pair, S[l][c] = sqrt((P+ C_c P)_ll) is read there once both pass
+(W's rows overlap).  A reject whose sites 1 and 2 agree pays for the
+pair search before its table, and one whose spectra all agree still
+computes every cut.
 """
 
 from __future__ import annotations
@@ -46,12 +46,13 @@ from .errors import (
     CoefficientsMismatch,
     DifferentStates,
     DimensionMismatch,
+    InvalidArgs,
     NoPairFound,
     NotDecomposable,
     RankTooLarge,
     TooFewSubsystems,
 )
-from .linalg import _split_blocks, gram_residual, phase_fix, polar
+from .linalg import gram_residual, phase_fix, polar
 from .state import SchmidtDecomposition, StateTensor, _rebuild, _sized_dims, _slabs, reconstruct
 from .bipartite import _spectra_doc, spectra
 
@@ -203,10 +204,9 @@ def _pair_attempt(
 ) -> tuple[np.ndarray, np.ndarray]:
     u, sing, vh = np.linalg.svd(_random_combination(stack, rng), full_matrices=True)
     scale = sing[0] if sing.size and sing[0] > 0 else 1.0
-    blocks = [
-        b for b in _split_blocks(sing, tolerances.PAIR_GAP_TOL * scale)
-        if len(b) > 1 and sing[b[0]] > tolerances.RANK_TOL * scale
-    ]
+    runs = np.split(np.arange(sing.size),
+                    np.flatnonzero(np.abs(np.diff(sing)) > tolerances.PAIR_GAP_TOL * scale) + 1)
+    blocks = [b for b in runs if len(b) > 1 and sing[b[0]] > tolerances.RANK_TOL * scale]
     if blocks:
         # a second combination splits subspaces the first one left mixed
         second = _random_combination(stack, rng)
@@ -296,11 +296,6 @@ def _same_nonzero(first: np.ndarray, spec: np.ndarray, tol: float) -> bool:
         float(np.abs(nonzero - reference).max(initial=0.0)) <= tol
 
 
-def _positive_product_s(rotated: np.ndarray) -> np.ndarray:
-    """S[l][c] = sqrt((P+ C_c P)_ll), from the C_c = A_c A_c+ rotated by P."""
-    return np.sqrt(np.real(np.diagonal(rotated, axis1=1, axis2=2)).clip(0.0)).T
-
-
 def check_decomposable(state: StateTensor) -> DecomposabilityReport:
     """Decide whether a state on >= 3 subsystems has a joint Schmidt form.
 
@@ -312,9 +307,10 @@ def check_decomposable(state: StateTensor) -> DecomposabilityReport:
     the explain pass: the equal-spectra walk (from the cuts already
     taken, in size order, stopping at the first failing cut), then the
     commutation test; the first that fails is the stage reported, else
-    the decision's stage.  For n >= 4 a SpectraUnequal witness is
-    therefore a partial table: the cuts computed by then and their
-    complements.  For n = 3 the walk reaches every cut containing
+    the decision's stage (with no pair, S is read only then: rows of S
+    that overlap give SNotScaledUnitary).  For n >= 4 a SpectraUnequal
+    witness is therefore a partial table: the cuts computed by then and
+    their complements.  For n = 3 the walk reaches every cut containing
     subsystem 1 that the decision did not take, so the table is whole.
     An accept's max_commutator is the commutation test of the pair's
     rotated stack R, read before the gate so that R is gone when the
@@ -328,8 +324,9 @@ def check_decomposable(state: StateTensor) -> DecomposabilityReport:
 
     residuals: dict[str, float] = {}
     cuts: dict[tuple[int, ...], np.ndarray] = {}
+    stack = slice_tensor(state)
 
-    def reject(stage: str, witness: dict) -> DecomposabilityReport:
+    def reject(stage: str | None, witness: dict) -> DecomposabilityReport:
         ok, table = equal_spectra_check(state, cuts=cuts)
         if not ok:
             return DecomposabilityReport(False, STAGE_SPECTRA, {"spectra": _spectra_doc(table)},
@@ -339,7 +336,12 @@ def check_decomposable(state: StateTensor) -> DecomposabilityReport:
         if not ok:  # a NaN residual fails too
             return DecomposabilityReport(False, STAGE_DIAG, dict(found), found,
                                          tolerances_used=used)
-        return DecomposabilityReport(False, stage, witness, {**found, **residuals},
+        if stage is None:  # no pair: S[l][c] = sqrt((P+ C_c P)_ll), C_c = A_c A_c+
+            residuals.update(witness)
+            rotated = _rotate_to_combination(_products(stack, False))
+            ok, gram, _ = scaled_unitary_check(np.sqrt(np.real(_diagonals(rotated)).clip(0.0)))
+            stage, witness = (STAGE_DIAG, witness) if ok else (STAGE_SCALED, {"ss_dagger": gram})
+        return DecomposabilityReport(False, stage, witness, {**residuals, **found},
                                      tolerances_used=used)
 
     # site 2's spectrum is that of the cut of all other sites; the table
@@ -347,25 +349,19 @@ def check_decomposable(state: StateTensor) -> DecomposabilityReport:
     # the table
     if not _same_nonzero(_cut(state, cuts, (1,)), _cut(state, cuts, (1, *range(3, n + 1))),
                          tolerances.SPECTRA_TOL):
-        return reject(STAGE_SPECTRA, {})  # the table fails too, before the stack exists
-    stack = slice_tensor(state)
+        return reject(STAGE_SPECTRA, {})
 
     try:
         p, q, s, rotated = find_diagonalizing_pair(stack)
     except NoPairFound as err:
-        residuals["max_off_diagonal"] = err.residual
-        ok, gram, _ = scaled_unitary_check(_positive_product_s(
-            _rotate_to_combination(_products(stack, False))))
-        if not ok:
-            return reject(STAGE_SCALED, {"ss_dagger": gram})
-        return reject(STAGE_DIAG, {"max_off_diagonal": err.residual})
+        return reject(None, {"max_off_diagonal": err.residual})
 
     ok, gram, residuals["max_ss_off_diagonal"] = scaled_unitary_check(s)
     if not ok:
         return reject(STAGE_SCALED, {"ss_dagger": gram})
 
     candidate = _assemble(state, p, q, s, gram, residuals)
-    found = {"max_commutator": positive_products_commute(rotated)[1]}
+    residuals["max_commutator"] = positive_products_commute(rotated)[1]
     del rotated  # so the rebuild is the gate's one full-size array, read in slabs
     diff = _rebuild(candidate)
     diff -= state.amplitudes
@@ -377,7 +373,7 @@ def check_decomposable(state: StateTensor) -> DecomposabilityReport:
         # was too large to represent the state; report it at the
         # diagonalization stage
         return reject(STAGE_DIAG, {"reconstruction": resid})
-    return DecomposabilityReport(True, None, {}, {**found, **residuals}, candidate, used)
+    return DecomposabilityReport(True, None, {}, residuals, candidate, used)
 
 
 def _assemble(state: StateTensor, p: np.ndarray, q: np.ndarray, s: np.ndarray,
@@ -438,6 +434,8 @@ def random_decomposition(dims, rank: int, seed: int = 0) -> SchmidtDecomposition
     dims, _ = _sized_dims(dims)
     if rank < 1 or rank > min(dims):
         raise RankTooLarge(f"rank {rank} not in 1..{min(dims)} for dims {dims}")
+    if seed < 0:
+        raise InvalidArgs(f"seed must be a nonnegative integer, got {seed}")
     rng = np.random.default_rng(seed)
     coeffs = np.sort(np.sqrt(rng.dirichlet(np.ones(rank))))[::-1]
     families = []

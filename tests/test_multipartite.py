@@ -1,11 +1,13 @@
 """Joint decomposability engine: slicing, diagonalization, verdicts."""
 
+import ast
 import functools
 import itertools
 import os
 import subprocess
 import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -936,6 +938,54 @@ def test_sites_after_the_second_are_left_to_rebuild_and_table(build, monkeypatch
             ",".join(map(str, cut)): spec.tolist() for cut, spec in table.items()}
 
 
+@pytest.mark.parametrize("dims", [(2, 2, 2, 2), (3, 3, 3)], ids=str)
+def test_no_pair_reject_reads_s_only_when_the_report_shows_it(dims, monkeypatch):
+    # no pair is found for these states, and the explain walk rejects them
+    # at a later cut: S, whose read rotates the whole product family, is
+    # never read, because the report would not show it (W reads it once,
+    # test_w_reject_rotations_pinned)
+    calls = []
+    real = multipartite._rotate_to_combination
+
+    def counting(family):
+        calls.append(family.shape)
+        return real(family)
+
+    monkeypatch.setattr(multipartite, "_rotate_to_combination", counting)
+    state = swap12_symmetric_state(dims, 7)
+    with pytest.raises(NoPairFound):
+        find_diagonalizing_pair(slice_tensor(state))
+    rep = check_decomposable(state)
+    assert rep.stage == "SpectraUnequal"
+    assert calls == []
+
+
+def test_s_read_and_rejects_stay_behind_the_explain_checks():
+    # the no-pair S read (a rotation of the whole product family) and every
+    # reject report live in check_decomposable's reject, after the spectra
+    # walk and the commute test; only the commute test rotates elsewhere
+    tree = ast.parse(Path(multipartite.__file__).read_text())
+    rotations, rejects = [], []
+
+    def visit(node, owner):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, f"{owner}.{child.name}".lstrip("."))
+                continue
+            if isinstance(child, ast.Call) and isinstance(child.func, ast.Name):
+                if child.func.id == "_rotate_to_combination":
+                    rotations.append(owner)
+                accept = child.args and isinstance(child.args[0], ast.Constant) \
+                    and child.args[0].value is True
+                if child.func.id == "DecomposabilityReport" and not accept:
+                    rejects.append(owner)
+            visit(child, owner)
+
+    visit(tree, "")
+    assert sorted(set(rotations)) == ["_commute_residual", "check_decomposable.reject"]
+    assert rejects and set(rejects) == {"check_decomposable.reject"}
+
+
 def masked_off_diagonal_max(matrices):
     """The boolean-mask gather that _off_diagonal_residual replaced."""
     mask = ~np.eye(*matrices.shape[-2:], dtype=bool)
@@ -1121,14 +1171,25 @@ def test_pair_search_frees_each_failed_rotation():
     # a 1<->2-symmetric Haar state passes site 2's comparison and fails
     # all eight pair attempts; a failed attempt's rotated stack is freed
     # before the next attempt and before NoPairFound keeps the frame (4.15
-    # times the state's bytes while both stayed), leaving the rotation of
-    # the whole product family in the no-pair branch as the peak
+    # times the state's bytes while both stayed; 3.15 times while the
+    # no-pair branch still rotated the whole product family before the
+    # explain pass)
     tensor = haar_random_state((32, 32, 32), 2).tensor()
     amplitudes = (tensor + tensor.transpose(1, 0, 2)).reshape(-1)
     state = StateTensor((32, 32, 32), amplitudes / np.linalg.norm(amplitudes))
     rep, peak = traced_peak(check_decomposable, state)
     assert rep.stage == "SpectraUnequal"
     assert peak <= 3.25 * state.amplitudes.nbytes
+
+
+def test_symmetric_reject_peaks_at_the_pair_search():
+    # the explain walk rejects this state before S is read, so its peak is
+    # the pair search's rotation, as for the (32,32,32) accept (3.15 times
+    # the state's bytes while S was read first)
+    state = swap12_symmetric_state((32, 32, 32), 2)
+    rep, peak = traced_peak(check_decomposable, state)
+    assert rep.stage == "SpectraUnequal"
+    assert peak <= 2.25 * state.amplitudes.nbytes
 
 
 def test_nan_rebuild_fails_the_gate(monkeypatch):

@@ -12,6 +12,7 @@ from schmidtkit import (
     DensityMatrix,
     DimensionMismatch,
     IndicesOutOfRange,
+    InvalidArgs,
     InvalidPartition,
     NotNormalizable,
     NotPSD,
@@ -27,6 +28,7 @@ from schmidtkit import (
     new_state,
     partial_trace,
     pure_density,
+    random_decomposable_state,
     random_decomposition,
     reconstruct,
     reduced_density,
@@ -263,11 +265,16 @@ E2 = np.eye(2, dtype=complex)
     (lambda: haar_random_state((2 ** 32, 2 ** 32)), DimensionMismatch, "multiply to"),
     (lambda: random_decomposition((2 ** 32, 2 ** 32), 1), DimensionMismatch, "multiply to"),
     (lambda: ghz(63), DimensionMismatch, "multiply to"),
+    # a negative seed is refused before numpy is asked to draw from it
+    (lambda: haar_random_state((2, 2), -1), InvalidArgs, "nonnegative"),
+    (lambda: random_decomposition((2, 2), 1, -1), InvalidArgs, "nonnegative"),
+    (lambda: random_decomposable_state((2, 2, 2), 2, -1), InvalidArgs, "nonnegative"),
 ], ids=["ghz-1", "basis-count", "basis-range", "state-dim-0", "new-state-size",
         "density-shape", "coeffs-empty", "coeffs-ascending", "coeffs-norm",
         "family-shape", "family-count", "family-count-over", "flatten-count", "trace-labels",
         "haar-dim-negative", "random-decomposition-dim-negative", "basis-total",
-        "haar-total", "random-decomposition-total", "ghz-total"])
+        "haar-total", "random-decomposition-total", "ghz-total", "haar-seed-negative",
+        "random-decomposition-seed-negative", "random-decomposable-state-seed-negative"])
 def test_constructor_input_checks(build, exc, message):
     with pytest.raises(exc, match=message):
         build()
