@@ -13,24 +13,24 @@ viewed as one (C, d1, d2) array, the stack of matrices A_c (rows =
 subsystem 1, columns = subsystem 2, one slice per grouped index c of
 subsystems 3..n); the search for a unitary pair (P, Q) making every
 R_c = P+ A_c Q+ diagonal returns the tuple (P, Q, S, R), S being the
-diagonals of R it checked, the coefficient matrix.  One Gram matrix
-S S+ decides that the rows of S are orthogonal and gives their norms,
-the coefficients; each normalised row, a tail vector, is split into one
-vector per tail subsystem.  The candidate is accepted only if it
-rebuilds the input within RECONSTRUCT_TOL, which also settles that the
-tail vectors are products, the tail families orthonormal and the later
-sites' spectra equal: the accept is its own proof, and its
-max_commutator is read from R R+ and R+ R, with no eigensolve when they
-are diagonal.  A reject is explained by the earlier necessary
-conditions, run only then: the spectra walk by cut size, stopped at
-the first cut that fails, whose table is the cuts computed and their
-complements (so for n >= 4 a partial table), and the commutation of
-the positive products C_c = A_c A_c+ (and A_c+ A_c), tested in the
-eigenbasis P of one combination of them unless already diagonal; with
-no pair, S[l][c] = sqrt((P+ C_c P)_ll) is read there once both pass
-(W's rows overlap).  A reject whose sites 1 and 2 agree pays for the
-pair search before its table, and one whose spectra all agree still
-computes every cut.
+diagonals of R it checked, the coefficient matrix.  The Gram matrix
+S S+ gives the coefficients, the row norms of S; each normalised row,
+a tail vector, is split into one vector per tail subsystem.  The
+candidate is accepted only if it rebuilds the input within
+RECONSTRUCT_TOL, which also settles that the rows of S are near
+orthogonal, the tail vectors products, the tail families orthonormal
+and the later sites' spectra equal: the accept is its own proof, and
+its max_commutator is read from R R+ and R+ R, with no eigensolve when
+they are diagonal.  A reject is explained by the necessary conditions,
+run only then: the spectra walk by cut size, stopped at the first cut
+that fails, whose table is the cuts computed and their complements (so
+for n >= 4 a partial table), the commutation of the positive products
+C_c = A_c A_c+ (and A_c+ A_c), tested in the eigenbasis P of one
+combination of them unless already diagonal, and the orthogonality of
+the rows of S: the pair's, or with no pair S[l][c] = sqrt((P+ C_c P)_ll)
+read there (W's rows overlap).  A reject whose sites 1 and 2 agree pays for
+the pair search before its table, and one whose spectra all agree
+still computes every cut.
 """
 
 from __future__ import annotations
@@ -81,9 +81,9 @@ STAGE_SCALED = "SNotScaledUnitary"
 class DecomposabilityReport:
     """Outcome of check_decomposable.
 
-    stage is None on accept, otherwise the first pipeline stage that
-    failed; witness carries the offending quantity (a matrix or scalar)
-    and residuals collects the numeric slack observed along the way.
+    stage is None on accept, otherwise the stage the explain pass names
+    (see check_decomposable); witness carries the offending quantity (a
+    matrix or scalar) and residuals the numeric slack seen on the way.
     """
 
     decomposable: bool
@@ -107,7 +107,7 @@ def slice_tensor(state: StateTensor) -> np.ndarray:
     """
     n = state.subsystem_count
     if n < 3:
-        raise TooFewSubsystems(f"slicing needs >= 3 subsystems, got {n}")
+        raise TooFewSubsystems(f"need >= 3 subsystems, got {n}")
     d1, d2 = state.dims[:2]
     return state.amplitudes.reshape(d1, d2, -1).transpose(2, 0, 1)
 
@@ -300,33 +300,31 @@ def check_decomposable(state: StateTensor) -> DecomposabilityReport:
     """Decide whether a state on >= 3 subsystems has a joint Schmidt form.
 
     Decision path: site 1's spectrum agrees with site 2's (read off the
-    cut of every site but 2), pair search, S-matrix scaled unitarity,
-    and a rebuild of the input from the candidate, which accepts within
-    RECONSTRUCT_TOL; a tail vector that is no product, or a later site
-    whose spectrum differs, fails the rebuild.  Every reject then runs
-    the explain pass: the equal-spectra walk (from the cuts already
-    taken, in size order, stopping at the first failing cut), then the
-    commutation test; the first that fails is the stage reported, else
-    the decision's stage (with no pair, S is read only then: rows of S
-    that overlap give SNotScaledUnitary).  For n >= 4 a SpectraUnequal
-    witness is therefore a partial table: the cuts computed by then and
-    their complements.  For n = 3 the walk reaches every cut containing
-    subsystem 1 that the decision did not take, so the table is whole.
+    cut of every site but 2), pair search, and a rebuild of the input
+    from the candidate, which accepts within RECONSTRUCT_TOL; rows of S
+    far from orthogonal, a tail vector that is no product, or a later
+    site whose spectrum differs fail the rebuild.  Every reject then
+    runs the explain pass: the equal-spectra walk (from the cuts already
+    taken, in size order, stopping at the first failing cut), the
+    commutation test, then the rows of S (the pair's, or with no pair
+    one read only then: overlap gives SNotScaledUnitary); the first that
+    fails is the stage reported, else the decision's.  For n >= 4 a
+    SpectraUnequal witness is therefore a partial table: the cuts
+    computed by then and their complements.  For n = 3 the walk reaches
+    every cut containing subsystem 1 that the decision did not take, so
+    the table is whole.
     An accept's max_commutator is the commutation test of the pair's
     rotated stack R, read before the gate so that R is gone when the
     rebuild is formed; a reject's is that of the raw stack.
     """
     used = {"rank_tol": tolerances.RANK_TOL, "diag_tol": tolerances.DIAG_TOL,
             "orth_tol": tolerances.ORTH_TOL, "seed": 0}  # the pair search's fixed stream
+    stack = slice_tensor(state)
     n = state.subsystem_count
-    if n < 3:
-        raise TooFewSubsystems(f"need >= 3 subsystems, got {n}")
-
     residuals: dict[str, float] = {}
     cuts: dict[tuple[int, ...], np.ndarray] = {}
-    stack = slice_tensor(state)
 
-    def reject(stage: str | None, witness: dict) -> DecomposabilityReport:
+    def reject(witness: dict, s: np.ndarray | None = None) -> DecomposabilityReport:
         ok, table = equal_spectra_check(state, cuts=cuts)
         if not ok:
             return DecomposabilityReport(False, STAGE_SPECTRA, {"spectra": _spectra_doc(table)},
@@ -336,11 +334,11 @@ def check_decomposable(state: StateTensor) -> DecomposabilityReport:
         if not ok:  # a NaN residual fails too
             return DecomposabilityReport(False, STAGE_DIAG, dict(found), found,
                                          tolerances_used=used)
-        if stage is None:  # no pair: S[l][c] = sqrt((P+ C_c P)_ll), C_c = A_c A_c+
-            residuals.update(witness)
+        if s is None:  # no pair: S[l][c] = sqrt((P+ C_c P)_ll), C_c = A_c A_c+
             rotated = _rotate_to_combination(_products(stack, False))
-            ok, gram, _ = scaled_unitary_check(np.sqrt(np.real(_diagonals(rotated)).clip(0.0)))
-            stage, witness = (STAGE_DIAG, witness) if ok else (STAGE_SCALED, {"ss_dagger": gram})
+            s = np.sqrt(np.real(_diagonals(rotated)).clip(0.0))
+        ok, gram, _ = scaled_unitary_check(s)
+        stage, witness = (STAGE_DIAG, witness) if ok else (STAGE_SCALED, {"ss_dagger": gram})
         return DecomposabilityReport(False, stage, witness, {**residuals, **found},
                                      tolerances_used=used)
 
@@ -349,17 +347,16 @@ def check_decomposable(state: StateTensor) -> DecomposabilityReport:
     # the table
     if not _same_nonzero(_cut(state, cuts, (1,)), _cut(state, cuts, (1, *range(3, n + 1))),
                          tolerances.SPECTRA_TOL):
-        return reject(STAGE_SPECTRA, {})
+        return reject({})
 
     try:
         p, q, s, rotated = find_diagonalizing_pair(stack)
     except NoPairFound as err:
-        return reject(None, {"max_off_diagonal": err.residual})
+        residuals["max_off_diagonal"] = err.residual
+        return reject({"max_off_diagonal": err.residual})
 
-    ok, gram, residuals["max_ss_off_diagonal"] = scaled_unitary_check(s)
-    if not ok:
-        return reject(STAGE_SCALED, {"ss_dagger": gram})
-
+    # S's verdict does not gate: the rebuild decides, and a reject reads it
+    _, gram, residuals["max_ss_off_diagonal"] = scaled_unitary_check(s)
     candidate = _assemble(state, p, q, s, gram, residuals)
     residuals["max_commutator"] = positive_products_commute(rotated)[1]
     del rotated  # so the rebuild is the gate's one full-size array, read in slabs
@@ -369,10 +366,10 @@ def check_decomposable(state: StateTensor) -> DecomposabilityReport:
         [np.abs(diff[part]).max() for part in _slabs(diff.size, diff.size)]))
     del diff
     if not resid <= tolerances.RECONSTRUCT_TOL:  # a NaN rebuild fails too
-        # the discarded off-diagonal mass, or a tail that is no product,
-        # was too large to represent the state; report it at the
-        # diagonalization stage
-        return reject(STAGE_DIAG, {"reconstruction": resid})
+        # the discarded off-diagonal mass, overlapping rows of S, or a
+        # tail that is no product was too large to represent the state;
+        # the explain pass names the stage, S's if its rows overlap
+        return reject({"reconstruction": resid}, s)
     return DecomposabilityReport(True, None, {}, residuals, candidate, used)
 
 
@@ -380,15 +377,16 @@ def _assemble(state: StateTensor, p: np.ndarray, q: np.ndarray, s: np.ndarray,
               gram: np.ndarray, residuals: dict) -> SchmidtDecomposition:
     """Turn find_diagonalizing_pair's (p, q, s) into a candidate.
 
-    S must be a scaled unitary with Gram matrix gram.  The row norms of S
-    (from the Gram diagonal) above RANK_TOL, at most min(dims) of them
-    and largest first, give the coefficients; the normalised rows are the
-    tail vectors, split by _split_tails into one factor per tail
-    subsystem (no split for three subsystems).  A tail family further than
-    ORTH_TOL from orthonormal is replaced by the polar factor of its
-    coefficient-weighted rows, so a vector with a tiny coefficient takes
-    the correction.  The caller's rebuild decides whether dropped rows,
-    split tails and corrected families still represent the state.
+    gram is S S+.  The row norms of S (from the Gram diagonal) above
+    RANK_TOL, at most min(dims) of them and largest first, give the
+    coefficients; the normalised rows are the tail vectors, split by
+    _split_tails into one factor per tail subsystem (no split for three
+    subsystems).  A tail family further than ORTH_TOL from orthonormal,
+    as rows of S that overlap make it, is replaced by the polar factor
+    of its coefficient-weighted rows, so a vector with a tiny
+    coefficient takes the correction.  The caller's rebuild decides
+    whether dropped rows, overlapping rows, split tails and corrected
+    families still represent the state.
     """
     norms = np.sqrt(np.real(np.diagonal(gram)).clip(0.0))
     keep = np.flatnonzero(norms > tolerances.RANK_TOL * norms.max())

@@ -466,10 +466,10 @@ def test_equal_spectra_table_matches_partial_trace_oracle(dims):
             assert np.max(np.abs(table[keep] - want)) < 1e-12, keep
 
 
-def eps_band_state(dims, eps, seed):
-    """Rank 2 plus eps times a Haar state, renormalised."""
+def eps_band_state(dims, eps, seed, offset=100):
+    """Rank 2 plus eps times the Haar state of seed + offset, renormalised."""
     amps = (random_decomposable_state(dims, 2, seed=seed).amplitudes
-            + eps * haar_random_state(dims, seed=seed + 100).amplitudes)
+            + eps * haar_random_state(dims, seed=seed + offset).amplitudes)
     return new_state(dims, amps / np.linalg.norm(amps))
 
 
@@ -812,6 +812,12 @@ REJECT_REPORTS = {
     "symmetric-2222": (lambda: symmetric_state((2, 2, 2, 2), 900), SPECTRA_REPORT),
     **{f"ghz-w-{angle}": (lambda a=angle: ghz_w_mixture(a), COMMUTE_REPORT)
        for angle in (0.05, 0.5, 1.0, 1.5)},
+    # S's rows overlap and the candidate misses the rebuild: the explain
+    # pass reads S after the gate, so the gate's residuals stay
+    "eps-3e-8-222-28": (lambda: eps_band_state((2, 2, 2), 3e-8, 28, offset=1000),
+                        ("SNotScaledUnitary", {"ss_dagger"},
+                         {"max_commutator", "max_ss_off_diagonal", "reconstruction",
+                          "tail_orthonormality"})),
 }
 
 
@@ -823,6 +829,27 @@ def test_reject_reports_pinned(name):
     assert rep.stage == stage
     assert set(rep.witness) == witness
     assert set(rep.residuals) == residuals
+
+
+def einsum_rebuild(decomposition):
+    """sum_l c_l (x)_k v_lk as one einsum, flattened."""
+    letters = "abcdefgh"[:len(decomposition.dims)]
+    spec = ",".join(["z", *(f"z{x}" for x in letters)]) + f"->{letters}"
+    return np.einsum(spec, decomposition.coefficients, *decomposition.vectors).reshape(-1)
+
+
+@pytest.mark.parametrize("dims, seed", [
+    ((2, 2, 2), 5), ((2, 2, 2), 13), ((3, 3, 3), 8), ((2, 2, 2, 2), 94)], ids=str)
+def test_rebuild_alone_decides_when_s_rows_overlap(dims, seed):
+    # the pair's S is no scaled unitary, yet the candidate made of its
+    # rows rebuilds the state: an accept, which no S test may refuse
+    state = eps_band_state(dims, 3e-8, seed, offset=1000)
+    s = find_diagonalizing_pair(slice_tensor(state))[2]
+    assert not scaled_unitary_check(s)[0]
+    rep = check_decomposable(state)
+    assert rep.decomposable and rep.stage is None
+    resid = np.abs(einsum_rebuild(rep.decomposition) - state.amplitudes).max()
+    assert resid <= tolerances.RECONSTRUCT_TOL
 
 
 def w_qubits(n):
@@ -984,6 +1011,40 @@ def test_s_read_and_rejects_stay_behind_the_explain_checks():
     visit(tree, "")
     assert sorted(set(rotations)) == ["_commute_residual", "check_decomposable.reject"]
     assert rejects and set(rejects) == {"check_decomposable.reject"}
+
+
+def test_rebuild_is_the_only_gate_after_a_pair():
+    # check_decomposable rejects only where site 2's spectrum differs,
+    # where no pair is found and where the rebuild misses; S's verdict
+    # is read once on the way to the rebuild and once in reject
+    tree = ast.parse(Path(multipartite.__file__).read_text())
+    decide = next(node for node in tree.body if isinstance(node, ast.FunctionDef)
+                  and node.name == "check_decomposable")
+    gates, checks = [], []
+
+    def visit(node, owner, guard):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.FunctionDef):
+                visit(child, f"{owner}.{child.name}", None)
+                continue
+            if isinstance(child, ast.Call) and isinstance(child.func, ast.Name):
+                if child.func.id == "scaled_unitary_check":
+                    checks.append(owner)
+                if child.func.id == "reject":
+                    gates.append((guard, isinstance(node, ast.Return)))
+            if isinstance(child, ast.If):
+                visit(child, owner, ast.unparse(child.test))
+            elif isinstance(child, ast.ExceptHandler):
+                visit(child, owner, ast.unparse(child.type))
+            else:
+                visit(child, owner, guard)
+
+    visit(decide, "check_decomposable", None)
+    assert len(gates) == 3 and all(returned for _, returned in gates)
+    assert gates[0][0].startswith("not _same_nonzero(")
+    assert gates[1][0] == "NoPairFound"
+    assert gates[2][0] == "not resid <= tolerances.RECONSTRUCT_TOL"
+    assert sorted(checks) == ["check_decomposable", "check_decomposable.reject"]
 
 
 def masked_off_diagonal_max(matrices):
