@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import DimensionMismatch, IndicesOutOfRange, InvalidArgs
-from .state import StateTensor, _sized_dims, new_state
+from .state import StateTensor, _integer, _sized_dims, new_state
 
 __all__ = ["w_state", "ghz", "bell", "basis_state", "haar_random_state"]
 
@@ -54,7 +54,7 @@ def basis_state(dims, occupation) -> StateTensor:
 def haar_random_state(dims, seed: int = 0) -> StateTensor:
     """A generic random pure state (complex Gaussian, normalized)."""
     dims, size = _sized_dims(dims)
-    if seed < 0:
+    if _integer(seed, InvalidArgs, "seed") < 0:
         raise InvalidArgs(f"seed must be a nonnegative integer, got {seed}")
     rng = np.random.default_rng(seed)
     amps = rng.standard_normal(size) + 1j * rng.standard_normal(size)

@@ -12,10 +12,13 @@ single-site spectra equal to first order.  The amplitude tensor is
 viewed as one (C, d1, d2) array, the stack of matrices A_c (rows =
 subsystem 1, columns = subsystem 2, one slice per grouped index c of
 subsystems 3..n); the search for a unitary pair (P, Q) making every
-R_c = P+ A_c Q+ diagonal returns the tuple (P, Q, S, R), S being the
-diagonals of R it checked, the coefficient matrix.  The Gram matrix
-S S+ gives the coefficients, the row norms of S; each normalised row,
-a tail vector, is split into one vector per tail subsystem.  The
+R_c = P+ A_c Q+ diagonal within DIAG_TOL returns the tuple (P, Q, S, R),
+S being the diagonals of R it checked, the coefficient matrix: the
+identity pair when the slices are diagonal already, else the first of up
+to MAX_PAIR_ATTEMPTS = 8 attempts within DIAG_TOL, each one SVD of a
+seeded complex combination of the slices.  The Gram matrix S S+ gives
+the coefficients, the row norms of S; each normalised row, a tail
+vector, is split into one vector per tail subsystem.  The
 candidate is accepted only if it rebuilds the input within
 RECONSTRUCT_TOL, which also settles that the rows of S are near
 orthogonal, the tail vectors products, the tail families orthonormal
@@ -53,7 +56,8 @@ from .errors import (
     TooFewSubsystems,
 )
 from .linalg import gram_residual, phase_fix, polar
-from .state import SchmidtDecomposition, StateTensor, _rebuild, _sized_dims, _slabs, reconstruct
+from .state import (SchmidtDecomposition, StateTensor, _integer, _rebuild, _sized_dims, _slabs,
+                    reconstruct)
 from .bipartite import _spectra_doc, spectra
 
 __all__ = [
@@ -164,21 +168,22 @@ def find_diagonalizing_pair(stack: np.ndarray) -> tuple[np.ndarray, ...]:
     Returns the tuple (p, q, s, r): r is the rotated stack it checked,
     R_c = P+ A_c Q+, and s its diagonals, S[l][c] = (R_c)_ll.  Fast
     path: slices already diagonal give the identity pair and r is the
-    stack itself (GHZ-type states).  Otherwise a random complex
-    combination B = sum_c r_c A_c is decomposed by SVD; for a
-    decomposable state with generically distinct combined singular
-    values its singular bases diagonalize every slice.  Degenerate
-    singular values are refined block by block with a second
-    combination.  Up to MAX_PAIR_ATTEMPTS attempts, attempt k drawing
-    from the fixed stream default_rng((0, k)); raises NoPairFound (with
-    the best residual seen) when all fail.
+    stack itself (GHZ-type states).  Otherwise up to MAX_PAIR_ATTEMPTS
+    attempts, each one full SVD of a random complex combination
+    B = sum_c r_c A_c, attempt k drawing r from the fixed stream
+    default_rng((0, k)); the first whose singular bases leave every
+    slice diagonal within DIAG_TOL wins.  For a decomposable state, with
+    tail vectors t_l, B's singular values are c_l |sum_c r_c t_lc|,
+    distinct for almost every draw, and a small gap between two of them
+    tilts their vectors by only about machine epsilon * sigma_max / gap.
+    Raises NoPairFound (with the best residual seen) when all fail.
     """
     _, d1, d2 = stack.shape
     if _off_diagonal_residual(stack) <= tolerances.DIAG_TOL:
         return np.eye(d1, dtype=complex), np.eye(d2, dtype=complex), _diagonals(stack), stack
     best = np.inf
     for attempt in range(MAX_PAIR_ATTEMPTS):
-        p, q = _pair_attempt(stack, np.random.default_rng((0, attempt)))
+        p, _, q = np.linalg.svd(_random_combination(stack, np.random.default_rng((0, attempt))))
         rotated = p.conj().T @ stack @ q.conj().T
         resid = _off_diagonal_residual(rotated)
         if resid <= tolerances.DIAG_TOL:
@@ -197,25 +202,6 @@ def _random_combination(stack: np.ndarray, rng: np.random.Generator) -> np.ndarr
     coeffs = rng.standard_normal(count) + 1j * rng.standard_normal(count)
     # slice_tensor's stack is a view of (d1, d2, C) amplitudes: no copy
     return (stack.transpose(1, 2, 0).reshape(d1 * d2, count) @ coeffs).reshape(d1, d2)
-
-
-def _pair_attempt(
-    stack: np.ndarray, rng: np.random.Generator
-) -> tuple[np.ndarray, np.ndarray]:
-    u, sing, vh = np.linalg.svd(_random_combination(stack, rng), full_matrices=True)
-    scale = sing[0] if sing.size and sing[0] > 0 else 1.0
-    runs = np.split(np.arange(sing.size),
-                    np.flatnonzero(np.abs(np.diff(sing)) > tolerances.PAIR_GAP_TOL * scale) + 1)
-    blocks = [b for b in runs if len(b) > 1 and sing[b[0]] > tolerances.RANK_TOL * scale]
-    if blocks:
-        # a second combination splits subspaces the first one left mixed
-        second = _random_combination(stack, rng)
-        for block in blocks:
-            sub = u[:, block].conj().T @ second @ vh[block, :].conj().T
-            u2, _, vh2 = np.linalg.svd(sub)
-            u[:, block] = u[:, block] @ u2
-            vh[block, :] = vh2 @ vh[block, :]
-    return u, vh
 
 
 def _off_diagonal_residual(matrices: np.ndarray) -> float:
@@ -430,9 +416,10 @@ def _split_tails(rows: np.ndarray, dims: tuple[int, ...], residuals: dict) -> li
 def random_decomposition(dims, rank: int, seed: int = 0) -> SchmidtDecomposition:
     """A random joint Schmidt form: simplex coefficients, QR families."""
     dims, _ = _sized_dims(dims)
+    rank = _integer(rank, InvalidArgs, "rank")
     if rank < 1 or rank > min(dims):
         raise RankTooLarge(f"rank {rank} not in 1..{min(dims)} for dims {dims}")
-    if seed < 0:
+    if _integer(seed, InvalidArgs, "seed") < 0:
         raise InvalidArgs(f"seed must be a nonnegative integer, got {seed}")
     rng = np.random.default_rng(seed)
     coeffs = np.sort(np.sqrt(rng.dirichlet(np.ones(rank))))[::-1]

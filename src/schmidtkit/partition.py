@@ -27,7 +27,7 @@ from .errors import (
     TooFewSubsystems,
     TooManySubsystems,
 )
-from .state import Bipartition
+from .state import Bipartition, _integer
 
 __all__ = [
     "PartitionInstance",
@@ -81,7 +81,7 @@ class SubsetSumReduction:
 
 
 def _check_dims(dims) -> tuple[tuple[int, ...], int]:
-    dims = tuple(int(d) for d in dims)
+    dims = tuple(_integer(d, DimensionMismatch, "a dimension") for d in dims)
     if len(dims) < 2:
         raise TooFewSubsystems("a bipartition needs at least 2 subsystems")
     if len(dims) > SUBSYSTEM_LIMIT:
@@ -127,10 +127,11 @@ def decide(dims, target: int) -> PartitionSolution | None:
     Feasible exactly when target <= max_schmidt_number(dims).k; the
     returned solution is the maximizer itself so the tie-break matches.
     """
-    if int(target) < 1:
+    target = _integer(target, InvalidArgs, "target")
+    if target < 1:
         raise InvalidArgs(f"target must be a positive integer, got {target}")
     solution = max_schmidt_number(dims)
-    return solution if solution.k >= int(target) else None
+    return solution if solution.k >= target else None
 
 
 def _suffix_products(values) -> list[set[int]]:
@@ -205,8 +206,8 @@ def subset_sum_to_partition(values, target: int) -> SubsetSumReduction:
     sum to target.  decide() on the padded instance is therefore
     equivalent to exact subset-sum feasibility.
     """
-    values = tuple(int(v) for v in values)
-    target = int(target)
+    values = tuple(_integer(v, InvalidArgs, "a value") for v in values)
+    target = _integer(target, InvalidArgs, "target")
     if not values or any(v < 1 for v in values):
         raise InvalidArgs(f"values must be positive integers, got {values}")
     s = sum(values)

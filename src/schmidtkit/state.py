@@ -13,6 +13,7 @@ Conventions used everywhere in the package:
 
 from __future__ import annotations
 
+import operator
 import string
 from dataclasses import dataclass
 from math import prod
@@ -48,6 +49,14 @@ def _check_dims(dims) -> tuple[int, ...]:
     if len(dims) == 0 or any(d < 1 for d in dims):
         raise DimensionMismatch(f"dimensions must be positive integers, got {dims}")
     return dims
+
+
+def _integer(value, error: type[Exception], what: str) -> int:
+    """value through operator.index: 2.5, and 2.0 too, raise error instead of truncating."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise error(f"{what} must be an integer, got {value!r}") from None
 
 
 def _sized_dims(dims) -> tuple[tuple[int, ...], int]:

@@ -45,10 +45,6 @@ SPECTRA_TOL = 1e-8
 # off-diagonal magnitude allowed in "diagonal" rotated slices
 DIAG_TOL = 1e-8
 
-# pair search: combined singular values within PAIR_GAP_TOL * sigma_max
-# of each other form one block, which a second combination splits
-PAIR_GAP_TOL = 1e-6
-
 # links: the polar-factor unitary must map source onto target, and
 # local_unitary_link's coefficients must agree, within LINK_TOL
 LINK_TOL = 1e-8

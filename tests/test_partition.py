@@ -8,6 +8,7 @@ import pytest
 
 from schmidtkit import (
     Bipartition,
+    DimensionMismatch,
     InvalidArgs,
     OverflowRisk,
     ProductOverflow,
@@ -220,6 +221,8 @@ def test_decide_threshold():
         assert decide(dims, kmax + 1) is None
     with pytest.raises(InvalidArgs):
         decide([2, 2], 0)
+    with pytest.raises(InvalidArgs):  # not read as 2, which the k = 2 split meets
+        decide((2, 3), 2.5)
 
 
 def test_dimension_guards():
@@ -231,6 +234,8 @@ def test_dimension_guards():
         max_schmidt_number([2 ** 200] * 21)
     with pytest.raises(Exception):
         max_schmidt_number([2, 0, 2])
+    with pytest.raises(DimensionMismatch):
+        max_schmidt_number((2.5, 3))
 
 
 def subset_sum_dp(values, target):
@@ -287,6 +292,8 @@ def test_adapter_input_guards():
         subset_sum_to_partition([2, 2], 9)  # above twice the sum
     with pytest.raises(OverflowRisk):
         subset_sum_to_partition([3000], 10)
+    with pytest.raises(InvalidArgs):
+        subset_sum_to_partition((1.7, 2), 2)
 
 
 def test_tie_break_never_leaves_trivial_side():

@@ -269,12 +269,18 @@ E2 = np.eye(2, dtype=complex)
     (lambda: haar_random_state((2, 2), -1), InvalidArgs, "nonnegative"),
     (lambda: random_decomposition((2, 2), 1, -1), InvalidArgs, "nonnegative"),
     (lambda: random_decomposable_state((2, 2, 2), 2, -1), InvalidArgs, "nonnegative"),
+    # and so is a seed or rank that is no integer, which numpy would refuse with a TypeError
+    (lambda: haar_random_state((2, 2), 1.5), InvalidArgs, "seed must be an integer"),
+    (lambda: random_decomposition((2, 2, 2), 2, 1.5), InvalidArgs, "seed must be an integer"),
+    (lambda: random_decomposition((2, 2, 2), 2.0, 1), InvalidArgs, "rank must be an integer"),
 ], ids=["ghz-1", "basis-count", "basis-range", "state-dim-0", "new-state-size",
         "density-shape", "coeffs-empty", "coeffs-ascending", "coeffs-norm",
         "family-shape", "family-count", "family-count-over", "flatten-count", "trace-labels",
         "haar-dim-negative", "random-decomposition-dim-negative", "basis-total",
         "haar-total", "random-decomposition-total", "ghz-total", "haar-seed-negative",
-        "random-decomposition-seed-negative", "random-decomposable-state-seed-negative"])
+        "random-decomposition-seed-negative", "random-decomposable-state-seed-negative",
+        "haar-seed-fraction", "random-decomposition-seed-fraction",
+        "random-decomposition-rank-float"])
 def test_constructor_input_checks(build, exc, message):
     with pytest.raises(exc, match=message):
         build()

@@ -149,6 +149,29 @@ def test_no_threshold_literal_outside_tolerances():
     assert offenders == []
 
 
+def tolerance_reads(source: str) -> set[str]:
+    """The names source reads as tolerances.NAME."""
+    return {node.attr for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.Attribute) and getattr(node.value, "id", None) == "tolerances"}
+
+
+def test_tolerance_read_guard_sees_attribute_reads_only():
+    source = ("ok = resid <= tolerances.DIAG_TOL * scale\n"
+              "from .tolerances import RANK_TOL\n"
+              "cut = RANK_TOL * top\n"
+              "loose = config.ORTH_TOL\n")
+    assert tolerance_reads(source) == {"DIAG_TOL"}
+
+
+def test_every_tolerance_is_read_under_src():
+    # a stage removed without its threshold would leave the constant unread
+    src = Path(schmidtkit.__file__).parent
+    read = set().union(*(tolerance_reads(path.read_text()) for path in sorted(src.rglob("*.py"))
+                         if path.name != "tolerances.py"))
+    public = {name for name in vars(tolerances) if name.isupper() and not name.startswith("_")}
+    assert sorted(public - read) == []
+
+
 def assert_statements(source: str) -> list[str]:
     """The assert statements in source: python -O strips every one."""
     return [ast.unparse(node) for node in ast.walk(ast.parse(source))
