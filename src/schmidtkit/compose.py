@@ -20,7 +20,7 @@ from .bipartite import schmidt_number
 from .errors import DegenerateCombination, DimensionMismatch, GroupingMismatch, InvalidArgs, NotDecomposable
 from .linalg import row_kron
 from .multipartite import check_decomposable
-from .state import Bipartition, SchmidtDecomposition, StateTensor
+from .state import Bipartition, SchmidtDecomposition, StateTensor, _integer
 
 __all__ = [
     "Grouping",
@@ -40,7 +40,7 @@ class Grouping:
     sizes: tuple[int, ...]
 
     def __post_init__(self):
-        sizes = tuple(int(s) for s in self.sizes)
+        sizes = tuple(_integer(s, GroupingMismatch, "a group size") for s in self.sizes)
         if not sizes or any(s < 1 for s in sizes):
             raise GroupingMismatch(f"group sizes must be positive, got {sizes}")
         object.__setattr__(self, "sizes", sizes)
@@ -76,6 +76,7 @@ def enumerate_groupings(m: int, n: int) -> list[Grouping]:
     gaps); returned in ascending lexicographic order of block sizes
     read left to right.
     """
+    m, n = _integer(m, InvalidArgs, "m"), _integer(n, InvalidArgs, "n")
     if n < 1 or m < n:
         raise InvalidArgs(f"need 1 <= n <= m, got m={m}, n={n}")
     result = []

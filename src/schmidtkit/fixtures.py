@@ -19,7 +19,7 @@ def w_state() -> StateTensor:
 
 def ghz(n: int = 3) -> StateTensor:
     """(|0...0> + |1...1>) / sqrt(2) on n qubits, n >= 2."""
-    if n < 2:
+    if _integer(n, InvalidArgs, "n") < 2:
         raise DimensionMismatch("GHZ needs at least two qubits")
     dims, size = _sized_dims((2,) * n)
     amps = np.zeros(size)
@@ -37,7 +37,7 @@ def bell() -> StateTensor:
 def basis_state(dims, occupation) -> StateTensor:
     """The product basis state |i1 i2 ... in> for the given occupation."""
     dims, size = _sized_dims(dims)
-    occupation = tuple(int(i) for i in occupation)
+    occupation = tuple(_integer(i, IndicesOutOfRange, "an occupation index") for i in occupation)
     if len(occupation) != len(dims):
         raise DimensionMismatch(
             f"occupation {occupation} does not match dims {dims}")

@@ -26,13 +26,13 @@ and the later sites' spectra equal: the accept is its own proof, and
 its max_commutator is read from R R+ and R+ R, with no eigensolve when
 they are diagonal.  A reject is explained by the necessary conditions,
 run only then: the spectra walk by cut size, stopped at the first cut
-that fails, whose table is the cuts computed and their complements (so
-for n >= 4 a partial table), the commutation of the positive products
+whose nonzero spectrum differs from site 1's (the two spectra are its
+witness), the commutation of the positive products
 C_c = A_c A_c+ (and A_c+ A_c), tested in the eigenbasis P of one
 combination of them unless already diagonal, and the orthogonality of
 the rows of S: the pair's, or with no pair S[l][c] = sqrt((P+ C_c P)_ll)
 read there (W's rows overlap).  A reject whose sites 1 and 2 agree pays for
-the pair search before its table, and one whose spectra all agree
+the pair search before its walk, and one whose spectra all agree
 still computes every cut.
 """
 
@@ -234,30 +234,23 @@ def equal_spectra_check(
 ) -> tuple[bool, dict[tuple[int, ...], np.ndarray]]:
     """Necessary condition: all reduced spectra agree after dropping zeros.
 
-    The subsets containing subsystem 1 are walked by size and their
-    reduced spectra (descending) computed, one small Gram eigensolve
-    each, unless cuts (a dict of such spectra) holds them already; the
-    verdict compares their nonzero parts (above SPECTRA_TOL) against
-    subset (1,).  Passing cuts, as check_decomposable's explain pass
-    does, stops the walk at the first subset that fails; without it the
-    walk computes every such subset.
-
-    The table is the cuts in cuts and their complements, ordered by size
-    and then subset; a complement's entry is its cut's values padded or
-    cut to its dimension, and a cut with no complement has no entry.
+    The subsets containing subsystem 1 are walked by size and then by
+    subset, and their reduced spectra (descending) computed, one small
+    Gram eigensolve each, unless cuts (a dict of spectra already computed)
+    holds them; the walk stops at the first whose entries above
+    SPECTRA_TOL differ from subset (1,)'s.  A fail's table is those two
+    spectra, each cut to its entries above SPECTRA_TOL.  A pass's table
+    is every proper subset, ordered by size and then subset; a
+    complement's entry is its cut's values padded or cut to its dimension.
     """
-    stop_early = cuts is not None
-    cuts = {} if cuts is None else cuts
+    cuts = dict(cuts or {})
     everyone = range(1, state.subsystem_count + 1)
-    reference = _cut(state, cuts, (1,))
-    ok = True
+    reference, tol = _cut(state, cuts, (1,)), tolerances.SPECTRA_TOL
     for rest in itertools.chain.from_iterable(
             itertools.combinations(everyone[1:], size) for size in range(1, len(everyone) - 1)):
-        if not _same_nonzero(reference, _cut(state, cuts, (1, *rest)),
-                             tolerances.SPECTRA_TOL):
-            ok = False
-            if stop_early:
-                break
+        spec = _cut(state, cuts, (1, *rest))
+        if not _same_nonzero(reference, spec, tol):
+            return False, {(1,): reference[reference > tol], (1, *rest): spec[spec > tol]}
     table: dict[tuple[int, ...], np.ndarray] = {}
     for cut, spec in cuts.items():
         complement = tuple(sorted(set(everyone).difference(cut)))
@@ -265,7 +258,7 @@ def equal_spectra_check(
             table[cut] = spec
             table[complement] = np.zeros(prod(state.dims[i - 1] for i in complement))
             table[complement][:spec.size] = spec[:table[complement].size]
-    return ok, dict(sorted(table.items(), key=lambda entry: (len(entry[0]), entry[0])))
+    return True, dict(sorted(table.items(), key=lambda entry: (len(entry[0]), entry[0])))
 
 
 def _cut(state: StateTensor, cuts: dict, subset: tuple[int, ...]) -> np.ndarray:
@@ -294,11 +287,8 @@ def check_decomposable(state: StateTensor) -> DecomposabilityReport:
     taken, in size order, stopping at the first failing cut), the
     commutation test, then the rows of S (the pair's, or with no pair
     one read only then: overlap gives SNotScaledUnitary); the first that
-    fails is the stage reported, else the decision's.  For n >= 4 a
-    SpectraUnequal witness is therefore a partial table: the cuts
-    computed by then and their complements.  For n = 3 the walk reaches
-    every cut containing subsystem 1 that the decision did not take, so
-    the table is whole.
+    fails is the stage reported, else the decision's.  A SpectraUnequal
+    witness is site 1's spectrum and the failing cut's, above SPECTRA_TOL.
     An accept's max_commutator is the commutation test of the pair's
     rotated stack R, read before the gate so that R is gone when the
     rebuild is formed; a reject's is that of the raw stack.
@@ -328,9 +318,9 @@ def check_decomposable(state: StateTensor) -> DecomposabilityReport:
         return DecomposabilityReport(False, stage, witness, {**residuals, **found},
                                      tolerances_used=used)
 
-    # site 2's spectrum is that of the cut of all other sites; the table
+    # site 2's spectrum is that of the cut of all other sites; the walk
     # reuses it.  Later sites are left to the rebuild, and on a reject to
-    # the table
+    # the walk
     if not _same_nonzero(_cut(state, cuts, (1,)), _cut(state, cuts, (1, *range(3, n + 1))),
                          tolerances.SPECTRA_TOL):
         return reject({})

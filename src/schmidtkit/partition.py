@@ -98,7 +98,7 @@ def _check_dims(dims) -> tuple[tuple[int, ...], int]:
 
 def qubit_bound(n: int) -> int:
     """Largest Schmidt number over bipartitions of n qubits: 2**(n//2)."""
-    if n < 2:
+    if _integer(n, InvalidArgs, "n") < 2:
         raise TooFewSubsystems("need at least 2 qubits")
     return 2 ** (n // 2)
 

@@ -18,10 +18,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import tolerances
-from .errors import DifferentStates, DimensionMismatch, ReferenceTooSmall, TooFewSubsystems
+from .errors import (DifferentStates, DimensionMismatch, InvalidArgs, ReferenceTooSmall,
+                     TooFewSubsystems)
 from .linalg import phase_fix, polar
 from .multipartite import DecomposabilityReport, check_decomposable
-from .state import DensityMatrix, StateTensor, reduced_density
+from .state import DensityMatrix, StateTensor, _integer, reduced_density
 
 __all__ = [
     "Purification",
@@ -78,8 +79,8 @@ def purify(rho: DensityMatrix, reference_dim: int | None = None) -> Purification
     dim = rho.entries.shape[0]
     vals, vecs = _spectral(rho)
     rank = len(vals)
-    if reference_dim is None:
-        reference_dim = rank
+    reference_dim = _integer(rank if reference_dim is None else reference_dim, InvalidArgs,
+                             "reference_dim")
     if reference_dim < rank:
         raise ReferenceTooSmall(
             f"reference dimension {reference_dim} is below the rank {rank}")

@@ -45,7 +45,7 @@ __all__ = [
 
 
 def _check_dims(dims) -> tuple[int, ...]:
-    dims = tuple(int(d) for d in dims)
+    dims = tuple(_integer(d, DimensionMismatch, "a dimension") for d in dims)
     if len(dims) == 0 or any(d < 1 for d in dims):
         raise DimensionMismatch(f"dimensions must be positive integers, got {dims}")
     return dims
@@ -57,6 +57,11 @@ def _integer(value, error: type[Exception], what: str) -> int:
         return operator.index(value)
     except TypeError:
         raise error(f"{what} must be an integer, got {value!r}") from None
+
+
+def _subsystems(indices) -> tuple[int, ...]:
+    """1-based subsystem indices, sorted; a non-integral one raises InvalidPartition."""
+    return tuple(sorted(_integer(i, InvalidPartition, "a subsystem index") for i in indices))
 
 
 def _sized_dims(dims) -> tuple[tuple[int, ...], int]:
@@ -143,8 +148,7 @@ class Bipartition:
     right: tuple[int, ...]
 
     def __post_init__(self):
-        left = tuple(sorted(int(i) for i in self.left))
-        right = tuple(sorted(int(i) for i in self.right))
+        left, right = _subsystems(self.left), _subsystems(self.right)
         if not left or not right:
             raise InvalidPartition("both sides of a bipartition must be nonempty")
         n = len(left) + len(right)
@@ -158,9 +162,9 @@ class Bipartition:
 
     @classmethod
     def from_left(cls, left, n: int) -> "Bipartition":
-        left = tuple(sorted(int(i) for i in left))
-        right = tuple(sorted(set(range(1, n + 1)).difference(left)))
-        return cls(left, right)
+        left = _subsystems(left)
+        everyone = range(1, _integer(n, InvalidPartition, "n") + 1)
+        return cls(left, tuple(sorted(set(everyone).difference(left))))
 
     @property
     def subsystem_count(self) -> int:
@@ -282,7 +286,7 @@ def _slabs(length: int, size: int) -> list[slice]:
 
 def _keep_set(keep, n: int) -> tuple[int, ...]:
     """Sorted, deduplicated 1-based kept subsystems, checked against 1..n."""
-    keep = tuple(sorted({int(i) for i in keep}))
+    keep = tuple(sorted(set(_subsystems(keep))))
     if not keep or keep[0] < 1 or keep[-1] > n:
         raise InvalidPartition(f"keep set {keep} invalid for {n} subsystems")
     return keep

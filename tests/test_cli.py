@@ -299,14 +299,33 @@ def test_spectra_verb(tmp_path, capsys):
     assert json.loads(out)["equal"] is False
 
 
-def test_spectra_equal_prints_every_cut_of_a_reject(tmp_path, capsys):
-    # check's explain pass stops at the first failing cut; spectra --equal
-    # still prints all 2^4 - 2 cuts
+def test_spectra_equal_prints_the_deciding_cut_of_a_reject(tmp_path, capsys):
+    # spectra --equal stops at the first failing cut, as check's explain
+    # pass does, so both print site 1 and that cut, (1, 2) for Haar
     haar = write_fixture(tmp_path, "haar", haar_random_state((2, 2, 2, 2), seed=1))
     code, out, _ = run(capsys, "spectra", haar, "--equal")
     assert code == 1
     doc = json.loads(out)
-    assert doc["equal"] is False and len(doc["spectra"]) == 14
+    assert doc["equal"] is False and list(doc["spectra"]) == ["1", "1,2"]
+    code, out, _ = run(capsys, "check", haar)
+    assert code == 1
+    assert json.loads(out)["witness"]["spectra"] == doc["spectra"]
+
+
+def test_spectra_equal_on_an_unequal_file_prints_site_one_and_the_deciding_cut(
+        tmp_path, capsys):
+    # a Bell pair on subsystems 1 and 3, subsystem 2 in |0>: the cut (1, 2)
+    # has site 3's spectrum, equal to site 1's, and (1, 3) is pure, so the
+    # walk stops there and prints the two spectra's nonzero entries only
+    amps = np.zeros((2, 2, 2))
+    amps[0, 0, 0] = amps[1, 0, 1] = RT2
+    path = write_fixture(tmp_path, "bell13", new_state((2, 2, 2), amps.reshape(-1)))
+    code, out, _ = run(capsys, "spectra", path, "--equal")
+    assert code == 1
+    doc = json.loads(out)
+    assert doc["equal"] is False and list(doc["spectra"]) == ["1", "1,3"]
+    assert np.allclose(doc["spectra"]["1"], [0.5, 0.5], atol=1e-15)
+    assert np.allclose(doc["spectra"]["1,3"], [1.0], atol=1e-15)
 
 
 def test_partition_verb(tmp_path, capsys):

@@ -450,20 +450,47 @@ def test_reconstruct_decomposition_of_w_cut():
 @pytest.mark.parametrize("dims", [(3,), (2, 3), (2, 2, 2), (2, 3, 4), (3, 3, 3), (2, 2, 2, 2),
                                   (3, 2, 4, 2), (2,) * 5], ids=str)
 def test_equal_spectra_table_matches_partial_trace_oracle(dims):
-    # complements are filled from their partner's spectrum, so check them
-    # too; one subsystem has no proper cut, so its table is empty
+    # a pass fills complements from their partner's spectrum, so check
+    # them too; one subsystem has no proper cut, so its table is empty.
+    # A fail's table is site 1 and the deciding cut, above SPECTRA_TOL
     n = len(dims)
     subsets = sorted((tuple(i + 1 for i in range(n) if mask >> i & 1)
                       for mask in range(1, 2 ** n - 1)), key=lambda s: (len(s), s))
     for state in (haar_random_state(dims, seed=5),
                   random_decomposable_state(dims, min(dims), seed=5)):
-        _, table = equal_spectra_check(state)
+        ok, table = equal_spectra_check(state)
+        want = {keep: np.linalg.eigvalsh(partial_trace(pure_density(state), keep).entries)[::-1]
+                for keep in subsets}
+        if not ok:
+            assert_deciding_cut(state, table, want, 1e-12)
+            continue
         assert list(table) == subsets
         for keep in subsets:
-            rho = partial_trace(pure_density(state), keep)
-            want = np.linalg.eigvalsh(rho.entries)[::-1]
-            assert table[keep].shape == want.shape
-            assert np.max(np.abs(table[keep] - want)) < 1e-12, keep
+            assert table[keep].shape == want[keep].shape
+            assert np.max(np.abs(table[keep] - want[keep])) < 1e-12, keep
+
+
+def assert_deciding_cut(state, table, oracle=None, bound=1e-14):
+    """A failed walk's table: site 1 and the first cut, by size and then
+    subset, whose svd_spectrum differs from site 1's on its nonzero part;
+    each entry is the oracle's (svd_spectrum unless given) above
+    SPECTRA_TOL, within bound."""
+    tol = tolerances.SPECTRA_TOL
+    amps, dims = state.amplitudes, state.dims
+    ref = svd_spectrum(amps, dims, (1,))
+    cut = next(cut for cut in sorted(all_cuts_with_first(len(dims)), key=lambda c: (len(c), c))
+               if not multipartite._same_nonzero(ref, svd_spectrum(amps, dims, cut), tol))
+    assert list(table) == [(1,), cut]
+    for key, got in table.items():
+        want = svd_spectrum(amps, dims, key) if oracle is None else oracle[key]
+        want = want[want > tol]
+        assert np.shape(got) == want.shape and np.max(np.abs(got - want)) <= bound, key
+
+
+def witness_table(report):
+    """A SpectraUnequal witness read back into a table of arrays."""
+    return {tuple(map(int, key.split(","))): np.array(spec)
+            for key, spec in report.witness["spectra"].items()}
 
 
 def eps_band_state(dims, eps, seed, offset=100):
@@ -490,8 +517,11 @@ def test_equal_spectra_verdict_matches_svd_oracle_in_eps_band(dims):
             want = all(multipartite._same_nonzero(oracle[(1,)], spec, tolerances.SPECTRA_TOL)
                        for spec in oracle.values())
             assert ok == want, (eps, seed)
-            for cut, spec in oracle.items():
-                assert np.max(np.abs(table[cut] - spec)) <= 1e-14, (eps, seed, cut)
+            if not ok:
+                assert_deciding_cut(state, table, oracle, 1e-14)
+            else:
+                for cut, spec in oracle.items():
+                    assert np.max(np.abs(table[cut] - spec)) <= 1e-14, (eps, seed, cut)
             verdicts.append(ok)
     # the band holds both verdicts, so the comparison is not vacuous
     assert True in verdicts and False in verdicts
@@ -554,8 +584,8 @@ def test_equal_spectra_work_is_linear_in_cuts(monkeypatch):
 
 
 def test_large_haar_reject_work_is_independent_of_subset_count():
-    # a (2,)x16 Haar reject computes three cuts, so its table has six
-    # entries; building it must not visit the 2^16 - 2 subsets of {1..16}
+    # a (2,)x16 Haar reject computes three cuts and is witnessed by two,
+    # site 1 and (1, 2); its walk must not visit the 2^16 - 2 subsets of {1..16}
     calls = 0
 
     def count(frame, event, arg):
@@ -568,8 +598,9 @@ def test_large_haar_reject_work_is_independent_of_subset_count():
         rep = check_decomposable(state)
     finally:
         sys.setprofile(None)
-    assert rep.stage == "SpectraUnequal" and len(rep.witness["spectra"]) == 6
+    assert rep.stage == "SpectraUnequal" and list(rep.witness["spectra"]) == ["1", "1,2"]
     assert calls < 1000
+    assert_deciding_cut(state, witness_table(rep))
 
 
 def test_accept_and_reject_do_no_table_work_twice(monkeypatch):
@@ -921,8 +952,8 @@ def test_spectra_reject_stops_at_first_failing_cut(build, most, monkeypatch):
     rep = check_decomposable(state)
     assert rep.stage == "SpectraUnequal"
     assert len(calls) <= most and calls[-1] == (1, 2)
-    # a partial table: the cuts computed and their complements
-    assert len(rep.witness["spectra"]) == 2 * len(calls) < 2 ** state.subsystem_count - 2
+    # the witness is site 1 and the deciding cut
+    assert_deciding_cut(state, witness_table(rep))
 
 
 def swap12_symmetric_state(dims, seed):
@@ -957,12 +988,11 @@ def test_sites_after_the_second_are_left_to_rebuild_and_table(build, monkeypatch
     rep = check_decomposable(state)
     assert searched
     assert rep.stage == "SpectraUnequal" and rep.decomposition is None
-    if n == 3:
-        # every cut containing subsystem 1 is taken: the table is whole
-        _, table = equal_spectra_check(state)
-        assert len(rep.witness["spectra"]) == len(table) == 6
-        assert rep.witness["spectra"] == {
-            ",".join(map(str, cut)): spec.tolist() for cut, spec in table.items()}
+    # the witness is the one a walk from no cuts finds: site 1 and the deciding cut
+    ok, table = equal_spectra_check(state)
+    assert not ok and rep.witness["spectra"] == {
+        ",".join(map(str, cut)): spec.tolist() for cut, spec in table.items()}
+    assert_deciding_cut(state, table)
 
 
 @pytest.mark.parametrize("dims", [(2, 2, 2, 2), (3, 3, 3)], ids=str)
@@ -1223,9 +1253,32 @@ def test_large_reject_and_site_two_cut_hold_one_copy_at_most():
     rep, peak = traced_peak(check_decomposable, state)
     assert rep.stage == "SpectraUnequal"
     assert peak <= 1.1 * state.amplitudes.nbytes
+    assert_deciding_cut(state, witness_table(rep))
     vals, peak = traced_peak(spectra, state, (1, 3))
-    assert vals.tolist() == rep.witness["spectra"]["1,3"]
+    assert np.max(np.abs(vals - svd_spectrum(state.amplitudes, state.dims, (1, 3)))) <= 1e-14
     assert peak <= 1.1 * state.amplitudes.nbytes
+
+
+def test_haar_reject_report_holds_two_spectra():
+    # a Haar (2,)x14 reject's witness is site 1's spectrum and (1, 2)'s,
+    # six floats: the report retained 2.5 times the state's bytes (3.1 at
+    # the peak) while it held every computed cut and its complement,
+    # padded with zeros to its dimension
+    state = haar_random_state((2,) * 14, 1)
+    check_decomposable(state)  # warm every lazy cache
+    tracing = tracemalloc.is_tracing()
+    tracemalloc.start()
+    start = tracemalloc.get_traced_memory()[0]
+    tracemalloc.reset_peak()
+    try:
+        rep = check_decomposable(state)
+        retained, peak = (mem - start for mem in tracemalloc.get_traced_memory())
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+    assert rep.stage == "SpectraUnequal" and list(rep.witness["spectra"]) == ["1", "1,2"]
+    assert retained <= 0.1 * state.amplitudes.nbytes
+    assert peak <= 1.3 * state.amplitudes.nbytes
 
 
 def test_pair_search_frees_each_failed_rotation():

@@ -11,6 +11,8 @@ from schmidtkit import (
     Bipartition,
     DensityMatrix,
     DimensionMismatch,
+    Grouping,
+    GroupingMismatch,
     IndicesOutOfRange,
     InvalidArgs,
     InvalidPartition,
@@ -22,16 +24,20 @@ from schmidtkit import (
     StateTensor,
     basis_state,
     bell,
+    enumerate_groupings,
     flatten,
     ghz,
     haar_random_state,
     new_state,
     partial_trace,
     pure_density,
+    purify,
+    qubit_bound,
     random_decomposable_state,
     random_decomposition,
     reconstruct,
     reduced_density,
+    spectra,
     w_state,
 )
 from schmidtkit.linalg import phase_fix
@@ -284,6 +290,41 @@ E2 = np.eye(2, dtype=complex)
 def test_constructor_input_checks(build, exc, message):
     with pytest.raises(exc, match=message):
         build()
+
+
+RANK_ONE_QUBIT = DensityMatrix((2,), np.diag([1.0, 0.0]))
+
+# every entry point that reads a dimension, subsystem index, occupation,
+# group size or count; each read goes through operator.index, so 2.5 is
+# never truncated to 2 and 2.0 is refused too
+INTEGER_READS = {
+    "state-dims": (lambda v: StateTensor((v, 2), np.eye(4)[0]), DimensionMismatch),
+    "new-state-dims": (lambda v: new_state((v, 2), np.eye(4)[0]), DimensionMismatch),
+    "density-dims": (lambda v: DensityMatrix((v, 2), np.eye(4) / 4), DimensionMismatch),
+    "haar-dims": (lambda v: haar_random_state((v, 2), 1), DimensionMismatch),
+    "bipartition-left": (lambda v: Bipartition((v,), (1,)), InvalidPartition),
+    "bipartition-right": (lambda v: Bipartition((1,), (v,)), InvalidPartition),
+    "from-left": (lambda v: Bipartition.from_left((v,), 2), InvalidPartition),
+    "from-left-n": (lambda v: Bipartition.from_left((1,), v), InvalidPartition),
+    "reduced-density-keep": (lambda v: reduced_density(ghz(3), (v,)), InvalidPartition),
+    "spectra-keep": (lambda v: spectra(ghz(3), (v,)), InvalidPartition),
+    "basis-occupation": (lambda v: basis_state((3, 3), (v, 1)), IndicesOutOfRange),
+    "grouping-sizes": (lambda v: Grouping((v, 2)), GroupingMismatch),
+    "purify-reference-dim": (lambda v: purify(RANK_ONE_QUBIT, v), InvalidArgs),
+    "ghz-n": (lambda v: ghz(v + 1), InvalidArgs),
+    "enumerate-groupings-m": (lambda v: enumerate_groupings(v + 1, 2), InvalidArgs),
+    "enumerate-groupings-n": (lambda v: enumerate_groupings(3, v), InvalidArgs),
+    "qubit-bound-n": (lambda v: qubit_bound(v + 2), InvalidArgs),
+}
+
+
+@pytest.mark.parametrize("value", [2.5, 2.0])
+@pytest.mark.parametrize("name", sorted(INTEGER_READS))
+def test_non_integral_values_are_refused_not_truncated(name, value):
+    build, exc = INTEGER_READS[name]
+    assert issubclass(exc, SchmidtError)
+    with pytest.raises(exc, match="must be an integer"):
+        build(value)
 
 
 NAN_ROW = np.array([np.nan, 0.0])
