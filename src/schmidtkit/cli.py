@@ -52,16 +52,8 @@ def parse_cut(text: str, n: int) -> Bipartition:
         except ValueError:
             raise MalformedCut(f"cut {text!r} has a non-integer index") from None
     left, right = sides
-    seen = left + right
-    if len(set(seen)) != len(seen):
-        raise IndicesOutOfRange(f"cut {text!r} repeats a subsystem index")
-    if any(i < 1 or i > n for i in seen):
-        raise IndicesOutOfRange(
-            f"cut {text!r} uses indices outside 1..{n}")
-    if len(seen) != n:
-        missing = sorted(set(range(1, n + 1)) - set(seen))
-        raise IndicesOutOfRange(
-            f"cut {text!r} does not cover subsystems {missing}")
+    if sorted(left + right) != list(range(1, n + 1)):
+        raise IndicesOutOfRange(f"cut {text!r} must use each of 1..{n} exactly once")
     return Bipartition(left, right)
 
 

@@ -35,6 +35,10 @@ class TooManySubsystems(SchmidtError):
 class NoPairFound(SchmidtError):
     """No unitary pair renders every slice diagonal after all retries."""
 
+    def __init__(self, message: str, residual: float):
+        super().__init__(message)
+        self.residual = residual  # the best off-diagonal residual seen
+
 
 class RankTooLarge(SchmidtError):
     """Requested Schmidt rank exceeds the smallest subsystem dimension."""
@@ -50,10 +54,6 @@ class NotDecomposable(SchmidtError):
 
 class ProductOverflow(SchmidtError):
     """Dimension product exceeds the exact-arithmetic safety cap."""
-
-
-class OverflowRisk(SchmidtError):
-    """Subset-sum exponents too large for safe padded dimensions."""
 
 
 class GroupingMismatch(SchmidtError):

@@ -190,11 +190,9 @@ def find_diagonalizing_pair(stack: np.ndarray) -> tuple[np.ndarray, ...]:
             return p, q, _diagonals(rotated), rotated
         best = min(best, resid)
         del rotated  # freed before the next attempt's, and not kept by NoPairFound's traceback
-    err = NoPairFound(
-        f"no diagonalizing pair after {MAX_PAIR_ATTEMPTS} attempts "
-        f"(best off-diagonal residual {best:.3e})")
-    err.residual = best
-    raise err
+    # unbound: as a local it would hold this frame in a cycle through its traceback
+    raise NoPairFound(f"no diagonalizing pair after {MAX_PAIR_ATTEMPTS} attempts "
+                      f"(best off-diagonal residual {best:.3e})", best)
 
 
 def _random_combination(stack: np.ndarray, rng: np.random.Generator) -> np.ndarray:
@@ -300,7 +298,7 @@ def check_decomposable(state: StateTensor) -> DecomposabilityReport:
     residuals: dict[str, float] = {}
     cuts: dict[tuple[int, ...], np.ndarray] = {}
 
-    def reject(witness: dict, s: np.ndarray | None = None) -> DecomposabilityReport:
+    def reject(witness: dict, scaled: tuple | None = None) -> DecomposabilityReport:
         ok, table = equal_spectra_check(state, cuts=cuts)
         if not ok:
             return DecomposabilityReport(False, STAGE_SPECTRA, {"spectra": _spectra_doc(table)},
@@ -310,10 +308,10 @@ def check_decomposable(state: StateTensor) -> DecomposabilityReport:
         if not ok:  # a NaN residual fails too
             return DecomposabilityReport(False, STAGE_DIAG, dict(found), found,
                                          tolerances_used=used)
-        if s is None:  # no pair: S[l][c] = sqrt((P+ C_c P)_ll), C_c = A_c A_c+
+        if scaled is None:  # no pair: S[l][c] = sqrt((P+ C_c P)_ll), C_c = A_c A_c+
             rotated = _rotate_to_combination(_products(stack, False))
-            s = np.sqrt(np.real(_diagonals(rotated)).clip(0.0))
-        ok, gram, _ = scaled_unitary_check(s)
+            scaled = scaled_unitary_check(np.sqrt(np.real(_diagonals(rotated)).clip(0.0)))
+        ok, gram, _ = scaled
         stage, witness = (STAGE_DIAG, witness) if ok else (STAGE_SCALED, {"ss_dagger": gram})
         return DecomposabilityReport(False, stage, witness, {**residuals, **found},
                                      tolerances_used=used)
@@ -332,7 +330,8 @@ def check_decomposable(state: StateTensor) -> DecomposabilityReport:
         return reject({"max_off_diagonal": err.residual})
 
     # S's verdict does not gate: the rebuild decides, and a reject reads it
-    _, gram, residuals["max_ss_off_diagonal"] = scaled_unitary_check(s)
+    scaled = scaled_unitary_check(s)
+    _, gram, residuals["max_ss_off_diagonal"] = scaled
     candidate = _assemble(state, p, q, s, gram, residuals)
     residuals["max_commutator"] = positive_products_commute(rotated)[1]
     del rotated  # so the rebuild is the gate's one full-size array, read in slabs
@@ -345,7 +344,7 @@ def check_decomposable(state: StateTensor) -> DecomposabilityReport:
         # the discarded off-diagonal mass, overlapping rows of S, or a
         # tail that is no product was too large to represent the state;
         # the explain pass names the stage, S's if its rows overlap
-        return reject({"reconstruction": resid}, s)
+        return reject({"reconstruction": resid}, scaled)
     return DecomposabilityReport(True, None, {}, residuals, candidate, used)
 
 

@@ -19,15 +19,13 @@ from dataclasses import dataclass
 from math import isqrt, prod
 
 from .errors import (
-    DimensionMismatch,
     InvalidArgs,
-    OverflowRisk,
     ProductOverflow,
     SchmidtError,
     TooFewSubsystems,
     TooManySubsystems,
 )
-from .state import Bipartition, _integer
+from .state import Bipartition, _integer, _check_dims as _positive_integers
 
 __all__ = [
     "PartitionInstance",
@@ -71,7 +69,8 @@ class SubsetSumReduction:
     log terms; padded adds two balancing dimensions sized so that the
     only way to meet its target is a perfectly balanced split, which
     forces an exact subset sum.  Query the padded instance when the
-    question is exact-target feasibility.
+    question is exact-target feasibility; decide() accepts every one
+    returned.
     """
 
     values: tuple[int, ...]
@@ -80,19 +79,24 @@ class SubsetSumReduction:
     padded: PartitionInstance
 
 
-def _check_dims(dims) -> tuple[tuple[int, ...], int]:
-    dims = tuple(_integer(d, DimensionMismatch, "a dimension") for d in dims)
-    if len(dims) < 2:
-        raise TooFewSubsystems("a bipartition needs at least 2 subsystems")
-    if len(dims) > SUBSYSTEM_LIMIT:
+def _check_limits(count: int, bits: int) -> None:
+    """Refuse count subsystems, or a product of bits bits, past the solver's limits."""
+    if count > SUBSYSTEM_LIMIT:
         raise TooManySubsystems(
-            f"{len(dims)} subsystems exceed the supported limit {SUBSYSTEM_LIMIT}")
-    if any(d < 1 for d in dims):
-        raise DimensionMismatch(f"dimensions must be positive, got {dims}")
-    total = prod(dims)
-    if total.bit_length() > PRODUCT_BIT_LIMIT:
+            f"{count} subsystems exceed the supported limit {SUBSYSTEM_LIMIT}")
+    if bits > PRODUCT_BIT_LIMIT:
         raise ProductOverflow(
             f"total dimension exceeds 2**{PRODUCT_BIT_LIMIT}")
+
+
+def _check_dims(dims) -> tuple[tuple[int, ...], int]:
+    dims = tuple(dims)
+    if len(dims) < 2:
+        raise TooFewSubsystems("a bipartition needs at least 2 subsystems")
+    dims = _positive_integers(dims)
+    # a list past the count limit is refused by its count, before a long product is formed
+    total = prod(dims[:SUBSYSTEM_LIMIT + 1])
+    _check_limits(len(dims), total.bit_length())
     return dims, total
 
 
@@ -204,7 +208,8 @@ def subset_sum_to_partition(values, target: int) -> SubsetSumReduction:
     is 2**(4S), the two pads cannot share a side, and a side containing
     the second pad meets the threshold exactly when its plain values
     sum to target.  decide() on the padded instance is therefore
-    equivalent to exact subset-sum feasibility.
+    equivalent to exact subset-sum feasibility.  It admits what the
+    solver admits: at most 28 values, with a sum of at most 1023.
     """
     values = tuple(_integer(v, InvalidArgs, "a value") for v in values)
     target = _integer(target, InvalidArgs, "target")
@@ -214,9 +219,7 @@ def subset_sum_to_partition(values, target: int) -> SubsetSumReduction:
     if target < 1 or target > 2 * s:
         raise InvalidArgs(
             f"target {target} outside the representable range 1..{2 * s}")
-    if 2 * s > PRODUCT_BIT_LIMIT:
-        raise OverflowRisk(
-            f"exponent sum {s} too large for safe padded dimensions")
+    _check_limits(len(values) + 2, 4 * s + 1)  # the padded instance's, 2**(4S) its total
     plain = PartitionInstance(tuple(2 ** v for v in values), 2 ** target)
     padded = PartitionInstance(
         plain.dims + (2 ** (s + target), 2 ** (2 * s - target)),

@@ -1,9 +1,12 @@
 """The package's names are its modules' __all__ lists, each name once."""
 
+import ast
 import importlib
 import pkgutil
+from pathlib import Path
 
 import schmidtkit
+from schmidtkit import errors
 
 REEXPORTED = ("state", "fixtures", "bipartite", "multipartite", "partition",
               "compose", "purify", "io", "errors")
@@ -27,3 +30,22 @@ def test_every_other_module_stays_out_of_the_package_namespace():
     assert others - set(REEXPORTED) == {"cli", "linalg", "tolerances"}
     assert not hasattr(schmidtkit, "main")
     assert not hasattr(schmidtkit, "polar")
+
+
+def constructed_names(source: str) -> set[str]:
+    """Names called as Name(...) or module.Name(...) in source."""
+    return {node.func.id if isinstance(node.func, ast.Name) else node.func.attr
+            for node in ast.walk(ast.parse(source)) if isinstance(node, ast.Call)
+            and isinstance(node.func, (ast.Name, ast.Attribute))}
+
+
+def test_constructed_names_sees_calls_only():
+    assert constructed_names("raise A('x')\nb = errors.B()\nc = C\nf(D)") == {"A", "B", "f"}
+
+
+def test_every_public_error_is_raised_under_src():
+    # a class whose last raise is deleted goes with it
+    package = Path(schmidtkit.__file__).parent
+    called = set().union(*(constructed_names(path.read_text())
+                           for path in package.rglob("*.py")))
+    assert set(errors.__all__) - called == set()

@@ -2,6 +2,7 @@
 
 import ast
 import functools
+import gc
 import itertools
 import os
 import subprocess
@@ -1279,6 +1280,29 @@ def test_haar_reject_report_holds_two_spectra():
     assert rep.stage == "SpectraUnequal" and list(rep.witness["spectra"]) == ["1", "1,2"]
     assert retained <= 0.1 * state.amplitudes.nbytes
     assert peak <= 1.3 * state.amplitudes.nbytes
+
+
+def test_no_pair_reject_holds_nothing_for_the_cyclic_gc():
+    # NoPairFound is raised unbound: bound to a local of the pair search
+    # it made a cycle (frame, error, traceback, frame) that kept
+    # check_decomposable's frame and its cuts, site 2's a padded spectrum,
+    # until the cyclic GC ran: 0.26 times a W_14 state's bytes
+    state = w_qubits(14)
+    check_decomposable(state)  # warm every lazy cache
+    enabled, tracing = gc.isenabled(), tracemalloc.is_tracing()
+    gc.disable()
+    tracemalloc.start()
+    start = tracemalloc.get_traced_memory()[0]
+    try:
+        rep = check_decomposable(state)
+        retained = tracemalloc.get_traced_memory()[0] - start
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+        if enabled:
+            gc.enable()
+    assert rep.stage == "SpectraUnequal"
+    assert retained <= 0.02 * state.amplitudes.nbytes
 
 
 def test_pair_search_frees_each_failed_rotation():

@@ -5,12 +5,13 @@ import math
 import random
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from schmidtkit import (
     Bipartition,
     DimensionMismatch,
     InvalidArgs,
-    OverflowRisk,
     ProductOverflow,
     SchmidtError,
     TooFewSubsystems,
@@ -290,10 +291,32 @@ def test_adapter_input_guards():
         subset_sum_to_partition([2, 2], 0)
     with pytest.raises(InvalidArgs):
         subset_sum_to_partition([2, 2], 9)  # above twice the sum
-    with pytest.raises(OverflowRisk):
+    with pytest.raises(ProductOverflow):
         subset_sum_to_partition([3000], 10)
     with pytest.raises(InvalidArgs):
         subset_sum_to_partition((1.7, 2), 2)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.integers(1, 120), min_size=1, max_size=32), st.integers(0, 2 ** 32))
+@example([1000, 23], 0)  # sum 1023: padded total 2**4092, admitted
+@example([1000, 24], 0)  # sum 1024: 2**4096, one bit past the limit
+@example([1] * 28, 0)  # 30 padded subsystems, admitted
+@example([1] * 29, 0)
+@example([10 ** 12], 0)  # refused before 2**(4 * 10**12) is built
+def test_adapter_returns_only_instances_decide_accepts(values, draw):
+    target = 1 + draw % (2 * sum(values))
+    try:
+        red = subset_sum_to_partition(values, target)
+    except TooManySubsystems:
+        assert len(values) > 28
+        return
+    except ProductOverflow:
+        assert sum(values) > 1023 and len(values) <= 28
+        return
+    assert len(values) <= 28 and sum(values) <= 1023
+    feasible = decide(red.padded.dims, red.padded.target) is not None
+    assert feasible == subset_sum_dp(values, target), (values, target)
 
 
 def test_tie_break_never_leaves_trivial_side():

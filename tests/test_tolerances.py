@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 import schmidtkit
+import schmidtkit.multipartite as multipartite
 from schmidtkit import (
     Bipartition,
     NoPairFound,
@@ -68,6 +69,23 @@ def test_diag_tol_reaches_pair_search_not_tail_split(monkeypatch):
     assert (loose.stage, loose.witness, loose.residuals) == \
         (rep.stage, rep.witness, rep.residuals)
     assert loose.tolerances_used["diag_tol"] == 1e-4
+
+
+def test_missed_rebuild_checks_its_s_once(monkeypatch):
+    # the explain pass takes the decision's verdict on S; it checked the
+    # same S a second time before
+    calls = []
+    real_check = multipartite.scaled_unitary_check
+
+    def counting(s):
+        calls.append(s.shape)
+        return real_check(s)
+
+    monkeypatch.setattr(multipartite, "scaled_unitary_check", counting)
+    rep = check_decomposable(near_product_tail(1e-5))
+    assert rep.stage == "SlicesNotSimultaneouslyDiagonalizable"
+    assert rep.witness == {"reconstruction": pytest.approx(8e-6)}
+    assert len(calls) == 1
 
 
 def test_rank_tol_reaches_assemble_and_schmidt_number(monkeypatch):
