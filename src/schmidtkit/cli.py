@@ -12,6 +12,7 @@ its inputs alone, so identical invocations produce identical bytes.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import sys
 from pathlib import Path
 
@@ -157,11 +158,9 @@ def _cmd_inequality(args) -> tuple[dict, int]:
     if args.cut is not None:
         cut = parse_cut(args.cut, phi.subsystem_count)
     report = rank_inequality_check(phi, gamma, alpha, beta, cut)
-    doc = {"applicable": report.applicable, "holds": report.holds,
-           "mode": report.mode, "rank_phi": report.rank_phi,
-           "rank_gamma": report.rank_gamma, "rank_psi": report.rank_psi}
-    if report.detail:
-        doc["detail"] = report.detail
+    doc = dataclasses.asdict(report)
+    if not doc["detail"]:
+        del doc["detail"]
     return doc, 0 if report.applicable and report.holds else 1
 
 
@@ -197,8 +196,6 @@ def _cmd_gen(args) -> tuple[dict, int]:
         else:
             raise InvalidArgs(f"unknown fixture {args.fixture!r}")
     else:
-        if args.seed is not None and args.seed < 0:
-            raise InvalidArgs(f"--seed must be a nonnegative integer, got {args.seed}")
         dims = _parse_ints(args.dims, "--dims")
         if args.rank is not None:
             state = random_decomposable_state(dims, args.rank, args.seed or 0)

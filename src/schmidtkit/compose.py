@@ -20,7 +20,7 @@ from .bipartite import schmidt_number
 from .errors import DegenerateCombination, DimensionMismatch, GroupingMismatch, InvalidArgs, NotDecomposable
 from .linalg import row_kron
 from .multipartite import check_decomposable
-from .state import Bipartition, SchmidtDecomposition, StateTensor, _integer
+from .state import Bipartition, SchmidtDecomposition, StateTensor, _integer, _positive_entries
 
 __all__ = [
     "Grouping",
@@ -40,9 +40,8 @@ class Grouping:
     sizes: tuple[int, ...]
 
     def __post_init__(self):
-        sizes = tuple(_integer(s, GroupingMismatch, "a group size") for s in self.sizes)
-        if not sizes or any(s < 1 for s in sizes):
-            raise GroupingMismatch(f"group sizes must be positive, got {sizes}")
+        sizes = _positive_entries(self.sizes, GroupingMismatch, "a group size",
+                                  "group sizes must be positive")
         object.__setattr__(self, "sizes", sizes)
 
     @property

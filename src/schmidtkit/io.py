@@ -1,4 +1,4 @@
-"""Canonical JSON formats for states, density matrices and decompositions.
+"""Canonical JSON formats for states, density matrices, decompositions and reports.
 
 All files carry "version": 1.  Complex numbers are [re, im] pairs, all
 written by complex_pairs, which keeps an array's shape: a 1-D array is
@@ -15,6 +15,14 @@ decomposition  {"version", "dims", "coefficients": [c, ...],
                 "subsystems": [[[ [re, im], ... ], ...], ...]}
                subsystems holds one family per subsystem, each family
                one vector per coefficient.
+report         {"verdict", "decomposable", "stage", "witness", "residuals",
+                "tolerances", "decomposition"}
+               what check_decomposable found, the decomposition written
+               as above or null.  The witness, residuals and tolerances
+               hold floats and ints, besides a witness's ss_dagger matrix
+               and its "spectra" table, already lists keyed "1,3";
+               report_to_dict converts only the arrays, complex ones to
+               [re, im] pairs.
 
 Serialization is deterministic: sorted keys, fixed indentation, so the
 same object always produces byte-identical output.
@@ -185,35 +193,21 @@ def save_decomposition(path, dec: SchmidtDecomposition) -> None:
     Path(path).write_text(dumps_canonical(decomposition_to_dict(dec)))
 
 
-def _jsonable(value):
-    if isinstance(value, (np.ndarray, complex)) and np.iscomplexobj(value):
-        return complex_pairs(value)
-    if isinstance(value, np.ndarray):
-        return np.asarray(value, dtype=float).tolist()
-    if isinstance(value, (np.bool_, bool)):  # before int: bool is an int
-        return bool(value)
-    if isinstance(value, (np.floating, float)):
-        return float(value)
-    if isinstance(value, (np.integer, int)):
-        return int(value)
-    if isinstance(value, dict):
-        return {str(k): _jsonable(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_jsonable(v) for v in value]
-    return value
+def _array_doc(value):
+    """An ndarray as nested lists, complex entries as [re, im] pairs; any other value as it is."""
+    if not isinstance(value, np.ndarray):
+        return value
+    return complex_pairs(value) if np.iscomplexobj(value) else value.tolist()
 
 
 def report_to_dict(report: DecomposabilityReport) -> dict:
-    doc = {
+    return {
         "verdict": report.verdict,
         "decomposable": report.decomposable,
         "stage": report.stage,
-        "witness": _jsonable(report.witness),
-        "residuals": _jsonable(report.residuals),
-        "tolerances": _jsonable(report.tolerances_used),
+        "witness": {key: _array_doc(value) for key, value in report.witness.items()},
+        "residuals": dict(report.residuals),
+        "tolerances": dict(report.tolerances_used),
+        "decomposition": (None if report.decomposition is None
+                          else decomposition_to_dict(report.decomposition)),
     }
-    if report.decomposition is not None:
-        doc["decomposition"] = decomposition_to_dict(report.decomposition)
-    else:
-        doc["decomposition"] = None
-    return doc

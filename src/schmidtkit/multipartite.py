@@ -334,11 +334,10 @@ def check_decomposable(state: StateTensor) -> DecomposabilityReport:
     _, gram, residuals["max_ss_off_diagonal"] = scaled
     candidate = _assemble(state, p, q, s, gram, residuals)
     residuals["max_commutator"] = positive_products_commute(rotated)[1]
-    del rotated  # so the rebuild is the gate's one full-size array, read in slabs
+    del rotated  # so the rebuild is the gate's one full-size array
     diff = _rebuild(candidate)
     diff -= state.amplitudes
-    resid = residuals["reconstruction"] = float(np.max(  # NaN if the rebuild has one
-        [np.abs(diff[part]).max() for part in _slabs(diff.size, diff.size)]))
+    resid = residuals["reconstruction"] = float(np.abs(diff).max())  # NaN if the rebuild has one
     del diff
     if not resid <= tolerances.RECONSTRUCT_TOL:  # a NaN rebuild fails too
         # the discarded off-diagonal mass, overlapping rows of S, or a

@@ -25,7 +25,7 @@ from .errors import (
     TooFewSubsystems,
     TooManySubsystems,
 )
-from .state import Bipartition, _integer, _check_dims as _positive_integers
+from .state import Bipartition, _integer, _positive_entries, _check_dims as _positive_integers
 
 __all__ = [
     "PartitionInstance",
@@ -211,10 +211,8 @@ def subset_sum_to_partition(values, target: int) -> SubsetSumReduction:
     equivalent to exact subset-sum feasibility.  It admits what the
     solver admits: at most 28 values, with a sum of at most 1023.
     """
-    values = tuple(_integer(v, InvalidArgs, "a value") for v in values)
+    values = _positive_entries(values, InvalidArgs, "a value", "values must be positive integers")
     target = _integer(target, InvalidArgs, "target")
-    if not values or any(v < 1 for v in values):
-        raise InvalidArgs(f"values must be positive integers, got {values}")
     s = sum(values)
     if target < 1 or target > 2 * s:
         raise InvalidArgs(

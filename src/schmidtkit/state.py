@@ -45,10 +45,19 @@ __all__ = [
 
 
 def _check_dims(dims) -> tuple[int, ...]:
-    dims = tuple(_integer(d, DimensionMismatch, "a dimension") for d in dims)
-    if len(dims) == 0 or any(d < 1 for d in dims):
-        raise DimensionMismatch(f"dimensions must be positive integers, got {dims}")
-    return dims
+    return _positive_entries(dims, DimensionMismatch, "a dimension",
+                             "dimensions must be positive integers")
+
+
+def _positive_entries(values, error: type[Exception], entry: str, rule: str) -> tuple[int, ...]:
+    """values through _integer, nonempty and each >= 1; error(rule) names the first that is not."""
+    values = tuple(_integer(v, error, entry) for v in values)
+    if not values:
+        raise error(f"{rule}, got ()")
+    for position, value in enumerate(values, 1):
+        if value < 1:  # by position and count, so a long input gives a short message
+            raise error(f"{rule}, got {value} at position {position} of {len(values)}")
+    return values
 
 
 def _integer(value, error: type[Exception], what: str) -> int:

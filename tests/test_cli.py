@@ -476,6 +476,17 @@ def test_gen_verb(tmp_path, capsys):
     assert code == 2
 
 
+def test_gen_negative_seed_writes_nothing(tmp_path, capsys):
+    # the generators refuse the seed, so neither --out nor stdout is written
+    path = tmp_path / "state.json"
+    for extra in ([], ["--rank", "2"]):
+        code, out, err = run(capsys, "gen", "--dims", "2,2,2", "--seed", "-1",
+                             "--out", str(path), *extra)
+        assert (code, out) == (2, "")
+        assert err == "error: InvalidArgs: seed must be a nonnegative integer, got -1\n"
+        assert not path.exists()
+
+
 def test_gen_roundtrips_through_check(tmp_path, capsys):
     path = tmp_path / "state.json"
     code, _, _ = run(capsys, "gen", "--dims", "2,2,2", "--rank", "2",
@@ -603,15 +614,18 @@ def test_partition_solves_once(monkeypatch, capsys, target, code, doc):
      "InvalidArgs: --rank and --seed need --dims, not --fixture"),
     (["gen", "--fixture", "bell", "--rank", "1"],
      "InvalidArgs: --rank and --seed need --dims, not --fixture"),
+    # the generators' own seed check
     (["gen", "--dims", "2,2", "--seed", "-1"],
-     "InvalidArgs: --seed must be a nonnegative integer, got -1"),
+     "InvalidArgs: seed must be a nonnegative integer, got -1"),
+    (["gen", "--dims", "2,2,2", "--rank", "2", "--seed", "-1"],
+     "InvalidArgs: seed must be a nonnegative integer, got -1"),
     (["gen", "--dims", "2,-1,2"], "DimensionMismatch: dimensions must be positive integers"),
     (["gen", "--fixture", "ghz1000"], "DimensionMismatch: dims multiply to"),
 ], ids=["alpha-one-part", "alpha-not-float", "unknown-fixture", "link-one-subsystem",
         "beta-negative-without-equals", "number-seed", "check-seed", "decompose-seed",
         "inequality-seed", "spectra-equal-and-cut", "gen-fixture-and-dims",
         "gen-fixture-rank-and-seed", "gen-fixture-default-seed", "gen-fixture-rank",
-        "gen-negative-seed", "gen-negative-dim", "gen-fixture-too-large"])
+        "gen-negative-seed", "gen-rank-negative-seed", "gen-negative-dim", "gen-fixture-too-large"])
 def test_cli_argument_errors_exit_2(argv, message, tmp_path, capsys):
     files = {"ghz": write_fixture(tmp_path, "ghz", ghz(3)),
              "qubit": write_fixture(tmp_path, "qubit", basis_state((2,), (0,)))}

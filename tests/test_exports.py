@@ -3,6 +3,7 @@
 import ast
 import importlib
 import pkgutil
+from collections import Counter
 from pathlib import Path
 
 import schmidtkit
@@ -49,3 +50,41 @@ def test_every_public_error_is_raised_under_src():
     called = set().union(*(constructed_names(path.read_text())
                            for path in package.rglob("*.py")))
     assert set(errors.__all__) - called == set()
+
+
+def unreferenced_private_names(sources: dict[str, str]) -> list[str]:
+    """Module-level private functions and classes that no code outside their own body names.
+
+    sources maps a module name to its text.  A reference is a Name or
+    an attribute of that name anywhere in any module, or the original
+    name of an import whose local name is referenced in its module; one
+    inside the definition itself, as in a recursive call, does not count.
+    """
+    def names(nodes) -> Counter:
+        return Counter(node.id if isinstance(node, ast.Name) else node.attr
+                       for node in nodes if isinstance(node, (ast.Name, ast.Attribute)))
+
+    trees = {module: ast.parse(text) for module, text in sources.items()}
+    total = Counter()
+    for tree in trees.values():
+        local = names(ast.walk(tree))
+        total += local + Counter(alias.name for node in ast.walk(tree)
+                                 if isinstance(node, ast.ImportFrom) for alias in node.names
+                                 if local[alias.asname or alias.name])
+    return [f"{module}.{node.name}" for module, tree in trees.items() for node in tree.body
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+            and node.name.startswith("_") and not node.name.startswith("__")
+            and total[node.name] == names(ast.walk(node))[node.name]]
+
+
+def test_every_private_helper_has_a_caller_under_src():
+    package = Path(schmidtkit.__file__).parent
+    sources = {path.stem: path.read_text() for path in package.rglob("*.py")}
+    assert unreferenced_private_names(sources) == []
+
+
+def test_private_helper_guard_ignores_self_recursion():
+    sources = {"walker": "def _walk(v):\n    return [_walk(x) for x in v]\n\n"
+                         "def _used():\n    return 1\n",
+               "caller": "from .walker import _used as _one\n\nvalue = _one()\n"}
+    assert unreferenced_private_names(sources) == ["walker._walk"]

@@ -12,11 +12,13 @@ from schmidtkit import (
     check_decomposable,
     dumps_canonical,
     ghz,
+    haar_random_state,
     load_decomposition,
     load_density,
     load_state,
     new_state,
     pure_density,
+    random_decomposable_state,
     report_to_dict,
     save_decomposition,
     save_density,
@@ -25,6 +27,8 @@ from schmidtkit import (
     w_state,
 )
 from schmidtkit.io import complex_pairs, decomposition_to_dict
+from test_multipartite import eps_band_state, eqspec_state, w_qubits
+from test_tolerances import near_product_tail
 
 
 def test_state_round_trip_exact(tmp_path):
@@ -207,37 +211,70 @@ def test_report_to_dict_acceptance_shape():
 
 
 def test_report_to_dict_converts_complex_and_passes_the_rest():
-    # a complex matrix becomes rows of [re, im] pairs and a complex
-    # scalar one pair; strings and None are left as they are
+    # a complex matrix becomes rows of [re, im] pairs; strings and None
+    # are left as they are
     rep = DecomposabilityReport(
         False, "SNotScaledUnitary",
         {"ss_dagger": np.array([[1.0, 0.5 - 0.25j], [0.5 + 0.25j, 2.0]]),
-         "phase": np.complex128(0.5 - 1.5j), "note": "overlap", "missing": None},
-        {"scale": 1 + 2j})
+         "note": "overlap", "missing": None})
     doc = report_to_dict(rep)
     assert doc["witness"] == {
         "ss_dagger": [[[1.0, 0.0], [0.5, -0.25]], [[0.5, 0.25], [2.0, 0.0]]],
-        "phase": [0.5, -1.5], "note": "overlap", "missing": None}
-    assert doc["residuals"] == {"scale": [1.0, 2.0]}
+        "note": "overlap", "missing": None}
+    assert doc["residuals"] == {}
     assert json.loads(dumps_canonical(doc))["witness"] == doc["witness"]
 
 
 def test_report_to_dict_keeps_bools_and_gives_1d_complex_flat_pairs():
-    # a bool stays a bool (it is also an int), numpy's bool becomes one,
-    # and a 1-D complex array gets one flat list of pairs, the nesting a
-    # 1-D real array gets
+    # a bool stays a bool (it is also an int), and a 1-D complex array
+    # gets one flat list of pairs, the nesting a 1-D real array gets
     rep = DecomposabilityReport(
         False, "SNotScaledUnitary",
-        {"flag": True, "numpy_flag": np.bool_(False),
-         "diagonal": np.array([1 + 1j, 2]), "real": np.array([1.0, 2.0])})
+        {"flag": True, "diagonal": np.array([1 + 1j, 2]), "real": np.array([1.0, 2.0])})
     doc = report_to_dict(rep)
-    assert doc["witness"] == {"flag": True, "numpy_flag": False,
+    assert doc["witness"] == {"flag": True,
                               "diagonal": [[1.0, 1.0], [2.0, 0.0]], "real": [1.0, 2.0]}
     assert type(doc["witness"]["flag"]) is bool
-    assert type(doc["witness"]["numpy_flag"]) is bool
     text = dumps_canonical(doc)
-    assert '"flag": true' in text and '"numpy_flag": false' in text
+    assert '"flag": true' in text
     assert json.loads(text)["witness"] == doc["witness"]
+
+
+def report_corpus():
+    """Reports of every stage, no-pair and missed-rebuild rejects among them."""
+    states = [w_qubits(n) for n in range(3, 9)] + [ghz(n) for n in range(3, 7)]
+    for dims in [(2, 2, 2), (3, 3, 3), (2, 3, 4), (2, 2, 2, 2)]:
+        states += [random_decomposable_state(dims, rank, seed=rank)
+                   for rank in range(1, min(dims) + 1)]
+        states.append(haar_random_state(dims, seed=1))
+    states += [eps_band_state((2, 2, 2), eps, seed)
+               for eps in (1e-8, 3e-8, 1e-7) for seed in range(10)]
+    states += [eqspec_state(), near_product_tail(1e-5)]
+    return [check_decomposable(state) for state in states]
+
+
+def test_report_values_are_what_report_to_dict_converts():
+    # report_to_dict converts arrays alone: every other value must
+    # already be a float, an int or the str -> list of float spectra
+    # table, so a numpy or complex scalar fails here, not in json.dumps
+    reports = report_corpus()
+    assert {r.stage for r in reports} == {None, "SpectraUnequal", "SNotScaledUnitary",
+                                          "SlicesNotSimultaneouslyDiagonalizable"}
+    assert any("max_off_diagonal" in r.residuals for r in reports)  # no pair, as W
+    assert any("reconstruction" in r.witness for r in reports)
+    for report in reports:
+        for name, value in report.witness.items():
+            if name == "spectra":
+                assert type(value) is dict and value
+                for key, spectrum in value.items():
+                    assert type(key) is str and type(spectrum) is list
+                    assert all(type(x) is float for x in spectrum)
+            else:
+                assert type(value) in (float, int) or isinstance(value, np.ndarray), name
+        for name, value in {**report.residuals, **report.tolerances_used}.items():
+            assert type(value) in (float, int), name
+        doc = report_to_dict(report)
+        assert json.loads(dumps_canonical(doc)) == doc
 
 
 def per_element_pairs(values: np.ndarray) -> list:

@@ -28,6 +28,7 @@ from schmidtkit import (
     flatten,
     ghz,
     haar_random_state,
+    max_schmidt_number,
     new_state,
     partial_trace,
     pure_density,
@@ -38,6 +39,7 @@ from schmidtkit import (
     reconstruct,
     reduced_density,
     spectra,
+    subset_sum_to_partition,
     w_state,
 )
 from schmidtkit.linalg import phase_fix
@@ -290,6 +292,26 @@ E2 = np.eye(2, dtype=complex)
 def test_constructor_input_checks(build, exc, message):
     with pytest.raises(exc, match=message):
         build()
+
+
+@pytest.mark.parametrize("build, exc, message", [
+    (lambda: max_schmidt_number([0] * 10 ** 6), DimensionMismatch,
+     "dimensions must be positive integers, got 0 at position 1 of 1000000"),
+    (lambda: haar_random_state((0,) * 10 ** 5, 1), DimensionMismatch,
+     "dimensions must be positive integers, got 0 at position 1 of 100000"),
+    (lambda: haar_random_state((1,) * 10 ** 5 + (-3,), 1), DimensionMismatch,
+     "dimensions must be positive integers, got -3 at position 100001 of 100001"),
+    (lambda: subset_sum_to_partition([0] * 10 ** 6, 1), InvalidArgs,
+     "values must be positive integers, got 0 at position 1 of 1000000"),
+    (lambda: Grouping((0,) * 10 ** 5), GroupingMismatch,
+     "group sizes must be positive, got 0 at position 1 of 100000"),
+    (lambda: Grouping(()), GroupingMismatch, r"group sizes must be positive, got \(\)"),
+], ids=["max-schmidt-number", "haar", "haar-last", "subset-sum", "grouping", "grouping-empty"])
+def test_a_long_bad_input_gets_a_short_message(build, exc, message):
+    # the first bad entry, its position and the count, not the whole input
+    with pytest.raises(exc, match=message) as info:
+        build()
+    assert len(str(info.value)) < 200
 
 
 RANK_ONE_QUBIT = DensityMatrix((2,), np.diag([1.0, 0.0]))
