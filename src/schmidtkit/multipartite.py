@@ -57,7 +57,7 @@ from .errors import (
 )
 from .linalg import gram_residual, phase_fix, polar
 from .state import (SchmidtDecomposition, StateTensor, _integer, _rebuild, _sized_dims, _slabs,
-                    reconstruct)
+                    new_state, reconstruct)
 from .bipartite import _spectra_doc, spectra
 
 __all__ = [
@@ -426,20 +426,26 @@ def random_decomposable_state(dims, rank: int, seed: int = 0) -> StateTensor:
 
 
 def apply_local_unitaries(state: StateTensor, unitaries) -> StateTensor:
-    """Apply one unitary per subsystem: |psi> -> (U_1 x ... x U_n)|psi>."""
+    """Apply one unitary per subsystem: |psi> -> (U_1 x ... x U_n)|psi>.
+
+    A matrix further than ORTH_TOL from unitary raises InvalidArgs; the
+    result goes through new_state, which repairs its rounding.
+    """
     if len(unitaries) != state.subsystem_count:
         raise DimensionMismatch(
             f"need {state.subsystem_count} unitaries, got {len(unitaries)}")
+    unitaries = [np.asarray(u, dtype=complex) for u in unitaries]
+    for k, (u, d) in enumerate(zip(unitaries, state.dims), 1):
+        if u.shape != (d, d):
+            raise DimensionMismatch(f"unitary {k} has shape {u.shape}, expected ({d}, {d})")
+    for k, u in enumerate(unitaries, 1):
+        resid = gram_residual(u)
+        if not resid <= tolerances.ORTH_TOL:  # a NaN fails too
+            raise InvalidArgs(f"matrix for subsystem {k} is not unitary (residual {resid:.3e})")
     tensor = state.tensor()
     for k, u in enumerate(unitaries):
-        u = np.asarray(u, dtype=complex)
-        if u.shape != (state.dims[k], state.dims[k]):
-            raise DimensionMismatch(
-                f"unitary {k + 1} has shape {u.shape}, expected "
-                f"({state.dims[k]}, {state.dims[k]})")
         tensor = np.moveaxis(np.tensordot(u, tensor, axes=([1], [k])), 0, k)
-    flat = tensor.reshape(-1)
-    return StateTensor(state.dims, flat / np.linalg.norm(flat), state.label)
+    return new_state(state.dims, tensor, state.label)
 
 
 def local_unitary_link(target: StateTensor, source: StateTensor) -> list[np.ndarray]:
@@ -454,8 +460,10 @@ def local_unitary_link(target: StateTensor, source: StateTensor) -> list[np.ndar
     support depends on the states alone (a state linked to itself gets
     the identity).  It is unique when P_t P_s is invertible from the
     source's complement onto the target's; where it is singular, the
-    SVD's rounding picks the completion.  Coefficients and the rebuilt
-    target must agree within LINK_TOL.
+    SVD's rounding picks the completion.  Coefficients, and the mapped
+    source and the target entry by entry, must agree within LINK_TOL:
+    each decomposition rebuilds its own state, global phase included,
+    so no phase is fitted.
     """
     if target.dims != source.dims:
         raise DimensionMismatch(
@@ -476,9 +484,7 @@ def local_unitary_link(target: StateTensor, source: StateTensor) -> list[np.ndar
                  for ft, fs, d in zip(rep_t.decomposition.vectors,
                                       rep_s.decomposition.vectors, target.dims)]
     mapped = apply_local_unitaries(source, unitaries)
-    overlap = np.vdot(target.amplitudes, mapped.amplitudes)
-    aligned = mapped.amplitudes * np.conj(overlap) / max(abs(overlap), 1e-300)
-    resid = float(np.abs(aligned - target.amplitudes).max())
+    resid = float(np.abs(mapped.amplitudes - target.amplitudes).max())
     if resid > tolerances.LINK_TOL:
         raise DifferentStates(f"link verification failed (residual {resid:.3e})")
     return unitaries

@@ -141,9 +141,7 @@ def new_state(dims, amplitudes, label: str | None = None) -> StateTensor:
         raise DimensionMismatch(
             f"expected {prod(dims)} amplitudes for dims {dims}, got {amps.size}")
     norm = np.linalg.norm(amps)
-    if norm == 0.0:
-        raise NotNormalizable("zero vector cannot be normalized")
-    if not abs(norm - 1.0) <= tolerances.REPAIR_WINDOW:
+    if not abs(norm - 1.0) <= tolerances.REPAIR_WINDOW:  # the zero vector and a NaN fail too
         raise NotNormalizable(
             f"norm {float(norm)} differs from 1 by more than {tolerances.REPAIR_WINDOW}")
     return StateTensor(dims, amps / norm, label)

@@ -21,6 +21,7 @@ from schmidtkit import (
     DensityMatrix,
     DifferentStates,
     DimensionMismatch,
+    InvalidArgs,
     NoPairFound,
     NotDecomposable,
     RankTooLarge,
@@ -347,6 +348,39 @@ def test_apply_local_unitaries_matches_kron():
         apply_local_unitaries(st, us[:2])
     with pytest.raises(DimensionMismatch, match=r"unitary 2 has shape \(2, 2\)"):
         apply_local_unitaries(st, [us[0], us[0], us[2]])
+
+
+@pytest.mark.parametrize("matrix", [
+    np.diag([1.0, 3.0]), np.zeros((2, 2)), np.array([[1.0, 0.0], [0.0, np.nan]]),
+], ids=["diag-1-3", "zeros", "nan"])
+def test_apply_local_unitaries_refuses_a_matrix_that_is_not_unitary(matrix):
+    # diag(1, 3) would take GHZ_3 to coefficients (0.949, 0.316), out of its class
+    with pytest.raises(InvalidArgs, match=r"subsystem 2 is not unitary \(residual"):
+        apply_local_unitaries(ghz(3), [np.eye(2), matrix, np.eye(2)])
+    # a wrong shape is still a DimensionMismatch, whatever the other matrices are
+    with pytest.raises(DimensionMismatch):
+        apply_local_unitaries(ghz(3), [matrix, np.eye(2), np.eye(3)])
+
+
+def test_apply_local_unitaries_accepts_a_unitary_within_orth_tol():
+    st = haar_random_state((2, 3, 2), seed=4)
+    rng = np.random.default_rng(5)
+    us = [haar_unitary(d, rng) + 1e-10 * rng.standard_normal((d, d)) for d in st.dims]
+    got = apply_local_unitaries(st, us).amplitudes
+    want = np.kron(np.kron(us[0], us[1]), us[2]) @ st.amplitudes
+    assert np.max(np.abs(got - want / np.linalg.norm(want))) < 1e-12
+
+
+def test_local_unitary_link_maps_onto_a_phased_target():
+    # the target's global phase is carried by its own decomposition, so the
+    # link reproduces it with no phase fit
+    for seed, dims in enumerate(((2, 2, 2), (3, 3, 3), (2, 3, 4), (2, 2, 2, 2))):
+        phi = random_decomposable_state(dims, 2, seed)
+        rng = np.random.default_rng((seed, 11))
+        rotated = apply_local_unitaries(phi, [haar_unitary(d, rng) for d in dims])
+        target = StateTensor(dims, np.exp(2j * np.pi * rng.uniform()) * rotated.amplitudes)
+        mapped = apply_local_unitaries(phi, local_unitary_link(target, phi))
+        assert np.abs(mapped.amplitudes - target.amplitudes).max() <= tolerances.LINK_TOL
 
 
 def test_local_unitary_link_round_trip():

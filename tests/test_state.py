@@ -42,6 +42,7 @@ from schmidtkit import (
     subset_sum_to_partition,
     w_state,
 )
+from schmidtkit import tolerances
 from schmidtkit.linalg import phase_fix
 
 from phase_oracle import phase_fix_row
@@ -72,7 +73,8 @@ def test_new_state_repairs_small_norm_drift():
     assert abs(np.linalg.norm(s.amplitudes) - 1.0) < 1e-12
     with pytest.raises(NotNormalizable):
         new_state((2, 2), np.array([1.0, 0, 0, 1.0]))
-    with pytest.raises(NotNormalizable):
+    # the zero vector fails the window test like any other norm
+    with pytest.raises(NotNormalizable, match=f"by more than {tolerances.REPAIR_WINDOW}$"):
         new_state((2, 2), np.zeros(4))
 
 
