@@ -294,6 +294,9 @@ def main(argv=None) -> int:
     except OSError as exc:  # missing, unreadable or unwritable file
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except MemoryError as exc:  # an input too large to allocate
+        print(f"error: MemoryError: {exc}", file=sys.stderr)
+        return 2
     return code
 
 

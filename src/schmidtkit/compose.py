@@ -142,14 +142,18 @@ def rank_inequality_check(
     With a cut, ranks are bipartite Schmidt numbers across it.  Without
     one, ranks are joint Schmidt ranks: phi and gamma must then be
     decomposable, and if the superposition is not, the inequality has
-    no rank to compare and the report says so instead of guessing.
+    no rank to compare and the report says so instead of guessing.  A
+    non-finite alpha or beta raises InvalidArgs before any arithmetic.
     """
     if phi.dims != gamma.dims:
         raise DimensionMismatch(
             f"states live on different dims {phi.dims} vs {gamma.dims}")
+    for name, scalar in (("alpha", alpha), ("beta", beta)):
+        if not np.isfinite(scalar):
+            raise InvalidArgs(f"{name} must be finite, got {scalar}")
     combined = alpha * phi.amplitudes + beta * gamma.amplitudes
     norm = np.linalg.norm(combined)
-    if norm < tolerances.COMBINATION_NORM_TOL:
+    if not norm >= tolerances.COMBINATION_NORM_TOL:  # a NaN fails too
         raise DegenerateCombination(
             f"combination norm {norm:.3e} is below {tolerances.COMBINATION_NORM_TOL:g}")
     psi = StateTensor(phi.dims, combined / norm)

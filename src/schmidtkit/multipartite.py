@@ -6,9 +6,10 @@ Unlike the bipartite case this is a real property: the W state has no
 such form while GHZ states do.
 
 The decision runs one code path for every n >= 3.  Site 1's spectrum
-must agree with site 2's; later sites take no comparison of their own,
-for a candidate that rebuilds the input within RECONSTRUCT_TOL has
-single-site spectra equal to first order.  The amplitude tensor is
+must agree with that of the cut (1, 2), the explain walk's first cut, a
+tolerance call at SPECTRA_TOL; other cuts take no comparison of their
+own, for a candidate that rebuilds the input within RECONSTRUCT_TOL has
+cut spectra equal to first order.  The amplitude tensor is
 viewed as one (C, d1, d2) array, the stack of matrices A_c (rows =
 subsystem 1, columns = subsystem 2, one slice per grouped index c of
 subsystems 3..n); the search for a unitary pair (P, Q) making every
@@ -22,7 +23,7 @@ vector, is split into one vector per tail subsystem.  The
 candidate is accepted only if it rebuilds the input within
 RECONSTRUCT_TOL, which also settles that the rows of S are near
 orthogonal, the tail vectors products, the tail families orthonormal
-and the later sites' spectra equal: the accept is its own proof, and
+and the other cuts' spectra equal: the accept is its own proof, and
 its max_commutator is read from R R+ and R+ R, with no eigensolve when
 they are diagonal.  A reject is explained by the necessary conditions,
 run only then: the spectra walk by cut size, stopped at the first cut
@@ -31,9 +32,10 @@ witness), the commutation of the positive products
 C_c = A_c A_c+ (and A_c+ A_c), tested in the eigenbasis P of one
 combination of them unless already diagonal, and the orthogonality of
 the rows of S: the pair's, or with no pair S[l][c] = sqrt((P+ C_c P)_ll)
-read there (W's rows overlap).  A reject whose sites 1 and 2 agree pays for
-the pair search before its walk, and one whose spectra all agree
-still computes every cut.
+read there (W's rows overlap).  The walk reuses both cuts the decision
+took.  A reject whose site 1 and cut (1, 2) agree (at n = 3, sites 1 and
+3) pays for the pair search before its walk, and one whose spectra all
+agree still computes every cut.
 """
 
 from __future__ import annotations
@@ -276,17 +278,18 @@ def _same_nonzero(first: np.ndarray, spec: np.ndarray, tol: float) -> bool:
 def check_decomposable(state: StateTensor) -> DecomposabilityReport:
     """Decide whether a state on >= 3 subsystems has a joint Schmidt form.
 
-    Decision path: site 1's spectrum agrees with site 2's (read off the
-    cut of every site but 2), pair search, and a rebuild of the input
-    from the candidate, which accepts within RECONSTRUCT_TOL; rows of S
-    far from orthogonal, a tail vector that is no product, or a later
-    site whose spectrum differs fail the rebuild.  Every reject then
-    runs the explain pass: the equal-spectra walk (from the cuts already
-    taken, in size order, stopping at the first failing cut), the
-    commutation test, then the rows of S (the pair's, or with no pair
-    one read only then: overlap gives SNotScaledUnitary); the first that
-    fails is the stage reported, else the decision's.  A SpectraUnequal
-    witness is site 1's spectrum and the failing cut's, above SPECTRA_TOL.
+    Decision path: site 1's spectrum agrees with the cut (1, 2)'s at
+    SPECTRA_TOL (a tolerance call, and the walk's first cut), pair
+    search, and a rebuild of the input from the candidate, which accepts
+    within RECONSTRUCT_TOL; rows of S far from orthogonal, a tail vector
+    that is no product, or a later cut whose spectrum differs fail the
+    rebuild.  Every reject then runs the explain pass: the equal-spectra
+    walk (from the cuts already taken, in size order, stopping at the
+    first failing cut), the commutation test, then the rows of S (the
+    pair's, or with no pair one read only then: overlap gives
+    SNotScaledUnitary); the first that fails is the stage reported,
+    else the decision's.  A SpectraUnequal witness is site 1's spectrum
+    and the failing cut's, above SPECTRA_TOL.
     An accept's max_commutator is the commutation test of the pair's
     rotated stack R, read before the gate so that R is gone when the
     rebuild is formed; a reject's is that of the raw stack.
@@ -294,7 +297,6 @@ def check_decomposable(state: StateTensor) -> DecomposabilityReport:
     used = {"rank_tol": tolerances.RANK_TOL, "diag_tol": tolerances.DIAG_TOL,
             "orth_tol": tolerances.ORTH_TOL, "seed": 0}  # the pair search's fixed stream
     stack = slice_tensor(state)
-    n = state.subsystem_count
     residuals: dict[str, float] = {}
     cuts: dict[tuple[int, ...], np.ndarray] = {}
 
@@ -316,10 +318,7 @@ def check_decomposable(state: StateTensor) -> DecomposabilityReport:
         return DecomposabilityReport(False, stage, witness, {**residuals, **found},
                                      tolerances_used=used)
 
-    # site 2's spectrum is that of the cut of all other sites; the walk
-    # reuses it.  Later sites are left to the rebuild, and on a reject to
-    # the walk
-    if not _same_nonzero(_cut(state, cuts, (1,)), _cut(state, cuts, (1, *range(3, n + 1))),
+    if not _same_nonzero(_cut(state, cuts, (1,)), _cut(state, cuts, (1, 2)),
                          tolerances.SPECTRA_TOL):
         return reject({})
 

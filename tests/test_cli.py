@@ -634,6 +634,30 @@ def test_cli_argument_errors_exit_2(argv, message, tmp_path, capsys):
     assert message in err
 
 
+@pytest.mark.parametrize("alpha, beta, name, value", [
+    ("nan,0", "1,0", "alpha", "(nan+0j)"),
+    ("inf,0", "1,0", "alpha", "(inf+0j)"),
+    ("1,0", "0,-inf", "beta", "-infj"),
+], ids=["alpha-nan", "alpha-inf", "beta-minus-inf"])
+def test_inequality_non_finite_scalar_exits_2(alpha, beta, name, value, tmp_path, capsys):
+    g = write_fixture(tmp_path, "ghz", ghz(3))
+    code, out, err = run(capsys, "inequality", g, g, f"--alpha={alpha}", f"--beta={beta}")
+    assert (code, out) == (2, "")
+    assert err == f"error: InvalidArgs: {name} must be finite, got {value}\n"
+
+
+def test_memory_error_exits_2_with_one_line(monkeypatch, capsys):
+    # numpy raises MemoryError for a state too large to allocate, as for
+    # gen --fixture ghz40; exit 1 would read as a negative verdict
+    def too_large(args):
+        raise MemoryError("Unable to allocate 16.0 TiB for an array")
+
+    monkeypatch.setattr(cli, "_cmd_gen", too_large)
+    code, out, err = run(capsys, "gen", "--fixture", "ghz40")
+    assert (code, out) == (2, "")
+    assert err == "error: MemoryError: Unable to allocate 16.0 TiB for an array\n"
+
+
 def test_density_negative_check(tmp_path, capsys):
     # density file for W traced to one qubit, purified, then checked
     rho = reduced_density(w_state(), (1, 2))

@@ -166,3 +166,23 @@ def test_rank_inequality_degenerate_combination():
                               Bipartition((1,), (2, 3)))
     with pytest.raises(DimensionMismatch):
         rank_inequality_check(ghz(3), bell(), 1.0, 1.0)
+
+
+@pytest.mark.parametrize("alpha, beta", [
+    (math.nan, 1.0), (math.inf, 1.0), (1.0, complex(0.0, -math.inf)),
+    (complex(math.nan, math.nan), 0.0),
+], ids=["nan-alpha", "inf-alpha", "inf-imag-beta", "nan-both-parts"])
+@pytest.mark.parametrize("cut", [None, Bipartition((1,), (2, 3))], ids=["joint", "cut"])
+def test_rank_inequality_refuses_a_non_finite_scalar(alpha, beta, cut):
+    # refused before any arithmetic: nan and inf times a zero amplitude
+    # warn, and a NaN combination used to reach StateTensor as unnormalisable
+    with pytest.raises(InvalidArgs, match="must be finite"):
+        rank_inequality_check(ghz(3), ghz(3), alpha, beta, cut)
+
+
+def test_combination_norm_test_fails_a_nan(monkeypatch):
+    # the norm test is written so that a NaN fails it, as state.py's are
+    phi = ghz(3)
+    monkeypatch.setattr(np.linalg, "norm", lambda x: math.nan)
+    with pytest.raises(DegenerateCombination, match="norm nan"):
+        rank_inequality_check(phi, phi, 1.0, 1.0)

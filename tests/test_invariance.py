@@ -4,8 +4,8 @@ A product of single-site unitaries maps a joint Schmidt form onto
 another, and so does a relabelling of the subsystems, so every state
 reached from one of the corpus below by either must get the same
 verdict.  The stage of a reject is not such an invariant: the decision
-compares sites 1 and 2 and slices the tail in its given basis, so the
-stage may move, and the moves seen are declared here one by one.  A
+compares site 1 with the cut (1, 2) and slices the tail in its given
+basis, so the stage may move, and the moves seen are declared here one by one.  A
 new move fails the test, and so does a declared one that no longer
 happens.
 """
@@ -28,7 +28,7 @@ from schmidtkit import (
 )
 from schmidtkit.linalg import haar_unitary
 
-from test_multipartite import (eqspec_state, ghz_w_mixture, swap12_symmetric_state,
+from test_multipartite import (eqspec_state, ghz_w_mixture, swap_symmetric_state,
                                symmetric_state, w_qubits)
 from test_tolerances import near_product_tail
 
@@ -60,8 +60,8 @@ CASES = {
     "w4": lambda: w_qubits(4),
     **{f"haar-{dims}": (lambda d=dims: haar_random_state(d, seed=len(d)))
        for dims in ((2, 2, 2), (3, 3, 3), (2, 3, 4), (2, 2, 2, 2))},
-    "swap12-333": lambda: swap12_symmetric_state((3, 3, 3), 7),
-    "swap12-2222": lambda: swap12_symmetric_state((2, 2, 2, 2), 7),
+    "swap12-333": lambda: swap_symmetric_state((3, 3, 3), 7),
+    "swap12-2222": lambda: swap_symmetric_state((2, 2, 2, 2), 7),
     "symmetric-222": lambda: symmetric_state((2, 2, 2), 900),
     "symmetric-2222": lambda: symmetric_state((2, 2, 2, 2), 900),
     "eqspec": eqspec_state,

@@ -619,7 +619,7 @@ def test_equal_spectra_work_is_linear_in_cuts(monkeypatch):
 
 
 def test_large_haar_reject_work_is_independent_of_subset_count():
-    # a (2,)x16 Haar reject computes three cuts and is witnessed by two,
+    # a (2,)x16 Haar reject computes two cuts and is witnessed by them,
     # site 1 and (1, 2); its walk must not visit the 2^16 - 2 subsets of {1..16}
     calls = 0
 
@@ -639,10 +639,10 @@ def test_large_haar_reject_work_is_independent_of_subset_count():
 
 
 def test_accept_and_reject_do_no_table_work_twice(monkeypatch):
-    # an accept compares site 1's spectrum with site 2's only and never
-    # builds the table; a reject builds it from the cuts already taken, so
-    # no cut is computed twice, and stops at the first failing cut: Haar
-    # on six qubits fails at site 2's cut and then at the first two-site cut
+    # an accept compares site 1's spectrum with the cut (1, 2)'s only and
+    # never builds the table; a reject builds it from the cuts already
+    # taken, so no cut is computed twice, and stops at the first failing
+    # cut: Haar fails at (1, 2), the walk's first cut, and computes two
     calls = []
     real_spectra = multipartite.spectra
 
@@ -658,13 +658,12 @@ def test_accept_and_reject_do_no_table_work_twice(monkeypatch):
         patch.setattr(multipartite, "equal_spectra_check", no_table)
         rep = check_decomposable(random_decomposable_state((2,) * 6, 2, seed=1))
     assert rep.decomposable
-    assert calls == [(1,), (1, 3, 4, 5, 6)]
-    for dims, cuts in (((3, 3, 3), 3), ((2,) * 6, 3)):
+    assert calls == [(1,), (1, 2)]
+    for dims in ((3, 3, 3), (2,) * 6):
         calls.clear()
         rep = check_decomposable(haar_random_state(dims, seed=4))
         assert rep.stage == "SpectraUnequal"
-        assert len(calls) == len(set(calls)) == cuts
-    assert calls == [(1,), (1, 3, 4, 5, 6), (1, 2)]
+        assert calls == [(1,), (1, 2)]
 
 
 def test_each_off_diagonal_residual_is_taken_once(monkeypatch):
@@ -968,13 +967,13 @@ def test_explain_walk_matches_whole_table(name, monkeypatch):
         assert got == full
 
 
-@pytest.mark.parametrize("build, most", [
-    *[(lambda n=n: w_qubits(n), n + 1) for n in (6, 8, 10)],
-    (lambda: haar_random_state((2,) * 10, seed=1), 3),
+@pytest.mark.parametrize("build", [
+    *[(lambda n=n: w_qubits(n)) for n in (6, 8, 10)],
+    lambda: haar_random_state((2,) * 10, seed=1),
 ], ids=["w6", "w8", "w10", "haar-2x10"])
-def test_spectra_reject_stops_at_first_failing_cut(build, most, monkeypatch):
-    # W's n single-site cuts agree and Haar's differ at the first one the
-    # decision takes; either way the walk stops at the first two-site cut
+def test_spectra_reject_stops_at_first_failing_cut(build, monkeypatch):
+    # W's and Haar's site 1 differ from the cut (1, 2), the one the
+    # decision compares and the walk's first, so the walk stops there
     calls = []
     real_spectra = multipartite.spectra
 
@@ -986,32 +985,25 @@ def test_spectra_reject_stops_at_first_failing_cut(build, most, monkeypatch):
     state = build()
     rep = check_decomposable(state)
     assert rep.stage == "SpectraUnequal"
-    assert len(calls) <= most and calls[-1] == (1, 2)
+    assert calls == [(1,), (1, 2)]
     # the witness is site 1 and the deciding cut
     assert_deciding_cut(state, witness_table(rep))
 
 
-def swap12_symmetric_state(dims, seed):
-    """A Haar state plus its 1<->2 swap, normalised: sites 1 and 2 agree."""
+def swap_symmetric_state(dims, seed, site=2):
+    """A Haar state plus its swap of sites 1 and site, normalised: those two agree."""
     tensor = haar_random_state(dims, seed).tensor()
-    flat = (tensor + np.swapaxes(tensor, 0, 1)).reshape(-1)
+    flat = (tensor + np.swapaxes(tensor, 0, site - 1)).reshape(-1)
     return StateTensor(dims, flat / np.linalg.norm(flat))
 
 
-@pytest.mark.parametrize("build", [
-    lambda: StateTensor((2, 2, 2), RT2 * np.eye(8)[[0, 6]].sum(0)),
-    lambda: swap12_symmetric_state((2, 2, 2, 2), 7),
-    lambda: swap12_symmetric_state((3, 3, 3), 7),
-], ids=["bell12-0-222", "swap12-2222", "swap12-333"])
-def test_sites_after_the_second_are_left_to_rebuild_and_table(build, monkeypatch):
-    # sites 1 and 2 agree and site 3 does not: the decision compares only
-    # the first two, goes on to the pair search and rejects; the explain
-    # walk then finds a failing cut, so the stage is still SpectraUnequal
-    state = build()
-    n = state.subsystem_count
-    site = [spectra(state, (k,)) for k in range(1, n + 1)]
-    assert multipartite._same_nonzero(site[0], site[1], tolerances.SPECTRA_TOL)
-    assert not multipartite._same_nonzero(site[0], site[2], tolerances.SPECTRA_TOL)
+def w3_padded(n):
+    """W_3 on the first three of n qubits, the others in |0>."""
+    return StateTensor((2,) * n, np.kron(w_state().amplitudes, np.eye(2 ** (n - 3))[0]))
+
+
+def count_pair_searches(monkeypatch):
+    """The stack shape of each find_diagonalizing_pair call check_decomposable makes."""
     searched = []
     real = multipartite.find_diagonalizing_pair
 
@@ -1020,6 +1012,47 @@ def test_sites_after_the_second_are_left_to_rebuild_and_table(build, monkeypatch
         return real(stack)
 
     monkeypatch.setattr(multipartite, "find_diagonalizing_pair", pair)
+    return searched
+
+
+@pytest.mark.parametrize("build", [
+    *[(lambda n=n: w_qubits(n)) for n in range(4, 13)],
+    *[(lambda d=dims: swap_symmetric_state(d, 7))
+      for dims in ((2, 2, 2), (3, 3, 3), (2, 2, 2, 2), (32, 32, 32))],
+], ids=[*(f"w{n}" for n in range(4, 13)), "swap12-222", "swap12-333", "swap12-2222",
+        "swap12-32x3"])
+def test_reject_at_the_first_cut_runs_no_pair_search(build, monkeypatch):
+    # site 1 differs from the cut (1, 2), sites 3..n, for W_n and for states
+    # whose sites 1 and 2 agree: the decision rejects there with no pair
+    # search, and the report is the one a walk from no cuts gives
+    state = build()
+    searched = count_pair_searches(monkeypatch)
+    rep = check_decomposable(state)
+    assert searched == []
+    ok, table = equal_spectra_check(state)
+    assert not ok and list(table)[1] == (1, 2)
+    assert (rep.stage, rep.witness, rep.residuals, rep.decomposition) == (
+        "SpectraUnequal",
+        {"spectra": {",".join(map(str, cut)): spec.tolist() for cut, spec in table.items()}},
+        {}, None)
+    assert_deciding_cut(state, table)
+
+
+@pytest.mark.parametrize("build", [
+    lambda: StateTensor((2, 2, 2), RT2 * np.eye(8)[[0, 5]].sum(0)),
+    lambda: swap_symmetric_state((2, 2, 2), 7, site=3),
+    lambda: swap_symmetric_state((3, 3, 3), 7, site=3),
+], ids=["bell13-0-222", "swap13-222", "swap13-333"])
+def test_cuts_after_the_first_are_left_to_rebuild_and_table(build, monkeypatch):
+    # site 1 agrees with the cut (1, 2), site 3 at n = 3, and not with the
+    # cut (1, 3), site 2: the decision compares only the first, goes on to
+    # the pair search and rejects; the explain walk then finds the failing
+    # cut, so the stage is still SpectraUnequal
+    state = build()
+    site1, tol = spectra(state, (1,)), tolerances.SPECTRA_TOL
+    assert multipartite._same_nonzero(site1, spectra(state, (1, 2)), tol)
+    assert not multipartite._same_nonzero(site1, spectra(state, (1, 3)), tol)
+    searched = count_pair_searches(monkeypatch)
     rep = check_decomposable(state)
     assert searched
     assert rep.stage == "SpectraUnequal" and rep.decomposition is None
@@ -1032,10 +1065,11 @@ def test_sites_after_the_second_are_left_to_rebuild_and_table(build, monkeypatch
 
 @pytest.mark.parametrize("dims", [(2, 2, 2, 2), (3, 3, 3)], ids=str)
 def test_no_pair_reject_reads_s_only_when_the_report_shows_it(dims, monkeypatch):
-    # no pair is found for these states, and the explain walk rejects them
-    # at a later cut: S, whose read rotates the whole product family, is
-    # never read, because the report would not show it (W reads it once,
-    # test_w_reject_rotations_pinned)
+    # site 1 and the cut (1, 2) agree for these states (W_3 and |0>, and a
+    # 1<->3-symmetric state), no pair is found for them, and the explain
+    # walk rejects them at a later cut: S, whose read rotates the whole
+    # product family, is never read, because the report would not show it
+    # (W reads it once, test_w_reject_rotations_pinned)
     calls = []
     real = multipartite._rotate_to_combination
 
@@ -1044,11 +1078,12 @@ def test_no_pair_reject_reads_s_only_when_the_report_shows_it(dims, monkeypatch)
         return real(family)
 
     monkeypatch.setattr(multipartite, "_rotate_to_combination", counting)
-    state = swap12_symmetric_state(dims, 7)
+    state = w3_padded(4) if len(dims) == 4 else swap_symmetric_state(dims, 7, site=3)
     with pytest.raises(NoPairFound):
         find_diagonalizing_pair(slice_tensor(state))
+    searched = count_pair_searches(monkeypatch)
     rep = check_decomposable(state)
-    assert rep.stage == "SpectraUnequal"
+    assert searched and rep.stage == "SpectraUnequal"
     assert calls == []
 
 
@@ -1079,9 +1114,10 @@ def test_s_read_and_rejects_stay_behind_the_explain_checks():
 
 
 def test_rebuild_is_the_only_gate_after_a_pair():
-    # check_decomposable rejects only where site 2's spectrum differs,
-    # where no pair is found and where the rebuild misses; S's verdict
-    # is read once on the way to the rebuild and once in reject
+    # check_decomposable rejects only where the cut (1, 2)'s spectrum
+    # differs from site 1's, where no pair is found and where the rebuild
+    # misses; S's verdict is read once on the way to the rebuild and once
+    # in reject
     tree = ast.parse(Path(multipartite.__file__).read_text())
     decide = next(node for node in tree.body if isinstance(node, ast.FunctionDef)
                   and node.name == "check_decomposable")
@@ -1280,10 +1316,9 @@ def test_large_accept_makes_no_throwaway_full_size_copy():
 
 
 def test_large_reject_and_site_two_cut_hold_one_copy_at_most():
-    # site 2's cut (1, 3) sums its Gram over slabs (2.05 times the state's
-    # bytes with a transposed and a conjugated copy), so a Haar (32,32,32)
-    # reject holds at most the one conjugated copy of a prefix cut (2.05
-    # times while site 2's cut copied the state twice)
+    # the cut (1, 3), site 2's, sums its Gram over slabs (2.05 times the
+    # state's bytes with a transposed and a conjugated copy), and a Haar
+    # (32,32,32) reject holds at most the one conjugated copy of a prefix cut
     state = haar_random_state((32, 32, 32), 1)
     rep, peak = traced_peak(check_decomposable, state)
     assert rep.stage == "SpectraUnequal"
@@ -1316,12 +1351,14 @@ def test_haar_reject_report_holds_two_spectra():
     assert peak <= 1.3 * state.amplitudes.nbytes
 
 
-def test_no_pair_reject_holds_nothing_for_the_cyclic_gc():
+def test_no_pair_reject_holds_nothing_for_the_cyclic_gc(monkeypatch):
     # NoPairFound is raised unbound: bound to a local of the pair search
     # it made a cycle (frame, error, traceback, frame) that kept
-    # check_decomposable's frame and its cuts, site 2's a padded spectrum,
-    # until the cyclic GC ran: 0.26 times a W_14 state's bytes
-    state = w_qubits(14)
+    # check_decomposable's frame and its cuts until the cyclic GC ran:
+    # 0.26 times a W_14 state's bytes.  W_3 and |0> on 14 qubits passes
+    # the (1, 2) comparison, finds no pair and rejects at (1, 2, 3)
+    state = w3_padded(14)
+    searched = count_pair_searches(monkeypatch)
     check_decomposable(state)  # warm every lazy cache
     enabled, tracing = gc.isenabled(), tracemalloc.is_tracing()
     gc.disable()
@@ -1335,32 +1372,35 @@ def test_no_pair_reject_holds_nothing_for_the_cyclic_gc():
             tracemalloc.stop()
         if enabled:
             gc.enable()
-    assert rep.stage == "SpectraUnequal"
+    assert len(searched) == 2 and rep.stage == "SpectraUnequal"
+    assert list(rep.witness["spectra"]) == ["1", "1,2,3"]
     assert retained <= 0.02 * state.amplitudes.nbytes
 
 
-def test_pair_search_frees_each_failed_rotation():
-    # a 1<->2-symmetric Haar state passes site 2's comparison and fails
+def test_pair_search_frees_each_failed_rotation(monkeypatch):
+    # a 1<->3-symmetric Haar state passes the (1, 2) comparison and fails
     # all eight pair attempts; a failed attempt's rotated stack is freed
     # before the next attempt and before NoPairFound keeps the frame (4.15
     # times the state's bytes while both stayed; 3.15 times while the
     # no-pair branch still rotated the whole product family before the
     # explain pass)
-    tensor = haar_random_state((32, 32, 32), 2).tensor()
-    amplitudes = (tensor + tensor.transpose(1, 0, 2)).reshape(-1)
-    state = StateTensor((32, 32, 32), amplitudes / np.linalg.norm(amplitudes))
+    state = swap_symmetric_state((32, 32, 32), 2, site=3)
+    with pytest.raises(NoPairFound):
+        find_diagonalizing_pair(slice_tensor(state))
+    searched = count_pair_searches(monkeypatch)
     rep, peak = traced_peak(check_decomposable, state)
-    assert rep.stage == "SpectraUnequal"
+    assert searched and rep.stage == "SpectraUnequal"
     assert peak <= 3.25 * state.amplitudes.nbytes
 
 
-def test_symmetric_reject_peaks_at_the_pair_search():
-    # the explain walk rejects this state before S is read, so its peak is
-    # the pair search's rotation, as for the (32,32,32) accept (3.15 times
-    # the state's bytes while S was read first)
-    state = swap12_symmetric_state((32, 32, 32), 2)
+def test_symmetric_reject_peaks_at_the_pair_search(monkeypatch):
+    # the explain walk rejects this 1<->3-symmetric state before S is
+    # read, so its peak is the pair search's rotation, as for the
+    # (32,32,32) accept (3.15 times the state's bytes while S was read first)
+    state = swap_symmetric_state((32, 32, 32), 2, site=3)
+    searched = count_pair_searches(monkeypatch)
     rep, peak = traced_peak(check_decomposable, state)
-    assert rep.stage == "SpectraUnequal"
+    assert searched and rep.stage == "SpectraUnequal"
     assert peak <= 2.25 * state.amplitudes.nbytes
 
 
