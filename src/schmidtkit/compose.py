@@ -11,6 +11,7 @@ Sch(psi) >= |Sch(phi) - Sch(gamma)| across any fixed cut.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -143,7 +144,8 @@ def rank_inequality_check(
     one, ranks are joint Schmidt ranks: phi and gamma must then be
     decomposable, and if the superposition is not, the inequality has
     no rank to compare and the report says so instead of guessing.  A
-    non-finite alpha or beta raises InvalidArgs before any arithmetic.
+    non-finite alpha or beta raises InvalidArgs before any arithmetic;
+    finite ones of any size are scaled before they combine.
     """
     if phi.dims != gamma.dims:
         raise DimensionMismatch(
@@ -151,12 +153,17 @@ def rank_inequality_check(
     for name, scalar in (("alpha", alpha), ("beta", beta)):
         if not np.isfinite(scalar):
             raise InvalidArgs(f"{name} must be finite, got {scalar}")
-    combined = alpha * phi.amplitudes + beta * gamma.amplitudes
-    norm = np.linalg.norm(combined)
+    # alpha and beta over a power of two near their largest part: no finite
+    # pair overflows, and the combination rounds as it would unscaled
+    top = float(np.abs(np.array([alpha, beta], dtype=complex).view(float)).max())
+    scale = math.ldexp(1.0, math.frexp(top)[1] - 1)
+    combined = alpha / scale * phi.amplitudes + beta / scale * gamma.amplitudes
+    unit = np.linalg.norm(combined)
+    norm = scale * float(unit)  # a Python float: past the largest double it is inf, unwarned
     if not norm >= tolerances.COMBINATION_NORM_TOL:  # a NaN fails too
         raise DegenerateCombination(
             f"combination norm {norm:.3e} is below {tolerances.COMBINATION_NORM_TOL:g}")
-    psi = StateTensor(phi.dims, combined / norm)
+    psi = StateTensor(phi.dims, combined / unit)
 
     if cut is not None:
         rp = schmidt_number(phi, cut)

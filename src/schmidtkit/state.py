@@ -61,11 +61,13 @@ def _positive_entries(values, error: type[Exception], entry: str, rule: str) -> 
 
 
 def _integer(value, error: type[Exception], what: str) -> int:
-    """value through operator.index: 2.5, and 2.0 too, raise error instead of truncating."""
-    try:
-        return operator.index(value)
-    except TypeError:
-        raise error(f"{what} must be an integer, got {value!r}") from None
+    """value through operator.index: 2.5, 2.0 and True too raise error instead of truncating."""
+    if not isinstance(value, bool):  # operator.index reads True as 1
+        try:
+            return operator.index(value)
+        except TypeError:
+            pass
+    raise error(f"{what} must be an integer, got {value!r}")
 
 
 def _subsystems(indices) -> tuple[int, ...]:
@@ -182,9 +184,9 @@ class Bipartition:
 class DensityMatrix:
     """A density matrix with per-subsystem dimension metadata.
 
-    Construction checks hermiticity (HERMITIAN_TOL), unit trace
-    (NORM_TOL) and positive semidefiniteness (eigenvalues above
-    -PSD_TOL).
+    Construction checks hermiticity (largest entry of rho - rho+) and unit
+    trace, both within NORM_TOL as a state's norm is, and positive
+    semidefiniteness (eigenvalues above -PSD_TOL).
     """
 
     dims: tuple[int, ...]
@@ -198,7 +200,7 @@ class DensityMatrix:
             raise DimensionMismatch(
                 f"expected a {d}x{d} matrix for dims {dims}, got {entries.shape}")
         herm = np.abs(entries - entries.conj().T).max()
-        if not herm <= tolerances.HERMITIAN_TOL:
+        if not herm <= tolerances.NORM_TOL:
             raise NotPSD(f"matrix is not Hermitian (residual {herm:.3e})")
         trace = entries.trace()
         if not abs(trace - 1.0) <= tolerances.NORM_TOL:
@@ -220,8 +222,8 @@ class SchmidtDecomposition:
 
     coefficients are real, strictly positive, descending, with squares
     summing to 1.  vectors[k] holds the family for subsystem k+1 as a
-    matrix whose row l is the l-th vector; each family is orthonormal
-    within ORTH_TOL.
+    matrix whose row l is the l-th vector; each family is orthonormal.
+    Both hold within ORTH_TOL.
     """
 
     dims: tuple[int, ...]
@@ -237,7 +239,7 @@ class SchmidtDecomposition:
             raise DimensionMismatch("coefficients must be strictly positive")
         if not np.all(np.diff(coeffs) <= 0.0):
             raise DimensionMismatch("coefficients must be sorted descending")
-        if not abs(np.sum(coeffs ** 2) - 1.0) <= tolerances.COEFF_NORM_TOL:
+        if not abs(np.sum(coeffs ** 2) - 1.0) <= tolerances.ORTH_TOL:
             raise NotNormalizable("squared coefficients must sum to 1")
         if coeffs.size > min(dims):
             raise RankTooLarge(

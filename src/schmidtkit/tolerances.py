@@ -1,24 +1,25 @@
 """Numerical tolerances used across the toolkit.
 
-All comparisons that have a natural scale (singular values, eigenvalues)
-are taken relative to the largest one; norm and trace checks are
+Each threshold has one role; README's "Error model" table gives, per
+constant, the quantity it bounds, its scale and norm, the checks that
+read it, and whether a check it decides is a proof or a tolerance call.
+Comparisons with a natural scale (singular values, S S+) are relative to
+the largest value; norm, trace, residual and spectrum checks are
 absolute because states and densities are unit-normalized.  These
 constants are the only place a threshold is set: every comparison reads
 them at call time, so assigning a new value here changes every later
 call.
 """
 
-# unit-norm and unit-trace checks
+# a supplied state or density is exact: unit 2-norm, unit trace, and
+# Hermitian to this largest entry of rho - rho+
 NORM_TOL = 1e-10
 
-# orthonormality of vector families (max off-diagonal Gram entry)
+# a decomposition is well formed: squared coefficients sum to 1, and each
+# family (or unitary) is orthonormal to this largest Gram entry off I
 ORTH_TOL = 1e-8
 
-# squared Schmidt coefficients of a decomposition must sum to 1 within
-# COEFF_NORM_TOL, which is looser than NORM_TOL
-COEFF_NORM_TOL = 1e-8
-
-# a superposition alpha*phi + beta*gamma with norm below this cannot be
+# a superposition alpha*phi + beta*gamma with 2-norm below this cannot be
 # normalized into a state
 COMBINATION_NORM_TOL = 1e-8
 
@@ -26,13 +27,12 @@ COMBINATION_NORM_TOL = 1e-8
 # the vector's first nonzero one
 PHASE_TOL = 1e-12
 
-# hermiticity of density matrices
-HERMITIAN_TOL = 1e-10
-
 # eigenvalue negativity allowance for positive semidefinite checks
 PSD_TOL = 1e-9
 
-# singular values below RANK_TOL * sigma_max count as zero
+# singular values below RANK_TOL * sigma_max count as zero; purify cuts
+# the eigenvalues of rho (sigma^2) at RANK_TOL * max(lambda_max, 1),
+# which for a unit trace is absolute
 RANK_TOL = 1e-9
 
 # equal-spectra check (absolute: reduced spectra sum to 1): eigenvalues

@@ -646,6 +646,15 @@ def test_inequality_non_finite_scalar_exits_2(alpha, beta, name, value, tmp_path
     assert err == f"error: InvalidArgs: {name} must be finite, got {value}\n"
 
 
+@pytest.mark.parametrize("size", ["1e300", "1e308"])
+def test_inequality_takes_large_finite_scalars(size, tmp_path, capsys):
+    # the combination's norm overflowed: numpy warned and the verb exited 2
+    g = write_fixture(tmp_path, "ghz", ghz(3))
+    want = run(capsys, "inequality", g, g, "--alpha=1,0", "--beta=1,0")
+    assert want[0] == 0 and want[2] == ""
+    assert run(capsys, "inequality", g, g, f"--alpha={size},0", f"--beta={size},0") == want
+
+
 def test_memory_error_exits_2_with_one_line(monkeypatch, capsys):
     # numpy raises MemoryError for a state too large to allocate, as for
     # gen --fixture ghz40; exit 1 would read as a negative verdict

@@ -164,6 +164,10 @@ def test_rank_inequality_degenerate_combination():
     with pytest.raises(DegenerateCombination):
         rank_inequality_check(ghz(3), ghz(3), 1.0, -1.0,
                               Bipartition((1,), (2, 3)))
+    # huge scalars that cancel, and zero ones, leave the zero vector
+    for alpha, beta in ((1e300, -1e300), (0.0, 0.0)):
+        with pytest.raises(DegenerateCombination, match=r"norm 0\.000e\+00 is below 1e-08$"):
+            rank_inequality_check(ghz(3), ghz(3), alpha, beta)
     with pytest.raises(DimensionMismatch):
         rank_inequality_check(ghz(3), bell(), 1.0, 1.0)
 
@@ -178,6 +182,17 @@ def test_rank_inequality_refuses_a_non_finite_scalar(alpha, beta, cut):
     # warn, and a NaN combination used to reach StateTensor as unnormalisable
     with pytest.raises(InvalidArgs, match="must be finite"):
         rank_inequality_check(ghz(3), ghz(3), alpha, beta, cut)
+
+
+@pytest.mark.parametrize("size", [1e300, 1e308, complex(1.5e308, -1.5e308)], ids=str)
+@pytest.mark.parametrize("gamma", [ghz(3), basis_state((2, 2, 2), (0, 0, 0))],
+                         ids=["ghz", "basis"])
+@pytest.mark.parametrize("cut", [None, Bipartition((1,), (2, 3))], ids=["joint", "cut"])
+def test_rank_inequality_takes_large_finite_scalars(size, gamma, cut):
+    # the combination's norm overflowed: numpy warned, and the inf norm
+    # divided the combination to zero, which StateTensor then refused
+    want = rank_inequality_check(ghz(3), gamma, 1.0, 1.0, cut)
+    assert rank_inequality_check(ghz(3), gamma, size, size, cut) == want
 
 
 def test_combination_norm_test_fails_a_nan(monkeypatch):

@@ -351,6 +351,22 @@ def test_non_integral_values_are_refused_not_truncated(name, value):
         build(value)
 
 
+@pytest.mark.parametrize("build, exc", [
+    (lambda: haar_random_state((True, 2, 2), 0), DimensionMismatch),
+    (lambda: max_schmidt_number([True, 2, 3]), DimensionMismatch),
+    (lambda: Bipartition((True,), (2,)), InvalidPartition),
+    (lambda: basis_state((3, 3), (True, 1)), IndicesOutOfRange),
+    (lambda: Grouping((True, 2)), GroupingMismatch),
+    (lambda: random_decomposable_state((2, 2, 2), True, seed=False), InvalidArgs),
+], ids=["haar-dims", "max-schmidt-number-dims", "bipartition", "basis-occupation",
+        "grouping-sizes", "random-decomposable-state-rank"])
+def test_a_bool_is_refused_as_an_integer(build, exc):
+    # operator.index reads True as 1, where np.True_ raises and io refuses
+    # a JSON boolean
+    with pytest.raises(exc, match="must be an integer, got True$"):
+        build()
+
+
 NAN_ROW = np.array([np.nan, 0.0])
 
 

@@ -5,6 +5,7 @@ import importlib
 import inspect
 import pkgutil
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -13,16 +14,39 @@ import schmidtkit
 import schmidtkit.multipartite as multipartite
 from schmidtkit import (
     Bipartition,
+    CoefficientsMismatch,
+    DegenerateCombination,
+    DensityMatrix,
+    DifferentStates,
+    DimensionMismatch,
+    InvalidArgs,
     NoPairFound,
+    NotNormalizable,
+    NotPSD,
+    Purification,
+    SchmidtDecomposition,
     StateTensor,
+    apply_local_unitaries,
     check_decomposable,
+    equal_spectra_check,
+    ghz,
+    linking_unitary,
+    local_unitary_link,
+    new_state,
+    purify,
+    rank_inequality_check,
     save_state,
     schmidt_number,
+    scaled_unitary_check,
+    schmidt_decompose_bipartite,
     tolerances,
     w_state,
 )
 from schmidtkit.cli import main
+from schmidtkit.linalg import phase_fix
 from schmidtkit.multipartite import find_diagonalizing_pair, slice_tensor
+
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 def near_product_tail(eps: float) -> StateTensor:
@@ -181,13 +205,162 @@ def test_tolerance_read_guard_sees_attribute_reads_only():
     assert tolerance_reads(source) == {"DIAG_TOL"}
 
 
+def public_thresholds() -> set[str]:
+    return {name for name in vars(tolerances) if name.isupper() and not name.startswith("_")}
+
+
 def test_every_tolerance_is_read_under_src():
     # a stage removed without its threshold would leave the constant unread
     src = Path(schmidtkit.__file__).parent
     read = set().union(*(tolerance_reads(path.read_text()) for path in sorted(src.rglob("*.py"))
                          if path.name != "tolerances.py"))
-    public = {name for name in vars(tolerances) if name.isupper() and not name.startswith("_")}
-    assert sorted(public - read) == []
+    assert sorted(public_thresholds() - read) == []
+
+
+def error_model_rows(text: str) -> list[tuple[str, str]]:
+    """(constant, value) of each row of the table under "## Error model", in order."""
+    section = text.partition("\n## Error model\n")[2].partition("\n## ")[0]
+    return [(cells[1].strip(" `"), cells[2].strip()) for cells in
+            (line.split("|") for line in section.splitlines() if line.startswith("| `"))]
+
+
+def test_error_model_guard_reads_its_own_section_only():
+    text = ("| `OTHER_TOL` | 1 |\n## Error model\n\n| Constant | Value |\n|---|---|\n"
+            "| `RANK_TOL` | 1e-9 | sigma |\n| `DIAG_TOL` | 1e-8 |\nsee `PSD_TOL`\n"
+            "## Next\n| `LATER_TOL` | 2 |\n")
+    assert error_model_rows(text) == [("RANK_TOL", "1e-9"), ("DIAG_TOL", "1e-8")]
+
+
+def test_readme_error_model_has_one_row_per_threshold():
+    # a threshold added, removed or retuned without its row, or a row left behind
+    rows = error_model_rows(README.read_text())
+    assert len(rows) == len({name for name, _ in rows})
+    assert {name: float(value) for name, value in rows} == \
+        {name: getattr(tolerances, name) for name in public_thresholds()}
+
+
+def holds(build, error) -> bool:
+    """Does build() return, rather than raise error?"""
+    try:
+        build()
+    except error:
+        return False
+    return True
+
+
+E2 = np.eye(2, dtype=complex)
+
+
+def skewed(q: float) -> np.ndarray:
+    """A 2x2 matrix whose rows' Gram matrix is q off the identity, at most."""
+    return np.array([[1.0, 0.0], [q, 1.0]])
+
+
+def diagonal_state(*coeffs) -> StateTensor:
+    """sum_l c_l |lll> on three sites of dimension len(coeffs), renormalised."""
+    k = len(coeffs)
+    amps = np.zeros((k, k, k))
+    amps[range(k), range(k), range(k)] = coeffs
+    return new_state((k,) * 3, amps)
+
+
+def spectra_apart(q: float) -> StateTensor:
+    """On (2,2,3): site 1's spectrum is (0.6, 0.4), site 3's (0.6, 0.4 - q, q)."""
+    amps = np.zeros((2, 2, 3))
+    amps[0, 0, 0], amps[1, 1, 1], amps[1, 0, 2] = np.sqrt([0.6, 0.4 - q, q])
+    return StateTensor((2, 2, 3), amps.reshape(-1))
+
+
+def searches_for_a_pair(state: StateTensor) -> bool:
+    """Does check_decomposable(state) pass its spectra early-out?"""
+    with mock.patch.object(multipartite, "find_diagonalizing_pair",
+                           wraps=multipartite.find_diagonalizing_pair) as search:
+        check_decomposable(state)
+    return search.called
+
+
+def two_term_purification(angle: float) -> Purification:
+    return Purification(StateTensor((2, 2), [np.cos(angle), 0.0, 0.0, np.sin(angle)]))
+
+
+# each check as a function of the quantity q its threshold bounds, at the
+# scale README's error model states, True when the check passes; q is
+# taken with both signs, and a quantity that has one sign reads abs(q).
+# A threshold retuned, or split from a check it shares, fails here
+BOUNDARIES = {
+    "state-norm": ("NORM_TOL", lambda q: holds(
+        lambda: StateTensor((2,), [1.0 + q, 0.0]), NotNormalizable)),
+    "density-trace": ("NORM_TOL", lambda q: holds(
+        lambda: DensityMatrix((2,), np.diag([0.5 + q, 0.5])), DimensionMismatch)),
+    "density-hermiticity": ("NORM_TOL", lambda q: holds(
+        lambda: DensityMatrix((2,), [[0.5, abs(q)], [0.0, 0.5]]), NotPSD)),
+    "repair-window": ("REPAIR_WINDOW", lambda q: holds(
+        lambda: new_state((2,), [1.0 + q, 0.0]), NotNormalizable)),
+    "coefficient-norm": ("ORTH_TOL", lambda q: holds(
+        lambda: SchmidtDecomposition((2, 2), [np.sqrt(0.64 + q), 0.6], (E2, E2)),
+        NotNormalizable)),
+    "family": ("ORTH_TOL", lambda q: holds(
+        lambda: SchmidtDecomposition((2, 2), [0.8, 0.6], (skewed(q), E2)), DimensionMismatch)),
+    "local-unitary": ("ORTH_TOL", lambda q: holds(
+        lambda: apply_local_unitaries(ghz(3), [skewed(q), E2, E2]), InvalidArgs)),
+    "psd": ("PSD_TOL", lambda q: holds(
+        lambda: DensityMatrix((2,), np.diag([1.0 + abs(q), -abs(q)])), NotPSD)),
+    # a floor: the combination's norm must reach it
+    "combination-norm": ("COMBINATION_NORM_TOL", lambda q: not holds(
+        lambda: rank_inequality_check(ghz(3), ghz(3), abs(q), 0.0, Bipartition((1,), (2, 3))),
+        DegenerateCombination)),
+    # relative to the row's largest magnitude, here 1e3: below, no lead
+    "phase-lead": ("PHASE_TOL", lambda q: phase_fix(np.array([[1e3j * abs(q), 1e3]]))[1][0] == 1),
+    # relative to the largest singular value: below, not counted
+    "rank-bipartite": ("RANK_TOL", lambda q: schmidt_number(
+        new_state((2, 2), [1.0, 0.0, 0.0, abs(q)]), Bipartition((1,), (2,))) == 1),
+    "rank-decomposition": ("RANK_TOL", lambda q: schmidt_decompose_bipartite(
+        new_state((2, 2), [1.0, 0.0, 0.0, abs(q)]), Bipartition((1,), (2,))).decomposition.rank
+        == 1),
+    "rank-candidate": ("RANK_TOL", lambda q: check_decomposable(
+        diagonal_state(0.8, 0.6, 0.8 * abs(q))).decomposition.rank == 2),
+    # absolute on the eigenvalues of rho, the squared singular values
+    "rank-purify": ("RANK_TOL", lambda q: purify(
+        DensityMatrix((2,), np.diag([1.0 - abs(q), abs(q)]))).reference_dim == 1),
+    "spectra-entries": ("SPECTRA_TOL", lambda q: equal_spectra_check(ghz(3), cuts={
+        (1,): np.array([0.5, 0.5]), (1, 2): np.array([0.5 + q, 0.5 - q, 0.0, 0.0]),
+        (1, 3): np.array([0.5, 0.5, 0.0, 0.0])})[0]),
+    "spectra-count": ("SPECTRA_TOL", lambda q: equal_spectra_check(ghz(3), cuts={
+        (1,): np.array([0.5, 0.5]), (1, 2): np.array([0.5, 0.5, abs(q), 0.0]),
+        (1, 3): np.array([0.5, 0.5, 0.0, 0.0])})[0]),
+    # the decision's early-out: site 1 against the cut (1, 2), whose
+    # complement is site 3
+    "spectra-early-out": ("SPECTRA_TOL", lambda q: searches_for_a_pair(spectra_apart(abs(q)))),
+    # absolute on the slices: within it the identity pair, past it a rotation
+    "pair-fast-path": ("DIAG_TOL", lambda q: np.array_equal(
+        find_diagonalizing_pair(np.array([[[0.8, abs(q)], [0.0, 0.6]]]))[0], np.eye(2))),
+    # relative to the largest diagonal entry of S S+, here 100
+    "s-rows": ("DIAG_TOL", lambda q: scaled_unitary_check(
+        10.0 * np.array([[1.0, 0.0], [abs(q), 0.5]]))[0]),
+    "link-coefficients": ("LINK_TOL", lambda q: holds(
+        lambda: local_unitary_link(diagonal_state(0.8, 0.6),
+                                   diagonal_state(np.sqrt(1.0 - (0.6 + q) ** 2), 0.6 + q)),
+        CoefficientsMismatch)),
+    # the Frobenius misfit of cos/sin pairs an angle q apart is about q
+    "link-purifications": ("LINK_TOL", lambda q: holds(
+        lambda: linking_unitary(two_term_purification(0.6), two_term_purification(0.6 + q)),
+        DifferentStates)),
+    # the rebuild misses the tails' second terms, 0.8 eps apart
+    "reconstruct": ("RECONSTRUCT_TOL", lambda q: check_decomposable(
+        near_product_tail(abs(q) / 0.8)).decomposable),
+}
+
+
+@pytest.mark.parametrize("name", sorted(BOUNDARIES))
+def test_each_check_passes_just_inside_its_threshold_and_fails_just_outside(name):
+    constant, check = BOUNDARIES[name]
+    tol = getattr(tolerances, constant)
+    for sign in (1.0, -1.0):
+        assert check(sign * tol / 2) and not check(sign * tol * 2), sign
+
+
+def test_every_threshold_has_a_boundary_pair():
+    assert {constant for constant, _ in BOUNDARIES.values()} == public_thresholds()
 
 
 def assert_statements(source: str) -> list[str]:
