@@ -17,7 +17,7 @@ class DimensionMismatch(SchmidtError):
 
 
 class NotNormalizable(SchmidtError):
-    """State vector is zero or too far from unit norm to repair."""
+    """State vector is zero or too far from unit norm to repair, or a density's trace is not 1."""
 
 
 class InvalidPartition(SchmidtError):
@@ -73,7 +73,7 @@ class ReferenceTooSmall(SchmidtError):
 
 
 class NotPSD(SchmidtError):
-    """Matrix has an eigenvalue below the negativity tolerance."""
+    """Matrix is not Hermitian, or has an eigenvalue below the negativity tolerance."""
 
 
 class DifferentStates(SchmidtError):

@@ -5,37 +5,39 @@ sum_l c_l |l_1>|l_2>...|l_n> with one orthonormal family per subsystem.
 Unlike the bipartite case this is a real property: the W state has no
 such form while GHZ states do.
 
-The decision runs one code path for every n >= 3.  Site 1's spectrum
-must agree with that of the cut (1, 2), the explain walk's first cut, a
-tolerance call at SPECTRA_TOL; other cuts take no comparison of their
-own, for a candidate that rebuilds the input within RECONSTRUCT_TOL has
-cut spectra equal to first order.  The amplitude tensor is
-viewed as one (C, d1, d2) array, the stack of matrices A_c (rows =
+The decision runs one code path for every n >= 3.  The amplitude tensor
+is viewed as one (C, d1, d2) array, the stack of matrices A_c (rows =
 subsystem 1, columns = subsystem 2, one slice per grouped index c of
 subsystems 3..n); the search for a unitary pair (P, Q) making every
 R_c = P+ A_c Q+ diagonal within DIAG_TOL returns the tuple (P, Q, S, R),
 S being the diagonals of R it checked, the coefficient matrix: the
 identity pair when the slices are diagonal already, else the first of up
 to MAX_PAIR_ATTEMPTS = 8 attempts within DIAG_TOL, each one SVD of a
-seeded complex combination of the slices.  The Gram matrix S S+ gives
-the coefficients, the row norms of S; each normalised row, a tail
-vector, is split into one vector per tail subsystem.  The
-candidate is accepted only if it rebuilds the input within
-RECONSTRUCT_TOL, which also settles that the rows of S are near
-orthogonal, the tail vectors products, the tail families orthonormal
-and the other cuts' spectra equal: the accept is its own proof, and
-its max_commutator is read from R R+ and R+ R, with no eigensolve when
-they are diagonal.  A reject is explained by the necessary conditions,
-run only then: the spectra walk by cut size, stopped at the first cut
-whose nonzero spectrum differs from site 1's (the two spectra are its
-witness), the commutation of the positive products
+seeded complex combination of the slices and two mode products a slab
+of slices at a time.  The Gram matrix S S+ gives the coefficients, the
+row norms of S; each normalised row, a tail vector, is split into one
+vector per tail subsystem.  The candidate is accepted only if it
+rebuilds the input within RECONSTRUCT_TOL, which also settles that the
+rows of S are near orthogonal, the tail vectors products, the tail
+families orthonormal and the cuts' spectra equal: the accept is its own
+proof, computes no reduced spectrum when the fast path or attempt 0
+finds its pair, and reads its max_commutator from R R+ and R+ R, with
+no eigensolve when they are diagonal.  Only when attempt 0 misses are
+spectra compared, before attempts 1 to 7: the cuts (1, 2) to (1, n), in
+the explain walk's order, up to the first that differs from site 1's at
+SPECTRA_TOL; that cut rejects when its l1 gap to site 1's spectrum
+exceeds 8 sqrt(D) RECONSTRUCT_TOL, a proof that no candidate passes the
+gate (D the total dimension).  A reject is explained by the necessary
+conditions, run only then: the spectra walk by cut size, stopped at the
+first cut whose nonzero spectrum differs from site 1's (the two spectra
+are its witness), the commutation of the positive products
 C_c = A_c A_c+ (and A_c+ A_c), tested in the eigenbasis P of one
 combination of them unless already diagonal, and the orthogonality of
 the rows of S: the pair's, or with no pair S[l][c] = sqrt((P+ C_c P)_ll)
-read there (W's rows overlap).  The walk reuses both cuts the decision
-took.  A reject whose site 1 and cut (1, 2) agree (at n = 3, sites 1 and
-3) pays for the pair search before its walk, and one whose spectra all
-agree still computes every cut.
+read there (W's rows overlap).  The walk reuses every cut the decision
+took.  A reject whose cuts (1, k) all agree with site 1, or whose first
+differing one proves nothing, makes all eight attempts before its walk,
+and one whose spectra all agree still computes every cut.
 """
 
 from __future__ import annotations
@@ -142,11 +144,24 @@ def _products(stack: np.ndarray, adjoint_first: bool) -> np.ndarray:
 
 def _commute_residual(stack: np.ndarray, adjoint_first: bool) -> float:
     """One family's off-diagonal witness: read in slabs if diagonal, else rotated whole."""
+    resid = _diagonal_residual(stack, lambda part: _products(part, adjoint_first))
+    if not resid <= tolerances.DIAG_TOL:  # a NaN fails too
+        return _off_diagonal_residual(_rotate_to_combination(_products(stack, adjoint_first)))
+    return resid
+
+
+def _diagonal_residual(stack: np.ndarray, form=lambda part: part) -> float:
+    """The largest off-diagonal magnitude of form(slab) over slabs of the stack's slices.
+
+    A slab of slices at a time, so no full-size array is formed; the
+    first slab past DIAG_TOL settles the test, and its residual is
+    returned.
+    """
     worst = 0.0
     for part in _slabs(len(stack), stack.size):
-        resid = _off_diagonal_residual(_products(stack[part], adjoint_first))
+        resid = _off_diagonal_residual(form(stack[part]))
         if not resid <= tolerances.DIAG_TOL:  # a NaN fails too
-            return _off_diagonal_residual(_rotate_to_combination(_products(stack, adjoint_first)))
+            return resid
         worst = max(worst, resid)
     return worst
 
@@ -180,21 +195,91 @@ def find_diagonalizing_pair(stack: np.ndarray) -> tuple[np.ndarray, ...]:
     tilts their vectors by only about machine epsilon * sigma_max / gap.
     Raises NoPairFound (with the best residual seen) when all fail.
     """
+    pair, best = _first_pair(_pair_attempts(stack))
+    if pair is None:  # raised unbound: a local would keep this frame in a cycle
+        raise NoPairFound(f"no diagonalizing pair after {MAX_PAIR_ATTEMPTS} attempts "
+                          f"(best off-diagonal residual {best:.3e})", best)
+    return pair
+
+
+def _pair_attempts(stack: np.ndarray):
+    """The pair search's steps: yields (pair, None) on a find, else (None, residual).
+
+    The fast path's identity pair when every slice is diagonal within
+    DIAG_TOL (read a slab of slices at a time, up to the first slab
+    past it), and nothing more; else each attempt in turn.  A miss's
+    residual is a function that computes it (_pair_attempt).
+    """
     _, d1, d2 = stack.shape
-    if _off_diagonal_residual(stack) <= tolerances.DIAG_TOL:
-        return np.eye(d1, dtype=complex), np.eye(d2, dtype=complex), _diagonals(stack), stack
-    best = np.inf
+    if _diagonal_residual(stack) <= tolerances.DIAG_TOL:
+        identity = np.eye(d1, dtype=complex), np.eye(d2, dtype=complex)
+        yield (*identity, _diagonals(stack), stack), None
+        return
     for attempt in range(MAX_PAIR_ATTEMPTS):
-        p, _, q = np.linalg.svd(_random_combination(stack, np.random.default_rng((0, attempt))))
-        rotated = p.conj().T @ stack @ q.conj().T
-        resid = _off_diagonal_residual(rotated)
-        if resid <= tolerances.DIAG_TOL:
-            return p, q, _diagonals(rotated), rotated
-        best = min(best, resid)
-        del rotated  # freed before the next attempt's, and not kept by NoPairFound's traceback
-    # unbound: as a local it would hold this frame in a cycle through its traceback
-    raise NoPairFound(f"no diagonalizing pair after {MAX_PAIR_ATTEMPTS} attempts "
-                      f"(best off-diagonal residual {best:.3e})", best)
+        yield _pair_attempt(stack, attempt)
+
+
+def _first_pair(attempts, best: float = np.inf) -> tuple[tuple | None, float]:
+    """The first pair the attempts find, or None; and the best residual of those that missed."""
+    for pair, residual in attempts:
+        if pair is not None:
+            return pair, best
+        best = min(best, residual())
+    return None, best
+
+
+def _pair_attempt(stack: np.ndarray, attempt: int) -> tuple:
+    """One attempt: its pair (p, q, s, r) and None, or None and its residual's reader.
+
+    The slices are rotated a slab at a time (_rotate_slab), and R is kept
+    only while its slabs pass DIAG_TOL.  A miss stops at its first slab
+    past DIAG_TOL and holds neither a full-size array nor its bases; its
+    residual, the largest off-diagonal magnitude over every slice, is
+    computed only when the function returned is called, which a decision
+    whose cut proves the reject never does.
+    """
+    count, d1, d2 = stack.shape
+    p, q = _attempt_bases(stack, attempt)
+    parts, rotated = _slabs(count, stack.size), None
+    for k, part in enumerate(parts):
+        slab = _rotate_slab(stack, part, p, q)
+        resid = _off_diagonal_residual(slab)
+        if not resid <= tolerances.DIAG_TOL:  # a NaN fails too
+            return None, lambda: _missed_residual(stack, attempt, resid, parts[k + 1:])
+        if rotated is None:
+            rotated = np.empty((d1, count, d2), complex).transpose(1, 0, 2)
+        rotated[part] = slab
+        del slab  # freed before the next slab's products
+    return (p, q, _diagonals(rotated), rotated), None
+
+
+def _attempt_bases(stack: np.ndarray, attempt: int) -> tuple[np.ndarray, np.ndarray]:
+    """The singular bases (P, Q) of attempt's combination, drawn from default_rng((0, attempt))."""
+    p, _, q = np.linalg.svd(_random_combination(stack, np.random.default_rng((0, attempt))))
+    return p, q
+
+
+def _missed_residual(stack: np.ndarray, attempt: int, first: float, rest: list) -> float:
+    """A missed attempt's residual: the largest of first and the slabs' in rest.
+
+    The slabs in rest are rotated by the attempt's bases, drawn again.
+    """
+    bases = _attempt_bases(stack, attempt) if rest else ()
+    return float(np.max([first, *(_off_diagonal_residual(_rotate_slab(stack, part, *bases))
+                                  for part in rest)]))
+
+
+def _rotate_slab(stack: np.ndarray, part: slice, p: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """P+ A_c Q+ for the slices in part, by two mode products, each one matmul.
+
+    The slab, copied as one (d1, slices * d2) matrix, takes P+ on the
+    left, and then, read as (d1 * slices, d2), Q+ on the right, however
+    many slices there are (P+ A_c Q+ groups as a batched matmul over the
+    slices does).  Returns a (slices, d1, d2) view of that array.
+    """
+    _, d1, d2 = stack.shape
+    half = p.conj().T @ stack[part].transpose(1, 0, 2).reshape(d1, -1)
+    return (half.reshape(-1, d2) @ q.conj().T).reshape(d1, -1, d2).transpose(1, 0, 2)
 
 
 def _random_combination(stack: np.ndarray, rng: np.random.Generator) -> np.ndarray:
@@ -278,18 +363,23 @@ def _same_nonzero(first: np.ndarray, spec: np.ndarray, tol: float) -> bool:
 def check_decomposable(state: StateTensor) -> DecomposabilityReport:
     """Decide whether a state on >= 3 subsystems has a joint Schmidt form.
 
-    Decision path: site 1's spectrum agrees with the cut (1, 2)'s at
-    SPECTRA_TOL (a tolerance call, and the walk's first cut), pair
-    search, and a rebuild of the input from the candidate, which accepts
-    within RECONSTRUCT_TOL; rows of S far from orthogonal, a tail vector
-    that is no product, or a later cut whose spectrum differs fail the
-    rebuild.  Every reject then runs the explain pass: the equal-spectra
-    walk (from the cuts already taken, in size order, stopping at the
-    first failing cut), the commutation test, then the rows of S (the
-    pair's, or with no pair one read only then: overlap gives
-    SNotScaledUnitary); the first that fails is the stage reported,
-    else the decision's.  A SpectraUnequal witness is site 1's spectrum
-    and the failing cut's, above SPECTRA_TOL.
+    Decision path: the pair search's fast path or attempt 0, then a
+    rebuild of the input from the candidate, which accepts within
+    RECONSTRUCT_TOL; rows of S far from orthogonal, a tail vector that is
+    no product, or a cut whose spectrum differs fail the rebuild, and an
+    accept computes no reduced spectrum.  When attempt 0 misses, the cuts
+    (1, 2) to (1, n), the explain walk's first n - 1, are compared with
+    site 1 up to the first that differs at SPECTRA_TOL, and that cut
+    rejects if its l1 gap to site 1's zero-padded spectrum exceeds
+    8 sqrt(D) RECONSTRUCT_TOL (no candidate can then pass the gate; see
+    _no_candidate_passes); otherwise attempts 1 to 7 follow, and a pair
+    found goes to the rebuild.  Every reject then runs the explain pass:
+    the equal-spectra walk (from the cuts already taken, in size order,
+    stopping at the first failing cut), the commutation test, then the
+    rows of S (the pair's, or with no pair one read only then: overlap
+    gives SNotScaledUnitary); the first that fails is the stage
+    reported, else the decision's.  A SpectraUnequal witness is site 1's
+    spectrum and the failing cut's, above SPECTRA_TOL.
     An accept's max_commutator is the commutation test of the pair's
     rotated stack R, read before the gate so that R is gone when the
     rebuild is formed; a reject's is that of the raw stack.
@@ -318,15 +408,17 @@ def check_decomposable(state: StateTensor) -> DecomposabilityReport:
         return DecomposabilityReport(False, stage, witness, {**residuals, **found},
                                      tolerances_used=used)
 
-    if not _same_nonzero(_cut(state, cuts, (1,)), _cut(state, cuts, (1, 2)),
-                         tolerances.SPECTRA_TOL):
-        return reject({})
-
-    try:
-        p, q, s, rotated = find_diagonalizing_pair(stack)
-    except NoPairFound as err:
-        residuals["max_off_diagonal"] = err.residual
-        return reject({"max_off_diagonal": err.residual})
+    attempts = _pair_attempts(stack)
+    pair, residual = next(attempts)  # the fast path's pair, or attempt 0's
+    if pair is None:
+        if _no_candidate_passes(state, cuts):
+            return reject({})
+        pair, best = _first_pair(attempts, residual())
+    if pair is None:
+        residuals["max_off_diagonal"] = best
+        return reject({"max_off_diagonal": best})
+    p, q, s, rotated = pair
+    del pair  # so that del rotated below frees R
 
     # S's verdict does not gate: the rebuild decides, and a reject reads it
     scaled = scaled_unitary_check(s)
@@ -344,6 +436,30 @@ def check_decomposable(state: StateTensor) -> DecomposabilityReport:
         # the explain pass names the stage, S's if its rows overlap
         return reject({"reconstruction": resid}, scaled)
     return DecomposabilityReport(True, None, {}, residuals, candidate, used)
+
+
+def _no_candidate_passes(state: StateTensor, cuts: dict) -> bool:
+    """Does a cut (1, k) prove that no candidate can pass the rebuild gate?
+
+    The cuts (1, 2) to (1, n), the explain walk's first n - 1 in its
+    order, are computed into cuts up to the first whose spectrum differs
+    from site 1's at SPECTRA_TOL.  That cut proves it when the l1 gap
+    between the two spectra, zero-padded, exceeds 8 sqrt(D)
+    RECONSTRUCT_TOL, D the total dimension: a candidate passes only
+    within sqrt(D) RECONSTRUCT_TOL of the input in 2-norm, every cut
+    spectrum of a unit decomposable state is one zero-padded list, and
+    by the Lidskii-Mirsky inequality two cuts of a state within delta of
+    one are at most 4 delta apart in l1 (a further factor 2 is slack for
+    families only within ORTH_TOL of orthonormal).
+    """
+    reference = _cut(state, cuts, (1,))
+    for k in range(2, state.subsystem_count + 1):
+        spec = _cut(state, cuts, (1, k))  # never shorter than site 1's
+        if not _same_nonzero(reference, spec, tolerances.SPECTRA_TOL):
+            gap = np.abs(spec[:reference.size] - reference).sum() + spec[reference.size:].sum()
+            bound = 8 * np.sqrt(state.total_dim) * tolerances.RECONSTRUCT_TOL  # see above
+            return bool(gap > bound)
+    return False
 
 
 def _assemble(state: StateTensor, p: np.ndarray, q: np.ndarray, s: np.ndarray,

@@ -204,7 +204,7 @@ class DensityMatrix:
             raise NotPSD(f"matrix is not Hermitian (residual {herm:.3e})")
         trace = entries.trace()
         if not abs(trace - 1.0) <= tolerances.NORM_TOL:
-            raise DimensionMismatch(f"trace {complex(trace)} is not 1")
+            raise NotNormalizable(f"trace {complex(trace)} is not 1 within {tolerances.NORM_TOL}")
         low = np.linalg.eigvalsh(entries).min()
         if not low >= -tolerances.PSD_TOL:
             raise NotPSD(f"eigenvalue {low:.3e} below -{tolerances.PSD_TOL}")

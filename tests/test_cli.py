@@ -177,6 +177,21 @@ def test_container_errors_show_plain_numbers(tmp_path, capsys, verb, body, shown
     assert shown in err and "np." not in err
 
 
+@pytest.mark.parametrize("entries, error", [
+    ("[[0.6, 0], [0, 0], [0, 0], [0.5, 0]]", "NotNormalizable"),
+    ("[[0.5, 0], [0.1, 0], [0, 0], [0.5, 0]]", "NotPSD"),
+], ids=["trace", "hermiticity"])
+def test_density_file_with_fine_dims_is_refused_by_its_fault(tmp_path, capsys, entries, error):
+    # dims [2] and a 2x2 matrix agree: a trace off 1 is a normalisation
+    # fault and a matrix that is not Hermitian a positivity one, and
+    # neither is named DimensionMismatch
+    path = tmp_path / "rho.json"
+    path.write_text(f'{{"version": 1, "dims": [2], "entries": {entries}}}')
+    code, out, err = run(capsys, "purify", str(path))
+    assert code == 2 and out == ""
+    assert err.startswith(f"error: {error}: ")
+
+
 def test_check_output_is_deterministic(tmp_path, capsys):
     w = write_fixture(tmp_path, "w", w_state())
     _, first, _ = run(capsys, "check", w)

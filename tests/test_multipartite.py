@@ -56,6 +56,7 @@ from schmidtkit.multipartite import (
 from commute_oracle import commutator_eigenbasis, commutator_pairwise
 from phase_oracle import phase_fix_row
 from spectra_oracle import all_cuts_with_first, svd_spectrum
+from state_corpus import ghz_w_mixture, swap_symmetric_state, w_qubits
 
 RT2 = 1.0 / np.sqrt(2.0)
 RT3 = 1.0 / np.sqrt(3.0)
@@ -184,14 +185,27 @@ def test_find_pair_rejects_w():
     assert err.value.residual > 1e-3
 
 
+def mode_product_rotation(stack, p, q):
+    """P+ A_c Q+ for every slice, as two mode products, each one matmul.
+
+    The stack read as one (d1, C * d2) matrix takes P+ on the left, then
+    as (d1 * C, d2) Q+ on the right.
+    """
+    count, d1, d2 = stack.shape
+    half = p.conj().T @ stack.transpose(1, 0, 2).reshape(d1, -1)
+    return (half.reshape(-1, d2) @ q.conj().T).reshape(d1, count, d2).transpose(1, 0, 2)
+
+
 @pytest.mark.parametrize("dims", [(3, 3, 3), (2, 3, 4), (2, 2, 2, 2)], ids=str)
 def test_find_pair_hands_over_checked_diagonals(dims):
     # R is exactly the rotated stack the pair search checked and S its
-    # diagonals, so R's off-diagonals are within diag_tol
+    # diagonals, so R's off-diagonals are within diag_tol; each slice of R
+    # is P+ A_c Q+ to rounding
     stack = slice_tensor(random_decomposable_state(dims, 2, seed=4))
     p, q, s, r = find_diagonalizing_pair(stack)
-    rotated = p.conj().T @ stack @ q.conj().T
+    rotated = mode_product_rotation(stack, p, q)
     assert np.array_equal(r, rotated)
+    assert np.abs(rotated - p.conj().T @ stack @ q.conj().T).max() <= 1e-15
     assert np.array_equal(s, np.diagonal(rotated, axis1=1, axis2=2).T)
     off = rotated.copy()
     off[:, np.arange(min(dims[:2])), np.arange(min(dims[:2]))] = 0.0
@@ -438,6 +452,22 @@ def test_local_unitary_link_refusals():
         local_unitary_link(ghz(4), phi)
 
 
+def test_local_unitary_link_checks_the_mapped_source():
+    # a band state linked to itself under Haar unitaries: both sides
+    # accept and their coefficients agree to rounding, but each rebuilds
+    # its state only within RECONSTRUCT_TOL, and the mapped source misses
+    # the target by 1.6e-8, between LINK_TOL and 3 LINK_TOL, entry by entry
+    source = eps_band_state((3, 3, 3), 2e-8, 36)
+    rng = np.random.default_rng(1036)
+    target = apply_local_unitaries(source, [haar_unitary(3, rng) for _ in range(3)])
+    reports = [check_decomposable(state) for state in (target, source)]
+    assert all(rep.decomposable for rep in reports)
+    ct, cs = (rep.decomposition.coefficients for rep in reports)
+    assert ct.size == cs.size and np.abs(ct - cs).max() <= 1e-15
+    with pytest.raises(DifferentStates, match=r"residual 1\.6\d+e-08"):
+        local_unitary_link(target, source)
+
+
 LINK_ZERO_TOL = """
 from schmidtkit import DifferentStates, local_unitary_link, random_decomposable_state
 from schmidtkit import tolerances
@@ -639,10 +669,10 @@ def test_large_haar_reject_work_is_independent_of_subset_count():
 
 
 def test_accept_and_reject_do_no_table_work_twice(monkeypatch):
-    # an accept compares site 1's spectrum with the cut (1, 2)'s only and
-    # never builds the table; a reject builds it from the cuts already
-    # taken, so no cut is computed twice, and stops at the first failing
-    # cut: Haar fails at (1, 2), the walk's first cut, and computes two
+    # an accept found at attempt 0 computes no cut and never builds the
+    # table; a reject builds it from the cuts already taken, so no cut is
+    # computed twice, and stops at the first failing cut: Haar misses
+    # attempt 0 and fails at (1, 2), the walk's first cut, and computes two
     calls = []
     real_spectra = multipartite.spectra
 
@@ -658,7 +688,7 @@ def test_accept_and_reject_do_no_table_work_twice(monkeypatch):
         patch.setattr(multipartite, "equal_spectra_check", no_table)
         rep = check_decomposable(random_decomposable_state((2,) * 6, 2, seed=1))
     assert rep.decomposable
-    assert calls == [(1,), (1, 2)]
+    assert calls == []
     for dims in ((3, 3, 3), (2,) * 6):
         calls.clear()
         rep = check_decomposable(haar_random_state(dims, seed=4))
@@ -742,13 +772,14 @@ def test_accept_reads_commutator_from_pair_rotation(build, monkeypatch):
     # the accept's one commute test gets the rotated stack the pair search
     # checked; its products are diagonal already, so nothing is rotated
     pairs, received, rotations = [], [], []
-    real_pair = multipartite.find_diagonalizing_pair
+    real_attempts = multipartite._pair_attempts
     real_commute = multipartite.positive_products_commute
     real_rotate = multipartite._rotate_to_combination
 
-    def pair(stack):
-        pairs.append(real_pair(stack))
-        return pairs[-1]
+    def attempts(stack):
+        for pair, resid in real_attempts(stack):
+            pairs.extend([pair] if pair is not None else [])
+            yield pair, resid
 
     def commute(stack):
         received.append(stack)
@@ -758,7 +789,7 @@ def test_accept_reads_commutator_from_pair_rotation(build, monkeypatch):
         rotations.append(family.shape)
         return real_rotate(family)
 
-    monkeypatch.setattr(multipartite, "find_diagonalizing_pair", pair)
+    monkeypatch.setattr(multipartite, "_pair_attempts", attempts)
     monkeypatch.setattr(multipartite, "positive_products_commute", commute)
     monkeypatch.setattr(multipartite, "_rotate_to_combination", rotate)
     rep = check_decomposable(build())
@@ -855,11 +886,6 @@ def symmetric_state(dims, seed):
     return StateTensor(dims, flat / np.linalg.norm(flat))
 
 
-def ghz_w_mixture(angle):
-    amps = np.cos(angle) * ghz(3).amplitudes + np.sin(angle) * w_state().amplitudes
-    return StateTensor((2, 2, 2), amps / np.linalg.norm(amps))
-
-
 SPECTRA_REPORT = ("SpectraUnequal", {"spectra"}, set())
 COMMUTE_REPORT = ("SlicesNotSimultaneouslyDiagonalizable",
                   {"max_commutator"}, {"max_commutator"})
@@ -915,13 +941,6 @@ def test_rebuild_alone_decides_when_s_rows_overlap(dims, seed):
     assert rep.decomposable and rep.stage is None
     resid = np.abs(einsum_rebuild(rep.decomposition) - state.amplitudes).max()
     assert resid <= tolerances.RECONSTRUCT_TOL
-
-
-def w_qubits(n):
-    """W on n qubits: equal weight on the n single-excitation basis states."""
-    amps = np.zeros(2 ** n)
-    amps[[2 ** k for k in range(n)]] = 1.0 / np.sqrt(n)
-    return StateTensor((2,) * n, amps)
 
 
 EXPLAIN_CASES = {
@@ -990,29 +1009,22 @@ def test_spectra_reject_stops_at_first_failing_cut(build, monkeypatch):
     assert_deciding_cut(state, witness_table(rep))
 
 
-def swap_symmetric_state(dims, seed, site=2):
-    """A Haar state plus its swap of sites 1 and site, normalised: those two agree."""
-    tensor = haar_random_state(dims, seed).tensor()
-    flat = (tensor + np.swapaxes(tensor, 0, site - 1)).reshape(-1)
-    return StateTensor(dims, flat / np.linalg.norm(flat))
-
-
 def w3_padded(n):
     """W_3 on the first three of n qubits, the others in |0>."""
     return StateTensor((2,) * n, np.kron(w_state().amplitudes, np.eye(2 ** (n - 3))[0]))
 
 
-def count_pair_searches(monkeypatch):
-    """The stack shape of each find_diagonalizing_pair call check_decomposable makes."""
-    searched = []
-    real = multipartite.find_diagonalizing_pair
+def count_pair_attempts(monkeypatch):
+    """The number k of each pair attempt check_decomposable makes, in order."""
+    attempts = []
+    real = multipartite._pair_attempt
 
-    def pair(stack):
-        searched.append(stack.shape)
-        return real(stack)
+    def attempt(stack, k):
+        attempts.append(k)
+        return real(stack, k)
 
-    monkeypatch.setattr(multipartite, "find_diagonalizing_pair", pair)
-    return searched
+    monkeypatch.setattr(multipartite, "_pair_attempt", attempt)
+    return attempts
 
 
 @pytest.mark.parametrize("build", [
@@ -1023,12 +1035,13 @@ def count_pair_searches(monkeypatch):
         "swap12-32x3"])
 def test_reject_at_the_first_cut_runs_no_pair_search(build, monkeypatch):
     # site 1 differs from the cut (1, 2), sites 3..n, for W_n and for states
-    # whose sites 1 and 2 agree: the decision rejects there with no pair
-    # search, and the report is the one a walk from no cuts gives
+    # whose sites 1 and 2 agree: after attempt 0 misses, the decision
+    # rejects there with no further attempt, and the report is the one a
+    # walk from no cuts gives
     state = build()
-    searched = count_pair_searches(monkeypatch)
+    attempts = count_pair_attempts(monkeypatch)
     rep = check_decomposable(state)
-    assert searched == []
+    assert attempts == [0]
     ok, table = equal_spectra_check(state)
     assert not ok and list(table)[1] == (1, 2)
     assert (rep.stage, rep.witness, rep.residuals, rep.decomposition) == (
@@ -1045,16 +1058,16 @@ def test_reject_at_the_first_cut_runs_no_pair_search(build, monkeypatch):
 ], ids=["bell13-0-222", "swap13-222", "swap13-333"])
 def test_cuts_after_the_first_are_left_to_rebuild_and_table(build, monkeypatch):
     # site 1 agrees with the cut (1, 2), site 3 at n = 3, and not with the
-    # cut (1, 3), site 2: the decision compares only the first, goes on to
-    # the pair search and rejects; the explain walk then finds the failing
-    # cut, so the stage is still SpectraUnequal
+    # cut (1, 3), site 2: after attempt 0 misses, the decision's walk passes
+    # the first and rejects at the second, with no further attempt; the
+    # explain walk then stops at the same cut, so the stage is SpectraUnequal
     state = build()
     site1, tol = spectra(state, (1,)), tolerances.SPECTRA_TOL
     assert multipartite._same_nonzero(site1, spectra(state, (1, 2)), tol)
     assert not multipartite._same_nonzero(site1, spectra(state, (1, 3)), tol)
-    searched = count_pair_searches(monkeypatch)
+    attempts = count_pair_attempts(monkeypatch)
     rep = check_decomposable(state)
-    assert searched
+    assert attempts == [0]
     assert rep.stage == "SpectraUnequal" and rep.decomposition is None
     # the witness is the one a walk from no cuts finds: site 1 and the deciding cut
     ok, table = equal_spectra_check(state)
@@ -1066,10 +1079,11 @@ def test_cuts_after_the_first_are_left_to_rebuild_and_table(build, monkeypatch):
 @pytest.mark.parametrize("dims", [(2, 2, 2, 2), (3, 3, 3)], ids=str)
 def test_no_pair_reject_reads_s_only_when_the_report_shows_it(dims, monkeypatch):
     # site 1 and the cut (1, 2) agree for these states (W_3 and |0>, and a
-    # 1<->3-symmetric state), no pair is found for them, and the explain
-    # walk rejects them at a later cut: S, whose read rotates the whole
-    # product family, is never read, because the report would not show it
-    # (W reads it once, test_w_reject_rotations_pinned)
+    # 1<->3-symmetric state), no pair is found for them, and they are
+    # rejected at a later cut, W_3 and |0> after all eight attempts, the
+    # other at (1, 3) after one: S, whose read rotates the whole product
+    # family, is never read, because the report would not show it (W
+    # reads it once, test_w_reject_rotations_pinned)
     calls = []
     real = multipartite._rotate_to_combination
 
@@ -1081,9 +1095,9 @@ def test_no_pair_reject_reads_s_only_when_the_report_shows_it(dims, monkeypatch)
     state = w3_padded(4) if len(dims) == 4 else swap_symmetric_state(dims, 7, site=3)
     with pytest.raises(NoPairFound):
         find_diagonalizing_pair(slice_tensor(state))
-    searched = count_pair_searches(monkeypatch)
+    attempts = count_pair_attempts(monkeypatch)
     rep = check_decomposable(state)
-    assert searched and rep.stage == "SpectraUnequal"
+    assert attempts == list(range(8 if len(dims) == 4 else 1)) and rep.stage == "SpectraUnequal"
     assert calls == []
 
 
@@ -1114,10 +1128,10 @@ def test_s_read_and_rejects_stay_behind_the_explain_checks():
 
 
 def test_rebuild_is_the_only_gate_after_a_pair():
-    # check_decomposable rejects only where the cut (1, 2)'s spectrum
-    # differs from site 1's, where no pair is found and where the rebuild
-    # misses; S's verdict is read once on the way to the rebuild and once
-    # in reject
+    # check_decomposable rejects only where a cut (1, k) proves that no
+    # candidate passes (asked only after attempt 0 misses), where no pair
+    # is found and where the rebuild misses; S's verdict is read once on
+    # the way to the rebuild and once in reject
     tree = ast.parse(Path(multipartite.__file__).read_text())
     decide = next(node for node in tree.body if isinstance(node, ast.FunctionDef)
                   and node.name == "check_decomposable")
@@ -1142,8 +1156,8 @@ def test_rebuild_is_the_only_gate_after_a_pair():
 
     visit(decide, "check_decomposable", None)
     assert len(gates) == 3 and all(returned for _, returned in gates)
-    assert gates[0][0].startswith("not _same_nonzero(")
-    assert gates[1][0] == "NoPairFound"
+    assert gates[0][0] == "_no_candidate_passes(state, cuts)"
+    assert gates[1][0] == "pair is None"
     assert gates[2][0] == "not resid <= tolerances.RECONSTRUCT_TOL"
     assert sorted(checks) == ["check_decomposable", "check_decomposable.reject"]
 
@@ -1355,10 +1369,11 @@ def test_no_pair_reject_holds_nothing_for_the_cyclic_gc(monkeypatch):
     # NoPairFound is raised unbound: bound to a local of the pair search
     # it made a cycle (frame, error, traceback, frame) that kept
     # check_decomposable's frame and its cuts until the cyclic GC ran:
-    # 0.26 times a W_14 state's bytes.  W_3 and |0> on 14 qubits passes
-    # the (1, 2) comparison, finds no pair and rejects at (1, 2, 3)
+    # 0.26 times a W_14 state's bytes.  W_3 and |0> on 14 qubits agrees
+    # with site 1 on every cut (1, k), finds no pair in eight attempts and
+    # rejects at (1, 2, 3)
     state = w3_padded(14)
-    searched = count_pair_searches(monkeypatch)
+    attempts = count_pair_attempts(monkeypatch)
     check_decomposable(state)  # warm every lazy cache
     enabled, tracing = gc.isenabled(), tracemalloc.is_tracing()
     gc.disable()
@@ -1372,35 +1387,41 @@ def test_no_pair_reject_holds_nothing_for_the_cyclic_gc(monkeypatch):
             tracemalloc.stop()
         if enabled:
             gc.enable()
-    assert len(searched) == 2 and rep.stage == "SpectraUnequal"
+    assert attempts == 2 * list(range(8)) and rep.stage == "SpectraUnequal"
     assert list(rep.witness["spectra"]) == ["1", "1,2,3"]
     assert retained <= 0.02 * state.amplitudes.nbytes
 
 
 def test_pair_search_frees_each_failed_rotation(monkeypatch):
-    # a 1<->3-symmetric Haar state passes the (1, 2) comparison and fails
-    # all eight pair attempts; a failed attempt's rotated stack is freed
-    # before the next attempt and before NoPairFound keeps the frame (4.15
-    # times the state's bytes while both stayed; 3.15 times while the
-    # no-pair branch still rotated the whole product family before the
-    # explain pass)
+    # a 1<->3-symmetric Haar state fails all eight pair attempts; each
+    # rotates a slab of slices at a time and keeps no rotated slab once one
+    # misses, so the search holds no full-size array (4.15 times the
+    # state's bytes while a failed attempt's whole rotated stack stayed
+    # until the next; 3.15 times while the no-pair branch still rotated
+    # the whole product family before the explain pass).  The decision
+    # makes one attempt and rejects at (1, 3)
     state = swap_symmetric_state((32, 32, 32), 2, site=3)
-    with pytest.raises(NoPairFound):
-        find_diagonalizing_pair(slice_tensor(state))
-    searched = count_pair_searches(monkeypatch)
+
+    def search(stack):
+        with pytest.raises(NoPairFound):
+            find_diagonalizing_pair(stack)
+
+    _, peak = traced_peak(search, slice_tensor(state))
+    assert peak <= 1.1 * state.amplitudes.nbytes
+    attempts = count_pair_attempts(monkeypatch)
     rep, peak = traced_peak(check_decomposable, state)
-    assert searched and rep.stage == "SpectraUnequal"
+    assert attempts == [0, 0] and rep.stage == "SpectraUnequal"
     assert peak <= 3.25 * state.amplitudes.nbytes
 
 
 def test_symmetric_reject_peaks_at_the_pair_search(monkeypatch):
-    # the explain walk rejects this 1<->3-symmetric state before S is
-    # read, so its peak is the pair search's rotation, as for the
+    # this 1<->3-symmetric state is rejected at (1, 3) before S is read,
+    # so its peak is a cut's or the pair search's rotation, as for the
     # (32,32,32) accept (3.15 times the state's bytes while S was read first)
     state = swap_symmetric_state((32, 32, 32), 2, site=3)
-    searched = count_pair_searches(monkeypatch)
+    attempts = count_pair_attempts(monkeypatch)
     rep, peak = traced_peak(check_decomposable, state)
-    assert searched and rep.stage == "SpectraUnequal"
+    assert attempts == [0, 0] and rep.stage == "SpectraUnequal"
     assert peak <= 2.25 * state.amplitudes.nbytes
 
 

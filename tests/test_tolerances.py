@@ -271,12 +271,24 @@ def spectra_apart(q: float) -> StateTensor:
     return StateTensor((2, 2, 3), amps.reshape(-1))
 
 
-def searches_for_a_pair(state: StateTensor) -> bool:
-    """Does check_decomposable(state) pass its spectra early-out?"""
-    with mock.patch.object(multipartite, "find_diagonalizing_pair",
-                           wraps=multipartite.find_diagonalizing_pair) as search:
+def cuts_before_the_second_attempt(state: StateTensor) -> list[tuple[int, ...]]:
+    """The cuts check_decomposable(state) computes before pair attempt 1, none if it makes none."""
+    computed, seen = [], []
+    spectra, attempt = multipartite.spectra, multipartite._pair_attempt
+
+    def counting(state, keep):
+        computed.append(tuple(keep))
+        return spectra(state, keep)
+
+    def marking(stack, k):
+        if k == 1:
+            seen.extend(computed)
+        return attempt(stack, k)
+
+    with mock.patch.object(multipartite, "spectra", counting), \
+            mock.patch.object(multipartite, "_pair_attempt", marking):
         check_decomposable(state)
-    return search.called
+    return seen
 
 
 def two_term_purification(angle: float) -> Purification:
@@ -291,7 +303,7 @@ BOUNDARIES = {
     "state-norm": ("NORM_TOL", lambda q: holds(
         lambda: StateTensor((2,), [1.0 + q, 0.0]), NotNormalizable)),
     "density-trace": ("NORM_TOL", lambda q: holds(
-        lambda: DensityMatrix((2,), np.diag([0.5 + q, 0.5])), DimensionMismatch)),
+        lambda: DensityMatrix((2,), np.diag([0.5 + q, 0.5])), NotNormalizable)),
     "density-hermiticity": ("NORM_TOL", lambda q: holds(
         lambda: DensityMatrix((2,), [[0.5, abs(q)], [0.0, 0.5]]), NotPSD)),
     "repair-window": ("REPAIR_WINDOW", lambda q: holds(
@@ -328,9 +340,12 @@ BOUNDARIES = {
     "spectra-count": ("SPECTRA_TOL", lambda q: equal_spectra_check(ghz(3), cuts={
         (1,): np.array([0.5, 0.5]), (1, 2): np.array([0.5, 0.5, abs(q), 0.0]),
         (1, 3): np.array([0.5, 0.5, 0.0, 0.0])})[0]),
-    # the decision's early-out: site 1 against the cut (1, 2), whose
-    # complement is site 3
-    "spectra-early-out": ("SPECTRA_TOL", lambda q: searches_for_a_pair(spectra_apart(abs(q)))),
+    # the decision's walk after attempt 0 misses (no pair fits these
+    # slices): site 1 against the cut (1, 2), whose complement is site 3.
+    # Within it the walk goes on to (1, 3); past it the walk stops there,
+    # and the gap, 2q in l1, is far too small to prove a reject
+    "spectra-early-out": ("SPECTRA_TOL", lambda q: (1, 3) in cuts_before_the_second_attempt(
+        spectra_apart(abs(q)))),
     # absolute on the slices: within it the identity pair, past it a rotation
     "pair-fast-path": ("DIAG_TOL", lambda q: np.array_equal(
         find_diagonalizing_pair(np.array([[[0.8, abs(q)], [0.0, 0.6]]]))[0], np.eye(2))),
@@ -345,6 +360,11 @@ BOUNDARIES = {
     "link-purifications": ("LINK_TOL", lambda q: holds(
         lambda: linking_unitary(two_term_purification(0.6), two_term_purification(0.6 + q)),
         DifferentStates)),
+    # the certificate, at 8 sqrt(D) times it in l1: the cut (1, 2) of
+    # spectra_apart(x) is 2x from site 1's, so the walk's reject is proved
+    # past it, and within it attempts 1 to 7 follow (D = 12)
+    "spectra-certificate": ("RECONSTRUCT_TOL", lambda q: bool(cuts_before_the_second_attempt(
+        spectra_apart(4 * np.sqrt(12) * abs(q))))),
     # the rebuild misses the tails' second terms, 0.8 eps apart
     "reconstruct": ("RECONSTRUCT_TOL", lambda q: check_decomposable(
         near_product_tail(abs(q) / 0.8)).decomposable),
@@ -431,8 +451,7 @@ def test_no_array_wide_call_in_a_loop_under_src():
 # only these functions build a Generator, nothing under src/ touches any
 # other numpy.random member (a global draw, RandomState, a bit generator),
 # and only the state and decomposition generators take a seed
-RNG_OWNERS = {"random_decomposition", "haar_random_state", "find_diagonalizing_pair",
-              "_commute_weights"}
+RNG_OWNERS = {"random_decomposition", "haar_random_state", "_attempt_bases", "_commute_weights"}
 SEEDED = {"random_decomposition", "random_decomposable_state", "haar_random_state"}
 
 
