@@ -32,14 +32,6 @@ class TooManySubsystems(SchmidtError):
     """Subsystem count exceeds the supported solver range."""
 
 
-class NoPairFound(SchmidtError):
-    """No unitary pair renders every slice diagonal after all retries."""
-
-    def __init__(self, message: str, residual: float):
-        super().__init__(message)
-        self.residual = residual  # the best off-diagonal residual seen
-
-
 class RankTooLarge(SchmidtError):
     """Requested Schmidt rank exceeds the smallest subsystem dimension."""
 

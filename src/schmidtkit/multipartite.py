@@ -5,39 +5,14 @@ sum_l c_l |l_1>|l_2>...|l_n> with one orthonormal family per subsystem.
 Unlike the bipartite case this is a real property: the W state has no
 such form while GHZ states do.
 
-The decision runs one code path for every n >= 3.  The amplitude tensor
-is viewed as one (C, d1, d2) array, the stack of matrices A_c (rows =
-subsystem 1, columns = subsystem 2, one slice per grouped index c of
-subsystems 3..n); the search for a unitary pair (P, Q) making every
-R_c = P+ A_c Q+ diagonal within DIAG_TOL returns the tuple (P, Q, S, R),
-S being the diagonals of R it checked, the coefficient matrix: the
-identity pair when the slices are diagonal already, else the first of up
-to MAX_PAIR_ATTEMPTS = 8 attempts within DIAG_TOL, each one SVD of a
-seeded complex combination of the slices and two mode products a slab
-of slices at a time.  The Gram matrix S S+ gives the coefficients, the
-row norms of S; each normalised row, a tail vector, is split into one
-vector per tail subsystem.  The candidate is accepted only if it
-rebuilds the input within RECONSTRUCT_TOL, which also settles that the
-rows of S are near orthogonal, the tail vectors products, the tail
-families orthonormal and the cuts' spectra equal: the accept is its own
-proof, computes no reduced spectrum when the fast path or attempt 0
-finds its pair, and reads its max_commutator from R R+ and R+ R, with
-no eigensolve when they are diagonal.  Only when attempt 0 misses are
-spectra compared, before attempts 1 to 7: the cuts (1, 2) to (1, n), in
-the explain walk's order, up to the first that differs from site 1's at
-SPECTRA_TOL; that cut rejects when its l1 gap to site 1's spectrum
-exceeds 8 sqrt(D) RECONSTRUCT_TOL, a proof that no candidate passes the
-gate (D the total dimension).  A reject is explained by the necessary
-conditions, run only then: the spectra walk by cut size, stopped at the
-first cut whose nonzero spectrum differs from site 1's (the two spectra
-are its witness), the commutation of the positive products
-C_c = A_c A_c+ (and A_c+ A_c), tested in the eigenbasis P of one
-combination of them unless already diagonal, and the orthogonality of
-the rows of S: the pair's, or with no pair S[l][c] = sqrt((P+ C_c P)_ll)
-read there (W's rows overlap).  The walk reuses every cut the decision
-took.  A reject whose cuts (1, k) all agree with site 1, or whose first
-differing one proves nothing, makes all eight attempts before its walk,
-and one whose spectra all agree still computes every cut.
+The decision runs one code path for every n >= 3, on the amplitude
+tensor viewed as one (C, d1, d2) array, the stack of matrices A_c (rows
+= subsystem 1, columns = subsystem 2, one slice per grouped index c of
+subsystems 3..n).  check_decomposable's docstring states the order of
+its steps: the search for a unitary pair (P, Q) making every
+R_c = P+ A_c Q+ diagonal, the rebuild that accepts, the certificate
+read from the cuts' spectra, and the explain pass that names a
+reject's stage.
 """
 
 from __future__ import annotations
@@ -54,7 +29,6 @@ from .errors import (
     DifferentStates,
     DimensionMismatch,
     InvalidArgs,
-    NoPairFound,
     NotDecomposable,
     RankTooLarge,
     TooFewSubsystems,
@@ -66,10 +40,7 @@ from .bipartite import _spectra_doc, spectra
 
 __all__ = [
     "DecomposabilityReport",
-    "slice_tensor",
     "positive_products_commute",
-    "find_diagonalizing_pair",
-    "scaled_unitary_check",
     "equal_spectra_check",
     "check_decomposable",
     "random_decomposition",
@@ -106,16 +77,13 @@ class DecomposabilityReport:
         return "Decomposable" if self.decomposable else "NotDecomposable"
 
 
-def slice_tensor(state: StateTensor) -> np.ndarray:
-    """Slice a state on >= 3 subsystems into its matrix stack.
+def _slice_tensor(state: StateTensor) -> np.ndarray:
+    """The matrix stack of a state on >= 3 subsystems.
 
     Returns a (C, d1, d2) view of the amplitudes, C = d3*...*dn, with no
     copy: stack[c][i][j] is the amplitude at (i, j, c), so rows follow
     subsystem 1, columns subsystem 2, and c runs row-major over 3..n.
     """
-    n = state.subsystem_count
-    if n < 3:
-        raise TooFewSubsystems(f"need >= 3 subsystems, got {n}")
     d1, d2 = state.dims[:2]
     return state.amplitudes.reshape(d1, d2, -1).transpose(2, 0, 1)
 
@@ -179,64 +147,28 @@ def _commute_weights(count: int) -> np.ndarray:
     return np.random.default_rng(0).uniform(1.0, 2.0, count)
 
 
-def find_diagonalizing_pair(stack: np.ndarray) -> tuple[np.ndarray, ...]:
-    """Search for unitaries (P, Q) with every P+ A_c Q+ diagonal within DIAG_TOL.
+def _fast_pair(stack: np.ndarray) -> tuple | None:
+    """The identity pair (p, q, s, r) when every slice is diagonal within DIAG_TOL, else None.
 
-    Returns the tuple (p, q, s, r): r is the rotated stack it checked,
-    R_c = P+ A_c Q+, and s its diagonals, S[l][c] = (R_c)_ll.  Fast
-    path: slices already diagonal give the identity pair and r is the
-    stack itself (GHZ-type states).  Otherwise up to MAX_PAIR_ATTEMPTS
-    attempts, each one full SVD of a random complex combination
-    B = sum_c r_c A_c, attempt k drawing r from the fixed stream
-    default_rng((0, k)); the first whose singular bases leave every
-    slice diagonal within DIAG_TOL wins.  For a decomposable state, with
-    tail vectors t_l, B's singular values are c_l |sum_c r_c t_lc|,
-    distinct for almost every draw, and a small gap between two of them
-    tilts their vectors by only about machine epsilon * sigma_max / gap.
-    Raises NoPairFound (with the best residual seen) when all fail.
+    The slices are read a slab at a time, up to the first slab past
+    DIAG_TOL (GHZ-type states pass); r is the stack itself.
     """
-    pair, best = _first_pair(_pair_attempts(stack))
-    if pair is None:  # raised unbound: a local would keep this frame in a cycle
-        raise NoPairFound(f"no diagonalizing pair after {MAX_PAIR_ATTEMPTS} attempts "
-                          f"(best off-diagonal residual {best:.3e})", best)
-    return pair
-
-
-def _pair_attempts(stack: np.ndarray):
-    """The pair search's steps: yields (pair, None) on a find, else (None, residual).
-
-    The fast path's identity pair when every slice is diagonal within
-    DIAG_TOL (read a slab of slices at a time, up to the first slab
-    past it), and nothing more; else each attempt in turn.  A miss's
-    residual is a function that computes it (_pair_attempt).
-    """
+    if not _diagonal_residual(stack) <= tolerances.DIAG_TOL:  # a NaN fails too
+        return None
     _, d1, d2 = stack.shape
-    if _diagonal_residual(stack) <= tolerances.DIAG_TOL:
-        identity = np.eye(d1, dtype=complex), np.eye(d2, dtype=complex)
-        yield (*identity, _diagonals(stack), stack), None
-        return
-    for attempt in range(MAX_PAIR_ATTEMPTS):
-        yield _pair_attempt(stack, attempt)
-
-
-def _first_pair(attempts, best: float = np.inf) -> tuple[tuple | None, float]:
-    """The first pair the attempts find, or None; and the best residual of those that missed."""
-    for pair, residual in attempts:
-        if pair is not None:
-            return pair, best
-        best = min(best, residual())
-    return None, best
+    return np.eye(d1, dtype=complex), np.eye(d2, dtype=complex), _diagonals(stack), stack
 
 
 def _pair_attempt(stack: np.ndarray, attempt: int) -> tuple:
-    """One attempt: its pair (p, q, s, r) and None, or None and its residual's reader.
+    """One attempt: its pair (p, q, s, r) and None, or None and its miss.
 
-    The slices are rotated a slab at a time (_rotate_slab), and R is kept
-    only while its slabs pass DIAG_TOL.  A miss stops at its first slab
-    past DIAG_TOL and holds neither a full-size array nor its bases; its
-    residual, the largest off-diagonal magnitude over every slice, is
-    computed only when the function returned is called, which a decision
-    whose cut proves the reject never does.
+    P and Q are the singular bases of a seeded complex combination of the
+    slices (_attempt_bases).  The slices are rotated a slab at a time
+    (_rotate_slab), and R is kept only while its slabs pass DIAG_TOL.  A
+    miss stops at its first slab past DIAG_TOL and holds neither a
+    full-size array nor its bases: it is the plain data (attempt,
+    residual of that slab, slabs not rotated), from which
+    _missed_residual reads the attempt's residual if all attempts miss.
     """
     count, d1, d2 = stack.shape
     p, q = _attempt_bases(stack, attempt)
@@ -245,7 +177,7 @@ def _pair_attempt(stack: np.ndarray, attempt: int) -> tuple:
         slab = _rotate_slab(stack, part, p, q)
         resid = _off_diagonal_residual(slab)
         if not resid <= tolerances.DIAG_TOL:  # a NaN fails too
-            return None, lambda: _missed_residual(stack, attempt, resid, parts[k + 1:])
+            return None, (attempt, resid, parts[k + 1:])
         if rotated is None:
             rotated = np.empty((d1, count, d2), complex).transpose(1, 0, 2)
         rotated[part] = slab
@@ -260,9 +192,11 @@ def _attempt_bases(stack: np.ndarray, attempt: int) -> tuple[np.ndarray, np.ndar
 
 
 def _missed_residual(stack: np.ndarray, attempt: int, first: float, rest: list) -> float:
-    """A missed attempt's residual: the largest of first and the slabs' in rest.
+    """A miss's residual, the largest off-diagonal magnitude over every slice.
 
-    The slabs in rest are rotated by the attempt's bases, drawn again.
+    The largest of first and the residuals of the slabs in rest, which
+    are rotated by the attempt's bases, drawn again: a miss does not hold
+    them while the other attempts and the certificate run.
     """
     bases = _attempt_bases(stack, attempt) if rest else ()
     return float(np.max([first, *(_off_diagonal_residual(_rotate_slab(stack, part, *bases))
@@ -285,7 +219,7 @@ def _rotate_slab(stack: np.ndarray, part: slice, p: np.ndarray, q: np.ndarray) -
 def _random_combination(stack: np.ndarray, rng: np.random.Generator) -> np.ndarray:
     count, d1, d2 = stack.shape
     coeffs = rng.standard_normal(count) + 1j * rng.standard_normal(count)
-    # slice_tensor's stack is a view of (d1, d2, C) amplitudes: no copy
+    # _slice_tensor's stack is a view of (d1, d2, C) amplitudes: no copy
     return (stack.transpose(1, 2, 0).reshape(d1 * d2, count) @ coeffs).reshape(d1, d2)
 
 
@@ -301,7 +235,7 @@ def _diagonals(stack: np.ndarray) -> np.ndarray:
     return np.diagonal(stack, axis1=1, axis2=2).T.copy()
 
 
-def scaled_unitary_check(s: np.ndarray) -> tuple[bool, np.ndarray, float]:
+def _scaled_unitary_check(s: np.ndarray) -> tuple[bool, np.ndarray, float]:
     """Is S a scaled unitary, i.e. are its nonzero rows orthogonal?
 
     Checks that the Gram matrix S S+ is diagonal within DIAG_TOL relative
@@ -363,30 +297,61 @@ def _same_nonzero(first: np.ndarray, spec: np.ndarray, tol: float) -> bool:
 def check_decomposable(state: StateTensor) -> DecomposabilityReport:
     """Decide whether a state on >= 3 subsystems has a joint Schmidt form.
 
-    Decision path: the pair search's fast path or attempt 0, then a
-    rebuild of the input from the candidate, which accepts within
-    RECONSTRUCT_TOL; rows of S far from orthogonal, a tail vector that is
-    no product, or a cut whose spectrum differs fail the rebuild, and an
-    accept computes no reduced spectrum.  When attempt 0 misses, the cuts
-    (1, 2) to (1, n), the explain walk's first n - 1, are compared with
-    site 1 up to the first that differs at SPECTRA_TOL, and that cut
-    rejects if its l1 gap to site 1's zero-padded spectrum exceeds
-    8 sqrt(D) RECONSTRUCT_TOL (no candidate can then pass the gate; see
-    _no_candidate_passes); otherwise attempts 1 to 7 follow, and a pair
-    found goes to the rebuild.  Every reject then runs the explain pass:
-    the equal-spectra walk (from the cuts already taken, in size order,
-    stopping at the first failing cut), the commutation test, then the
-    rows of S (the pair's, or with no pair one read only then: overlap
-    gives SNotScaledUnitary); the first that fails is the stage
-    reported, else the decision's.  A SpectraUnequal witness is site 1's
-    spectrum and the failing cut's, above SPECTRA_TOL.
-    An accept's max_commutator is the commutation test of the pair's
-    rotated stack R, read before the gate so that R is gone when the
-    rebuild is formed; a reject's is that of the raw stack.
+    Raises TooFewSubsystems for fewer.  The decision, in order:
+
+    1. Pair search.  The fast path takes the identity pair when every
+       slice is diagonal within DIAG_TOL (GHZ-type states).  Otherwise
+       up to MAX_PAIR_ATTEMPTS = 8 attempts follow, attempt k one SVD of
+       a complex combination of the slices drawn from the fixed stream
+       default_rng((0, k)), whose singular bases (P, Q) rotate the
+       slices a slab at a time by two mode products.  The first attempt
+       that leaves every R_c = P+ A_c Q+ diagonal within DIAG_TOL gives
+       the pair and S, the diagonals of R: S[l][c] = (R_c)_ll.  For a
+       decomposable state with tail vectors t_l, the combination's
+       singular values are c_l |sum_c r_c t_lc|, distinct for almost
+       every draw, and a small gap between two of them tilts their
+       vectors by only about machine epsilon * sigma_max / gap.
+    2. Certificate, once, when attempt 0 misses, before attempt 1: the
+       cuts (1, 2) to (1, n), the explain walk's first n - 1, are
+       compared with site 1 up to the first that differs at SPECTRA_TOL,
+       and that cut rejects if its l1 gap to site 1's zero-padded
+       spectrum exceeds 8 sqrt(D) RECONSTRUCT_TOL, D the total dimension
+       (no candidate can then pass the gate; see _no_candidate_passes).
+       When all eight attempts miss, the reject's max_off_diagonal is
+       the least of their residuals, each the largest off-diagonal
+       magnitude over every slice under that attempt's bases.
+    3. Rebuild.  The Gram matrix S S+ gives the coefficients, the row
+       norms of S; each normalised row, a tail vector, is split into one
+       vector per tail subsystem (_assemble).  The candidate is accepted
+       only if it rebuilds the input within RECONSTRUCT_TOL, which also
+       settles that the rows of S are near orthogonal, the tail vectors
+       products, the tail families orthonormal and the cuts' spectra
+       equal: the accept is its own proof, and computes no reduced
+       spectrum when the fast path or attempt 0 finds its pair.  Its
+       max_commutator is the commutation test of R (no eigensolve when
+       R R+ and R+ R are diagonal), read before the gate so that R is
+       gone when the rebuild is formed.
+    4. Explain pass, on every reject: the equal-spectra walk (from the
+       cuts already taken, by cut size, stopping at the first whose
+       nonzero spectrum differs from site 1's; site 1's spectrum and that
+       cut's, above SPECTRA_TOL, are the witness), the commutation of
+       the positive products C_c = A_c A_c+ (and A_c+ A_c), then the
+       orthogonality of the rows of S: the pair's, or with no pair
+       S[l][c] = sqrt((P+ C_c P)_ll), P the eigenbasis of one
+       combination of the C_c, read only then.  The first that fails is
+       the stage reported (W's rows of S overlap: SNotScaledUnitary),
+       else the decision's.  A reject's max_commutator is that of the
+       raw stack.
+
+    A reject whose cuts (1, k) all agree with site 1, or whose first
+    differing one proves nothing, makes all eight attempts before its
+    walk, and one whose spectra all agree still computes every cut.
     """
     used = {"rank_tol": tolerances.RANK_TOL, "diag_tol": tolerances.DIAG_TOL,
             "orth_tol": tolerances.ORTH_TOL, "seed": 0}  # the pair search's fixed stream
-    stack = slice_tensor(state)
+    if state.subsystem_count < 3:
+        raise TooFewSubsystems(f"need >= 3 subsystems, got {state.subsystem_count}")
+    stack = _slice_tensor(state)
     residuals: dict[str, float] = {}
     cuts: dict[tuple[int, ...], np.ndarray] = {}
 
@@ -402,26 +367,29 @@ def check_decomposable(state: StateTensor) -> DecomposabilityReport:
                                          tolerances_used=used)
         if scaled is None:  # no pair: S[l][c] = sqrt((P+ C_c P)_ll), C_c = A_c A_c+
             rotated = _rotate_to_combination(_products(stack, False))
-            scaled = scaled_unitary_check(np.sqrt(np.real(_diagonals(rotated)).clip(0.0)))
+            scaled = _scaled_unitary_check(np.sqrt(np.real(_diagonals(rotated)).clip(0.0)))
         ok, gram, _ = scaled
         stage, witness = (STAGE_DIAG, witness) if ok else (STAGE_SCALED, {"ss_dagger": gram})
         return DecomposabilityReport(False, stage, witness, {**residuals, **found},
                                      tolerances_used=used)
 
-    attempts = _pair_attempts(stack)
-    pair, residual = next(attempts)  # the fast path's pair, or attempt 0's
-    if pair is None:
-        if _no_candidate_passes(state, cuts):
+    pair, misses = _fast_pair(stack), []
+    for attempt in range(MAX_PAIR_ATTEMPTS if pair is None else 0):  # none after the fast path's
+        pair, miss = _pair_attempt(stack, attempt)
+        if miss is None:
+            break
+        misses.append(miss)
+        if attempt == 0 and _no_candidate_passes(state, cuts):
             return reject({})
-        pair, best = _first_pair(attempts, residual())
     if pair is None:
-        residuals["max_off_diagonal"] = best
+        best = residuals["max_off_diagonal"] = min(_missed_residual(stack, *miss)
+                                                   for miss in misses)
         return reject({"max_off_diagonal": best})
     p, q, s, rotated = pair
     del pair  # so that del rotated below frees R
 
     # S's verdict does not gate: the rebuild decides, and a reject reads it
-    scaled = scaled_unitary_check(s)
+    scaled = _scaled_unitary_check(s)
     _, gram, residuals["max_ss_off_diagonal"] = scaled
     candidate = _assemble(state, p, q, s, gram, residuals)
     residuals["max_commutator"] = positive_products_commute(rotated)[1]
@@ -464,7 +432,7 @@ def _no_candidate_passes(state: StateTensor, cuts: dict) -> bool:
 
 def _assemble(state: StateTensor, p: np.ndarray, q: np.ndarray, s: np.ndarray,
               gram: np.ndarray, residuals: dict) -> SchmidtDecomposition:
-    """Turn find_diagonalizing_pair's (p, q, s) into a candidate.
+    """Turn the pair search's (p, q, s) into a candidate.
 
     gram is S S+.  The row norms of S (from the Gram diagonal) above
     RANK_TOL, at most min(dims) of them and largest first, give the

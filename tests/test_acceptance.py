@@ -38,7 +38,7 @@ from schmidtkit import (
     w_state,
 )
 from schmidtkit.linalg import haar_unitary
-from schmidtkit.multipartite import reconstruct, slice_tensor
+from schmidtkit.multipartite import _slice_tensor, reconstruct
 from schmidtkit.partition import decide
 from schmidtkit.state import DensityMatrix
 
@@ -60,7 +60,7 @@ def _nondegenerate_decomposition(dims, rank, seed):
 
 def test_criterion_1_w_state_rejection():
     w = w_state()
-    stack = slice_tensor(w)
+    stack = _slice_tensor(w)
     assert np.array_equal(stack[0], RT3 * np.array([[0, 1], [1, 0]]))
     assert np.array_equal(stack[1], RT3 * np.array([[1, 0], [0, 0]]))
 

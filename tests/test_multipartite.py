@@ -22,7 +22,6 @@ from schmidtkit import (
     DifferentStates,
     DimensionMismatch,
     InvalidArgs,
-    NoPairFound,
     NotDecomposable,
     RankTooLarge,
     SchmidtDecomposition,
@@ -46,11 +45,10 @@ from schmidtkit import (
 from schmidtkit.bipartite import spectra
 from schmidtkit.linalg import haar_unitary
 from schmidtkit.multipartite import (
-    find_diagonalizing_pair,
+    _scaled_unitary_check,
+    _slice_tensor,
     positive_products_commute,
     random_decomposition,
-    scaled_unitary_check,
-    slice_tensor,
 )
 
 from commute_oracle import commutator_eigenbasis, commutator_pairwise
@@ -72,7 +70,7 @@ def eqspec_state():
 
 
 def test_w_slices_pinned_exactly():
-    stack = slice_tensor(w_state())
+    stack = _slice_tensor(w_state())
     assert stack.shape == (2, 2, 2)
     a0, a1 = stack
     assert np.array_equal(a0, RT3 * np.array([[0, 1], [1, 0]]))
@@ -80,7 +78,7 @@ def test_w_slices_pinned_exactly():
 
 
 def test_ghz_slices_pinned():
-    stack = slice_tensor(ghz(3))
+    stack = _slice_tensor(ghz(3))
     assert stack.shape == (2, 2, 2)
     a0, a1 = stack
     assert np.array_equal(a0, RT2 * np.diag([1.0, 0.0]))
@@ -89,7 +87,7 @@ def test_ghz_slices_pinned():
 
 def test_slice_grouping_for_four_parts():
     state = ghz(4)
-    stack = slice_tensor(state)
+    stack = _slice_tensor(state)
     assert len(stack) == 4
     assert stack.shape == (4, 2, 2)
     assert state.dims[2:] == (2, 2)  # the tail dims the assembly reads
@@ -101,25 +99,23 @@ def test_slice_grouping_for_four_parts():
 def test_slice_axis_selection():
     st = haar_random_state((2, 3, 4), seed=0)
     t = st.tensor()
-    default = slice_tensor(st)
+    default = _slice_tensor(st)
     assert default.shape == (4, 2, 3)
     assert np.array_equal(default[1], t[:, :, 1])
-    with pytest.raises(TooFewSubsystems):
-        slice_tensor(bell())
 
 
 @pytest.mark.parametrize("dims", [(2, 3, 4), (2, 2, 2, 2)], ids=str)
 def test_slice_stack_is_a_view_of_the_amplitudes(dims):
     st = haar_random_state(dims, seed=0)
-    stack = slice_tensor(st)
+    stack = _slice_tensor(st)
     assert np.shares_memory(stack, st.amplitudes)
     assert stack.shape == (int(np.prod(dims[2:])), *dims[:2])
 
 
 def test_positive_products_commute_cases():
-    ok, resid = positive_products_commute(slice_tensor(w_state()))
+    ok, resid = positive_products_commute(_slice_tensor(w_state()))
     assert ok and resid < 1e-14
-    ok, resid = positive_products_commute(slice_tensor(eqspec_state()))
+    ok, resid = positive_products_commute(_slice_tensor(eqspec_state()))
     assert not ok and resid > 1e-3
     # an empty stack has nothing off the diagonal
     assert positive_products_commute(np.zeros((0, 2, 2), complex)) == (True, 0.0)
@@ -138,7 +134,7 @@ def test_commute_on_degenerate_sums():
         random_decomposable_state((4, 4, 4), 2, seed=2),
     ]
     for state in states:
-        ok, resid = positive_products_commute(slice_tensor(state))
+        ok, resid = positive_products_commute(_slice_tensor(state))
         assert ok and resid < 1e-12
 
 
@@ -157,22 +153,53 @@ def test_commute_on_near_degenerate_sums(dims, gap):
         families = tuple(haar_unitary(d, rng)[:rank] for d in dims)
         state = reconstruct(SchmidtDecomposition(
             dims, np.sqrt(squares / squares.sum()), families))
-        stack = slice_tensor(state)
+        stack = _slice_tensor(state)
         ok, resid = positive_products_commute(stack)
         assert ok == (commutator_pairwise(stack) <= tolerances.DIAG_TOL)
         assert ok and resid < 1e-12, (seed, resid)
 
 
+def record_pairs(monkeypatch):
+    """The pairs (p, q, s, r) check_decomposable's pair search finds, in order."""
+    pairs = []
+    fast, attempt = multipartite._fast_pair, multipartite._pair_attempt
+
+    def fast_path(stack):
+        pair = fast(stack)
+        pairs.extend([pair] if pair is not None else [])
+        return pair
+
+    def attempting(stack, k):
+        pair, miss = attempt(stack, k)
+        pairs.extend([pair] if pair is not None else [])
+        return pair, miss
+
+    monkeypatch.setattr(multipartite, "_fast_pair", fast_path)
+    monkeypatch.setattr(multipartite, "_pair_attempt", attempting)
+    return pairs
+
+
+def every_attempt_misses(stack):
+    """The misses of the fast path and all MAX_PAIR_ATTEMPTS attempts, or None if one hits."""
+    if multipartite._fast_pair(stack) is not None:
+        return None
+    tries = [multipartite._pair_attempt(stack, k) for k in range(multipartite.MAX_PAIR_ATTEMPTS)]
+    return None if any(pair is not None for pair, _ in tries) else [miss for _, miss in tries]
+
+
 def test_find_pair_ghz_fast_path():
-    p, q, _, _ = find_diagonalizing_pair(slice_tensor(ghz(3)))
+    p, q, _, _ = multipartite._fast_pair(_slice_tensor(ghz(3)))
     assert np.array_equal(p, np.eye(2))
     assert np.array_equal(q, np.eye(2))
+    assert multipartite._fast_pair(_slice_tensor(w_state())) is None
 
 
-def test_find_pair_on_random_decomposable():
+def test_find_pair_on_random_decomposable(monkeypatch):
     st = random_decomposable_state((3, 3, 3), 3, seed=4)
-    stack = slice_tensor(st)
-    p, q, _, _ = find_diagonalizing_pair(stack)
+    stack = _slice_tensor(st)
+    pairs = record_pairs(monkeypatch)
+    assert check_decomposable(st).decomposable
+    p, q, _, _ = pairs[0]
     for m in stack:
         rotated = p.conj().T @ m @ q.conj().T
         off = np.abs(rotated - np.diag(np.diag(rotated))).max()
@@ -180,9 +207,15 @@ def test_find_pair_on_random_decomposable():
 
 
 def test_find_pair_rejects_w():
-    with pytest.raises(NoPairFound) as err:
-        find_diagonalizing_pair(slice_tensor(w_state()))
-    assert err.value.residual > 1e-3
+    # every attempt misses, and the report's residual is the least of the
+    # misses' residuals, each read over every slice
+    stack = _slice_tensor(w_state())
+    misses = every_attempt_misses(stack)
+    assert [miss[0] for miss in misses] == list(range(multipartite.MAX_PAIR_ATTEMPTS))
+    resids = [multipartite._missed_residual(stack, *miss) for miss in misses]
+    assert all(resid >= miss[1] for resid, miss in zip(resids, misses))
+    best = check_decomposable(w_state()).residuals["max_off_diagonal"]
+    assert best == min(resids) and best > 1e-3
 
 
 def mode_product_rotation(stack, p, q):
@@ -197,12 +230,15 @@ def mode_product_rotation(stack, p, q):
 
 
 @pytest.mark.parametrize("dims", [(3, 3, 3), (2, 3, 4), (2, 2, 2, 2)], ids=str)
-def test_find_pair_hands_over_checked_diagonals(dims):
+def test_find_pair_hands_over_checked_diagonals(dims, monkeypatch):
     # R is exactly the rotated stack the pair search checked and S its
     # diagonals, so R's off-diagonals are within diag_tol; each slice of R
     # is P+ A_c Q+ to rounding
-    stack = slice_tensor(random_decomposable_state(dims, 2, seed=4))
-    p, q, s, r = find_diagonalizing_pair(stack)
+    state = random_decomposable_state(dims, 2, seed=4)
+    stack = _slice_tensor(state)
+    pairs = record_pairs(monkeypatch)
+    assert check_decomposable(state).decomposable
+    p, q, s, r = pairs[0]
     rotated = mode_product_rotation(stack, p, q)
     assert np.array_equal(r, rotated)
     assert np.abs(rotated - p.conj().T @ stack @ q.conj().T).max() <= 1e-15
@@ -211,23 +247,23 @@ def test_find_pair_hands_over_checked_diagonals(dims):
     off[:, np.arange(min(dims[:2])), np.arange(min(dims[:2]))] = 0.0
     assert np.abs(off).max() <= tolerances.DIAG_TOL
     # the GHZ fast path hands over the slices themselves and their diagonals
-    ghz_stack = slice_tensor(ghz(4))
-    p, q, s, r = find_diagonalizing_pair(ghz_stack)
+    ghz_stack = _slice_tensor(ghz(4))
+    p, q, s, r = multipartite._fast_pair(ghz_stack)
     assert np.array_equal(r, p.conj().T @ ghz_stack @ q.conj().T)
     assert np.shares_memory(r, ghz_stack)
     assert np.array_equal(s, np.diagonal(ghz_stack, axis1=1, axis2=2).T)
 
 
 def test_scaled_unitary_check_cases():
-    ok, gram, off = scaled_unitary_check(np.diag([0.8, 0.6]))
+    ok, gram, off = _scaled_unitary_check(np.diag([0.8, 0.6]))
     assert ok and np.allclose(gram, np.diag([0.64, 0.36])) and off == 0.0
     # the W diagnostic matrix: rows not orthogonal
     s_w = RT3 * np.array([[1.0, 0.0], [1.0, 1.0]])
-    ok, gram, off = scaled_unitary_check(s_w)
+    ok, gram, off = _scaled_unitary_check(s_w)
     assert not ok
     assert np.allclose(gram, np.array([[1, 1], [1, 2]]) / 3) and np.isclose(off, 1 / 3)
     # zero rows are permitted
-    ok, gram, _ = scaled_unitary_check(np.array([[0.9, 0.0], [0.0, 0.0]]))
+    ok, gram, _ = _scaled_unitary_check(np.array([[0.9, 0.0], [0.0, 0.0]]))
     assert ok and np.allclose(gram, np.diag([0.81, 0.0]))
 
 
@@ -299,7 +335,8 @@ def test_check_spectra_stage():
 
 
 def test_check_rejects_bipartite_input():
-    with pytest.raises(TooFewSubsystems):
+    # refused at the entry, before the state is sliced
+    with pytest.raises(TooFewSubsystems, match=r"need >= 3 subsystems, got 2"):
         check_decomposable(bell())
 
 
@@ -612,14 +649,14 @@ COMMUTE_CASES = {
 
 @pytest.mark.parametrize("name", sorted(COMMUTE_CASES))
 def test_commutator_matches_eigenbasis_oracle(name):
-    stack = slice_tensor(COMMUTE_CASES[name]())
+    stack = _slice_tensor(COMMUTE_CASES[name]())
     _, got = positive_products_commute(stack)
     assert abs(got - commutator_eigenbasis(stack)) < 1e-12
 
 
 @pytest.mark.parametrize("name", sorted(COMMUTE_CASES))
 def test_commute_verdict_matches_pairwise_oracle(name):
-    stack = slice_tensor(COMMUTE_CASES[name]())
+    stack = _slice_tensor(COMMUTE_CASES[name]())
     ok, _ = positive_products_commute(stack)
     assert ok == (commutator_pairwise(stack) <= tolerances.DIAG_TOL)
 
@@ -771,15 +808,9 @@ def test_commute_test_is_called_by_name(build, stage, count, monkeypatch):
 def test_accept_reads_commutator_from_pair_rotation(build, monkeypatch):
     # the accept's one commute test gets the rotated stack the pair search
     # checked; its products are diagonal already, so nothing is rotated
-    pairs, received, rotations = [], [], []
-    real_attempts = multipartite._pair_attempts
+    received, rotations = [], []
     real_commute = multipartite.positive_products_commute
     real_rotate = multipartite._rotate_to_combination
-
-    def attempts(stack):
-        for pair, resid in real_attempts(stack):
-            pairs.extend([pair] if pair is not None else [])
-            yield pair, resid
 
     def commute(stack):
         received.append(stack)
@@ -789,7 +820,7 @@ def test_accept_reads_commutator_from_pair_rotation(build, monkeypatch):
         rotations.append(family.shape)
         return real_rotate(family)
 
-    monkeypatch.setattr(multipartite, "_pair_attempts", attempts)
+    pairs = record_pairs(monkeypatch)
     monkeypatch.setattr(multipartite, "positive_products_commute", commute)
     monkeypatch.setattr(multipartite, "_rotate_to_combination", rotate)
     rep = check_decomposable(build())
@@ -931,13 +962,20 @@ def einsum_rebuild(decomposition):
 
 @pytest.mark.parametrize("dims, seed", [
     ((2, 2, 2), 5), ((2, 2, 2), 13), ((3, 3, 3), 8), ((2, 2, 2, 2), 94)], ids=str)
-def test_rebuild_alone_decides_when_s_rows_overlap(dims, seed):
+def test_rebuild_alone_decides_when_s_rows_overlap(dims, seed, monkeypatch):
     # the pair's S is no scaled unitary, yet the candidate made of its
     # rows rebuilds the state: an accept, which no S test may refuse
     state = eps_band_state(dims, 3e-8, seed, offset=1000)
-    s = find_diagonalizing_pair(slice_tensor(state))[2]
-    assert not scaled_unitary_check(s)[0]
+    verdicts = []
+    real = multipartite._scaled_unitary_check
+
+    def checking(s):
+        verdicts.append(real(s)[0])
+        return real(s)
+
+    monkeypatch.setattr(multipartite, "_scaled_unitary_check", checking)
     rep = check_decomposable(state)
+    assert verdicts == [False]
     assert rep.decomposable and rep.stage is None
     resid = np.abs(einsum_rebuild(rep.decomposition) - state.amplitudes).max()
     assert resid <= tolerances.RECONSTRUCT_TOL
@@ -1093,8 +1131,7 @@ def test_no_pair_reject_reads_s_only_when_the_report_shows_it(dims, monkeypatch)
 
     monkeypatch.setattr(multipartite, "_rotate_to_combination", counting)
     state = w3_padded(4) if len(dims) == 4 else swap_symmetric_state(dims, 7, site=3)
-    with pytest.raises(NoPairFound):
-        find_diagonalizing_pair(slice_tensor(state))
+    assert every_attempt_misses(_slice_tensor(state)) is not None
     attempts = count_pair_attempts(monkeypatch)
     rep = check_decomposable(state)
     assert attempts == list(range(8 if len(dims) == 4 else 1)) and rep.stage == "SpectraUnequal"
@@ -1143,7 +1180,7 @@ def test_rebuild_is_the_only_gate_after_a_pair():
                 visit(child, f"{owner}.{child.name}", None)
                 continue
             if isinstance(child, ast.Call) and isinstance(child.func, ast.Name):
-                if child.func.id == "scaled_unitary_check":
+                if child.func.id == "_scaled_unitary_check":
                     checks.append(owner)
                 if child.func.id == "reject":
                     gates.append((guard, isinstance(node, ast.Return)))
@@ -1156,7 +1193,7 @@ def test_rebuild_is_the_only_gate_after_a_pair():
 
     visit(decide, "check_decomposable", None)
     assert len(gates) == 3 and all(returned for _, returned in gates)
-    assert gates[0][0] == "_no_candidate_passes(state, cuts)"
+    assert gates[0][0] == "attempt == 0 and _no_candidate_passes(state, cuts)"
     assert gates[1][0] == "pair is None"
     assert gates[2][0] == "not resid <= tolerances.RECONSTRUCT_TOL"
     assert sorted(checks) == ["check_decomposable", "check_decomposable.reject"]
@@ -1186,7 +1223,7 @@ def _off_diagonal_cases():
         "one-by-one": _complex_gaussian(rng, 3, 1, 1),
         "real-stack": rng.standard_normal((4, 3, 3)),
         "diagonal-stack": np.eye(4) * _complex_gaussian(rng, 3, 1, 1),
-        "strided-slices": slice_tensor(haar_random_state((3, 4, 5), seed=1)),
+        "strided-slices": _slice_tensor(haar_random_state((3, 4, 5), seed=1)),
         "nan-on-diagonal": nan_on,
         "nan-off-diagonal": nan_off,
     }
@@ -1212,7 +1249,7 @@ def test_off_diagonal_residual_matches_masked_gather(name):
 def test_random_combination_matches_tensordot(dims):
     # the slice view and a contiguous copy of it give the same bits
     for seed in range(3):
-        raw = slice_tensor(haar_random_state(dims, seed=seed))
+        raw = _slice_tensor(haar_random_state(dims, seed=seed))
         for stack in (raw, np.ascontiguousarray(raw)):
             got = multipartite._random_combination(stack, np.random.default_rng(seed))
             rng = np.random.default_rng(seed)
@@ -1254,16 +1291,16 @@ def test_split_tails_matches_per_row_split(dims):
 
 
 @pytest.mark.parametrize("build", [
-    lambda: slice_tensor(haar_random_state((3, 4, 5), seed=2)),
-    lambda: slice_tensor(haar_random_state((4, 3, 2, 3), seed=2)),
-    lambda: slice_tensor(w_state()),
-    lambda: slice_tensor(eqspec_state()),
-    lambda: find_diagonalizing_pair(slice_tensor(
-        random_decomposable_state((8, 8, 8), 8, seed=2)))[3],
+    lambda: _slice_tensor(haar_random_state((3, 4, 5), seed=2)),
+    lambda: _slice_tensor(haar_random_state((4, 3, 2, 3), seed=2)),
+    lambda: _slice_tensor(w_state()),
+    lambda: _slice_tensor(eqspec_state()),
+    lambda: multipartite._pair_attempt(_slice_tensor(
+        random_decomposable_state((8, 8, 8), 8, seed=2)), 0)[0][3],
     lambda: near_diagonal_stack((8, 3, 5), 1e-8, 0),
-    lambda: find_diagonalizing_pair(slice_tensor(
-        random_decomposable_state((32, 32, 32), 32, seed=2)))[3],
-    lambda: slice_tensor(haar_random_state((32, 32, 32), seed=2)),
+    lambda: multipartite._pair_attempt(_slice_tensor(
+        random_decomposable_state((32, 32, 32), 32, seed=2)), 0)[0][3],
+    lambda: _slice_tensor(haar_random_state((32, 32, 32), seed=2)),
 ], ids=["haar-345", "haar-4323", "w", "eqspec", "rotated-888", "near-diagonal-835",
         "rotated-323232", "haar-323232"])
 def test_commute_products_match_fresh_products(build, monkeypatch):
@@ -1366,12 +1403,12 @@ def test_haar_reject_report_holds_two_spectra():
 
 
 def test_no_pair_reject_holds_nothing_for_the_cyclic_gc(monkeypatch):
-    # NoPairFound is raised unbound: bound to a local of the pair search
-    # it made a cycle (frame, error, traceback, frame) that kept
-    # check_decomposable's frame and its cuts until the cyclic GC ran:
-    # 0.26 times a W_14 state's bytes.  W_3 and |0> on 14 qubits agrees
-    # with site 1 on every cut (1, k), finds no pair in eight attempts and
-    # rejects at (1, 2, 3)
+    # a reject after eight misses leaves no cycle that keeps
+    # check_decomposable's frame and its cuts until the cyclic GC runs, as
+    # a no-pair error bound to a local of the pair search once did (frame,
+    # error, traceback, frame): 0.26 times a W_14 state's bytes.  W_3 and
+    # |0> on 14 qubits agrees with site 1 on every cut (1, k), finds no
+    # pair in eight attempts and rejects at (1, 2, 3)
     state = w3_padded(14)
     attempts = count_pair_attempts(monkeypatch)
     check_decomposable(state)  # warm every lazy cache
@@ -1403,10 +1440,11 @@ def test_pair_search_frees_each_failed_rotation(monkeypatch):
     state = swap_symmetric_state((32, 32, 32), 2, site=3)
 
     def search(stack):
-        with pytest.raises(NoPairFound):
-            find_diagonalizing_pair(stack)
+        # what the decision does when every attempt misses
+        misses = every_attempt_misses(stack)
+        return min(multipartite._missed_residual(stack, *miss) for miss in misses)
 
-    _, peak = traced_peak(search, slice_tensor(state))
+    _, peak = traced_peak(search, _slice_tensor(state))
     assert peak <= 1.1 * state.amplitudes.nbytes
     attempts = count_pair_attempts(monkeypatch)
     rep, peak = traced_peak(check_decomposable, state)

@@ -15,10 +15,12 @@ from schmidtkit import (
     TooFewSubsystems,
     check_decomposable,
     ghz,
+    haar_random_state,
     linking_unitary,
     pure_density,
     purification_class,
     purify,
+    random_decomposable_state,
     reduced_density,
     trace_out_reference,
     w_state,
@@ -188,6 +190,47 @@ def test_purification_class_invariant_across_purifications():
         for _ in range(5):
             alt = rotate_reference(base, haar_unitary(2, rng))
             assert check_decomposable(alt.state).verdict == want
+
+
+def padded(state, site, levels):
+    """The state with levels zero levels added to site (1-based): an isometric embedding."""
+    widths = [(0, 0)] * state.subsystem_count
+    widths[site - 1] = (0, levels)
+    tensor = np.pad(state.tensor(), widths)
+    return StateTensor(tensor.shape, tensor.reshape(-1))
+
+
+EMBEDDING_CASES = {
+    "w3": w_state,
+    "ghz4": lambda: ghz(4),
+    "haar-223": lambda: haar_random_state((2, 2, 3), seed=3),
+    **{f"decomposable-333-r{rank}": (lambda r=rank: random_decomposable_state((3, 3, 3), r, r))
+       for rank in (1, 2, 3)},
+}
+
+
+@pytest.mark.parametrize("name", list(EMBEDDING_CASES))
+def test_verdict_and_stage_hold_across_embeddings_and_reference_dimensions(name):
+    # two purifications of one rho with reference dimensions r <= r' differ
+    # by an isometry on the reference, zero levels and then a unitary, so
+    # decomposability is rho's at every reference dimension; off the
+    # tolerance band neither zero levels on a site nor the reference
+    # dimension of the (1..n-1) marginal's purification moves the
+    # verdict or the stage of the state itself
+    state = EMBEDDING_CASES[name]()
+    want = check_decomposable(state)
+    n = state.subsystem_count
+    moved = {f"site-{site}+{levels}": padded(state, site, levels)
+             for site in range(1, n + 1) for levels in (1, 3)}
+    rho = reduced_density(state, range(1, n))
+    rank = purify(rho).reference_dim
+    for dim in (rank, rank + 1, int(np.prod(rho.dims))):
+        moved[f"reference-{dim}"] = purify(rho, dim).state
+    for variant, other in moved.items():
+        rep = check_decomposable(other)
+        assert (rep.verdict, rep.stage) == (want.verdict, want.stage), variant
+    rep = purification_class(rho)
+    assert (rep.verdict, rep.stage) == (want.verdict, want.stage)
 
 
 def test_purification_of_pure_state_traces_back():

@@ -20,7 +20,6 @@ from schmidtkit import (
     DifferentStates,
     DimensionMismatch,
     InvalidArgs,
-    NoPairFound,
     NotNormalizable,
     NotPSD,
     Purification,
@@ -37,14 +36,15 @@ from schmidtkit import (
     rank_inequality_check,
     save_state,
     schmidt_number,
-    scaled_unitary_check,
     schmidt_decompose_bipartite,
     tolerances,
     w_state,
 )
 from schmidtkit.cli import main
 from schmidtkit.linalg import phase_fix
-from schmidtkit.multipartite import find_diagonalizing_pair, slice_tensor
+from schmidtkit.multipartite import _fast_pair, _scaled_unitary_check, _slice_tensor
+
+from test_multipartite import every_attempt_misses
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -73,9 +73,8 @@ def tiny_third_coefficient() -> StateTensor:
 
 
 def test_diag_tol_reaches_pair_search_not_tail_split(monkeypatch):
-    stack = slice_tensor(w_state())
-    with pytest.raises(NoPairFound):
-        find_diagonalizing_pair(stack)
+    stack = _slice_tensor(w_state())
+    assert every_attempt_misses(stack) is not None
     state = near_product_tail(1e-5)
     rep = check_decomposable(state)
     # a tail that is no product is the rebuild's to reject
@@ -86,7 +85,7 @@ def test_diag_tol_reaches_pair_search_not_tail_split(monkeypatch):
     # W's off-diagonal slice entries are 1/sqrt(3): a bound of 1 lets the
     # fast path take the identity pair
     monkeypatch.setattr(tolerances, "DIAG_TOL", 1.0)
-    assert np.array_equal(find_diagonalizing_pair(stack)[0], np.eye(2))
+    assert np.array_equal(_fast_pair(stack)[0], np.eye(2))
     monkeypatch.setattr(tolerances, "DIAG_TOL", 1e-4)
     loose = check_decomposable(state)
     # the tail split compares its ratio with no tolerance
@@ -99,13 +98,13 @@ def test_missed_rebuild_checks_its_s_once(monkeypatch):
     # the explain pass takes the decision's verdict on S; it checked the
     # same S a second time before
     calls = []
-    real_check = multipartite.scaled_unitary_check
+    real_check = multipartite._scaled_unitary_check
 
     def counting(s):
         calls.append(s.shape)
         return real_check(s)
 
-    monkeypatch.setattr(multipartite, "scaled_unitary_check", counting)
+    monkeypatch.setattr(multipartite, "_scaled_unitary_check", counting)
     rep = check_decomposable(near_product_tail(1e-5))
     assert rep.stage == "SlicesNotSimultaneouslyDiagonalizable"
     assert rep.witness == {"reconstruction": pytest.approx(8e-6)}
@@ -346,11 +345,11 @@ BOUNDARIES = {
     # and the gap, 2q in l1, is far too small to prove a reject
     "spectra-early-out": ("SPECTRA_TOL", lambda q: (1, 3) in cuts_before_the_second_attempt(
         spectra_apart(abs(q)))),
-    # absolute on the slices: within it the identity pair, past it a rotation
-    "pair-fast-path": ("DIAG_TOL", lambda q: np.array_equal(
-        find_diagonalizing_pair(np.array([[[0.8, abs(q)], [0.0, 0.6]]]))[0], np.eye(2))),
+    # absolute on the slices: within it the fast path's identity pair, past it none
+    "pair-fast-path": ("DIAG_TOL", lambda q: _fast_pair(
+        np.array([[[0.8, abs(q)], [0.0, 0.6]]])) is not None),
     # relative to the largest diagonal entry of S S+, here 100
-    "s-rows": ("DIAG_TOL", lambda q: scaled_unitary_check(
+    "s-rows": ("DIAG_TOL", lambda q: _scaled_unitary_check(
         10.0 * np.array([[1.0, 0.0], [abs(q), 0.5]]))[0]),
     "link-coefficients": ("LINK_TOL", lambda q: holds(
         lambda: local_unitary_link(diagonal_state(0.8, 0.6),
