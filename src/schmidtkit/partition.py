@@ -6,35 +6,23 @@ max over subsets of min(prod(left), prod(right)).  Finding it is a
 product-balancing problem (subset sum in the exponents), so the solver
 is exact and combinatorial, up to 30 subsystems.  Each call builds, per
 half of the list, the sets of distinct subset products of its suffixes
-(with repeated dimensions, a few divisors of the half's total).  A
-meet-in-the-middle search over the two full halves gives the value, and
-the same tables serve the greedy choice of the tie-broken left set.
-All products are exact integers; nothing is compared through logs.
+(with repeated dimensions, a few divisors of the half's total).  One
+sorted sweep over the two halves gives the value, where decide() stops
+if its target exceeds it; else the tables serve the greedy choice of
+the tie-broken left set.  Products are exact integers, never logs.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_right
 from dataclasses import dataclass
 from math import isqrt, prod
 
-from .errors import (
-    InvalidArgs,
-    ProductOverflow,
-    SchmidtError,
-    TooFewSubsystems,
-    TooManySubsystems,
-)
+from .errors import InvalidArgs, ProductOverflow, SchmidtError, TooFewSubsystems, TooManySubsystems
 from .state import Bipartition, _integer, _positive_entries, _check_dims as _positive_integers
 
 __all__ = [
-    "PartitionInstance",
-    "PartitionSolution",
-    "SubsetSumReduction",
-    "max_schmidt_number",
-    "decide",
-    "subset_sum_to_partition",
-    "qubit_bound",
+    "PartitionInstance", "PartitionSolution", "SubsetSumReduction",
+    "max_schmidt_number", "decide", "subset_sum_to_partition", "qubit_bound",
 ]
 
 # unused by the solver: the n-band boundary `perfbench/run.py --trace 1` reports against
@@ -85,8 +73,7 @@ def _check_limits(count: int, bits: int) -> None:
         raise TooManySubsystems(
             f"{count} subsystems exceed the supported limit {SUBSYSTEM_LIMIT}")
     if bits > PRODUCT_BIT_LIMIT:
-        raise ProductOverflow(
-            f"total dimension exceeds 2**{PRODUCT_BIT_LIMIT}")
+        raise ProductOverflow(f"total dimension exceeds 2**{PRODUCT_BIT_LIMIT}")
 
 
 def _check_dims(dims) -> tuple[tuple[int, ...], int]:
@@ -114,15 +101,7 @@ def max_schmidt_number(dims) -> PartitionSolution:
     left side is the lexicographically smallest index set containing
     subsystem 1.
     """
-    dims, total = _check_dims(dims)
-    half = len(dims) // 2
-    first, second = _suffix_products(dims[:half]), _suffix_products(dims[half:])
-    best = _value_mitm(first[0], second[0], total)
-    left = _lex_min_left(dims, best, total, first, second)
-    left_prod = prod(dims[i - 1] for i in left)
-    return PartitionSolution(
-        Bipartition.from_left(left, len(dims)),
-        left_prod, total // left_prod, best)
+    return _solve(dims, 1)
 
 
 def decide(dims, target: int) -> PartitionSolution | None:
@@ -134,8 +113,22 @@ def decide(dims, target: int) -> PartitionSolution | None:
     target = _integer(target, InvalidArgs, "target")
     if target < 1:
         raise InvalidArgs(f"target must be a positive integer, got {target}")
-    solution = max_schmidt_number(dims)
-    return solution if solution.k >= target else None
+    return _solve(dims, target)
+
+
+def _solve(dims, target: int) -> PartitionSolution | None:
+    """The maximizer, or None as soon as its value falls below target."""
+    dims, total = _check_dims(dims)
+    half = len(dims) // 2
+    first, second = _suffix_products(dims[:half]), _suffix_products(dims[half:])
+    best = _value_mitm(first[0], second[0], total)
+    if best < target:
+        return None
+    left = _lex_min_left(dims, best, total, first, second)
+    left_prod = prod(dims[i - 1] for i in left)
+    return PartitionSolution(
+        Bipartition.from_left(left, len(dims)),
+        left_prod, total // left_prod, best)
 
 
 def _suffix_products(values) -> list[set[int]]:
@@ -151,15 +144,21 @@ def _value_mitm(first: set[int], second: set[int], total: int) -> int:
 
     A side with product p > isqrt(total) has a complement with product
     total // p below it, so the best min-side product is the largest
-    achievable product not above the root.
+    achievable product not above the root.  As p1 rises its largest
+    partner only falls, at worst to the 1 that every table holds.
     """
-    second = sorted(second)
     root = isqrt(total)
-    best = 1
-    for p1 in first:
-        pos = bisect_right(second, root // p1)
-        if pos and p1 * second[pos - 1] > best:
-            best = p1 * second[pos - 1]
+    high = sorted(second, reverse=True)
+    best, j = 1, 0
+    for p1 in sorted(first):
+        if p1 > root:
+            break
+        q = p1 * high[j]
+        while q > root:
+            j += 1
+            q = p1 * high[j]
+        if q > best:
+            best = q
     return best
 
 
@@ -193,9 +192,10 @@ def _lex_min_left(dims: tuple[int, ...], k: int, total: int,
 
 
 def _is_product(goal: int, left: set[int], right: set[int]) -> bool:
-    """Is goal = p * q for some p in left and q in right?"""
-    return any(goal % q == 0 and goal // q in left
-               for q in right.intersection(map(goal.__floordiv__, left)))
+    """Is goal = p * q for some p in left and q in right?  Walks the smaller table."""
+    if len(left) > len(right):
+        left, right = right, left
+    return any(goal % p == 0 and goal // p in right for p in left)
 
 
 def subset_sum_to_partition(values, target: int) -> SubsetSumReduction:

@@ -1,9 +1,10 @@
 """Oracles for the best-bipartition value and its left set.
 
-max_schmidt_number uses a meet-in-the-middle search over the distinct
-subset products of the two halves of the list; these oracles share no
-logic with it beyond the definition of the value, min(prod(left),
-prod(right)) maximized over proper subsets.
+max_schmidt_number sweeps the sorted distinct subset products of the
+two halves of the list.  value_bruteforce and value_dp are the
+independent oracles: they share no logic with the solver beyond the
+definition of the value, min(prod(left), prod(right)) maximized over
+proper subsets.
 
 - value_bruteforce enumerates every subset containing subsystem 1:
   exponential in n, fine to n = 20.
@@ -11,13 +12,17 @@ prod(right)) maximized over proper subsets.
   total, dimension by dimension.  With repeated dimensions that set is
   small (divisors of the total), so it runs to n = 30; on a list of
   distinct primes it holds 2**(n-1) products and is not usable.
-- value_sweep covers that case: a two-pointer sweep over the subset
-  products of the even- and odd-indexed dimensions, 2**(n/2) each.
+- value_sweep covers that case with the solver's own sweep, run on the
+  subset products of the even- and odd-indexed dimensions instead of
+  the solver's two halves, 2**(n/2) each.  It checks the half tables,
+  not the sweep; the sweep is checked against the two oracles above.
 - left_bruteforce finds the tie-broken left set itself, n <= 14.
 """
 
 from itertools import combinations
 from math import isqrt, prod
+
+from schmidtkit.partition import _value_mitm
 
 
 def value_bruteforce(dims) -> int:
@@ -51,18 +56,8 @@ def value_dp(dims) -> set[int]:
 
 def value_sweep(dims) -> int:
     """The largest subset product not above isqrt(prod(dims))."""
-    root = isqrt(prod(dims))
-    low = sorted(_all_products(dims[0::2]))
-    high = sorted(_all_products(dims[1::2]), reverse=True)
-    best, j = 1, 0
-    for p in low:
-        # the partner of a larger p is no larger: j only moves forward
-        while j < len(high) and p * high[j] > root:
-            j += 1
-        if j == len(high):
-            break
-        best = max(best, p * high[j])
-    return best
+    evens, odds = set(_all_products(dims[0::2])), set(_all_products(dims[1::2]))
+    return _value_mitm(evens, odds, prod(dims))
 
 
 def _all_products(values) -> list[int]:

@@ -22,7 +22,7 @@ from schmidtkit import (
     subset_sum_to_partition,
 )
 from schmidtkit import partition
-from schmidtkit.partition import _lex_min_left, _suffix_products
+from schmidtkit.partition import _is_product, _lex_min_left, _suffix_products, _value_mitm
 
 from partition_oracle import left_bruteforce, value_bruteforce, value_dp, value_sweep
 
@@ -225,6 +225,81 @@ def test_decide_threshold():
     with pytest.raises(InvalidArgs):  # not read as 2, which the k = 2 split meets
         decide((2, 3), 2.5)
 
+
+def test_decide_stops_at_the_value(monkeypatch):
+    # a target above the value is refused before any left set or
+    # bipartition is built; at or below it decide returns the maximizer
+    rng = random.Random(47)
+    lists = []
+    for n in (12, 16, 20, 24, 28, 30):
+        lists += [[2] * n, [rng.randint(2, 9) for _ in range(n)]] + structured_lists(rng, n)
+    best = [max_schmidt_number(dims) for dims in lists]
+
+    def refuse(*args):
+        raise AssertionError("built a solution past the value")
+
+    with monkeypatch.context() as patched:
+        patched.setattr(partition, "_lex_min_left", refuse)
+        patched.setattr(Bipartition, "from_left", refuse)
+        for dims, sol in zip(lists, best):
+            assert decide(dims, sol.k + 1) is None, dims
+    for dims, sol in zip(lists, best):
+        for target in {1, sol.k}:
+            got = decide(dims, target)
+            assert (got.bipartition.left, got.bipartition.right, got.left_product,
+                    got.right_product, got.k) == (
+                sol.bipartition.left, sol.bipartition.right, sol.left_product,
+                sol.right_product, sol.k), (dims, target)
+    # the target is checked before the dimensions
+    with pytest.raises(InvalidArgs):
+        decide([], 0)
+    with pytest.raises(TooFewSubsystems):
+        decide([2], 1)
+
+
+def test_is_product_matches_brute_force():
+    rng = random.Random(53)
+    same_size = set()
+    tables = [({1}, {1}), ({1}, _suffix_products([2, 3, 5])[0])]
+    for _ in range(60):
+        left, right = (_suffix_products([rng.randint(1, 9) for _ in range(rng.randint(1, 7))])[0]
+                       for _ in range(2))
+        tables += [(left, right), (left, set(left))]
+    for left, right in tables:
+        same_size.add(len(left) == len(right))
+        products = sorted({p * q for p in left for q in right})
+        entry = max(left | right)
+        goals = {
+            rng.choice(products),  # a product
+            entry * 101,  # divisible by an entry, but 101 divides no entry of either table
+            11 * 13,  # coprime to every entry: no table holds a factor above 9
+            1, max(products), max(products) + 1,
+        }
+        for goal in goals:
+            want = any(p * q == goal for p in left for q in right)
+            assert _is_product(goal, left, right) == _is_product(goal, right, left) == want, (
+                goal, left, right)
+    assert same_size == {True, False}
+
+
+def split_value(dims, cut):
+    """_value_mitm over the full tables of dims[:cut] and dims[cut:]."""
+    return _value_mitm(_suffix_products(dims[:cut])[0], _suffix_products(dims[cut:])[0],
+                       math.prod(dims))
+
+
+def test_value_sweep_matches_oracles():
+    rng = random.Random(59)
+    for n in range(2, 19):
+        padded_ones = [rng.choice([1, 1, 1, 2, 3, 6]) for _ in range(n)]
+        powers = padded_instance(rng, n, 6)[0]  # n + 2 powers of two
+        for dims in (padded_ones, powers):
+            want = max(value_dp(dims))
+            # every cut, the empty half included
+            assert [split_value(dims, cut) for cut in range(len(dims) + 1)] == (
+                [want] * (len(dims) + 1)), dims
+    primes = first_primes(20)
+    assert split_value(primes, 10) == value_bruteforce(primes)
 
 def test_dimension_guards():
     with pytest.raises(TooFewSubsystems):
