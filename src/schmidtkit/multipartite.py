@@ -11,8 +11,8 @@ tensor viewed as one (C, d1, d2) array, the stack of matrices A_c (rows
 subsystems 3..n).  check_decomposable's docstring states the order of
 its steps: the search for a unitary pair (P, Q) making every
 R_c = P+ A_c Q+ diagonal, the rebuild that accepts, the certificate
-read from the cuts' spectra, and the explain pass that names a
-reject's stage.
+read from the cuts' spectra, which names its own stage, and the explain
+pass that names any other reject's stage.
 """
 
 from __future__ import annotations
@@ -60,9 +60,10 @@ STAGE_SCALED = "SNotScaledUnitary"
 class DecomposabilityReport:
     """Outcome of check_decomposable.
 
-    stage is None on accept, otherwise the stage the explain pass names
-    (see check_decomposable); witness carries the offending quantity (a
-    matrix or scalar) and residuals the numeric slack seen on the way.
+    stage is None on accept, SpectraUnequal where a cut's certificate
+    proves the reject, otherwise the stage the explain pass names (see
+    check_decomposable); witness carries the offending quantity (a matrix
+    or scalar) and residuals the numeric slack seen on the way.
     """
 
     decomposable: bool
@@ -312,11 +313,13 @@ def check_decomposable(state: StateTensor) -> DecomposabilityReport:
        every draw, and a small gap between two of them tilts their
        vectors by only about machine epsilon * sigma_max / gap.
     2. Certificate, once, when attempt 0 misses, before attempt 1: the
-       cuts (1, 2) to (1, n), the explain walk's first n - 1, are
+       cuts (1, 2) to (1, n), equal_spectra_check's first n - 1, are
        compared with site 1 up to the first that differs at SPECTRA_TOL,
        and that cut rejects if its l1 gap to site 1's zero-padded
        spectrum exceeds 8 sqrt(D) RECONSTRUCT_TOL, D the total dimension
        (no candidate can then pass the gate; see _no_candidate_passes).
+       That reject is the SpectraUnequal report; its witness is site 1's
+       spectrum and that cut's, above SPECTRA_TOL.
        When all eight attempts miss, the reject's max_off_diagonal is
        the least of their residuals, each the largest off-diagonal
        magnitude over every slice under that attempt's bases.
@@ -331,11 +334,8 @@ def check_decomposable(state: StateTensor) -> DecomposabilityReport:
        max_commutator is the commutation test of R (no eigensolve when
        R R+ and R+ R are diagonal), read before the gate so that R is
        gone when the rebuild is formed.
-    4. Explain pass, on every reject: the equal-spectra walk (from the
-       cuts already taken, by cut size, stopping at the first whose
-       nonzero spectrum differs from site 1's; site 1's spectrum and that
-       cut's, above SPECTRA_TOL, are the witness), the commutation of
-       the positive products C_c = A_c A_c+ (and A_c+ A_c), then the
+    4. Explain pass, on every other reject: the commutation of the
+       positive products C_c = A_c A_c+ (and A_c+ A_c), then the
        orthogonality of the rows of S: the pair's, or with no pair
        S[l][c] = sqrt((P+ C_c P)_ll), P the eigenbasis of one
        combination of the C_c, read only then.  The first that fails is
@@ -343,9 +343,9 @@ def check_decomposable(state: StateTensor) -> DecomposabilityReport:
        else the decision's.  A reject's max_commutator is that of the
        raw stack.
 
-    A reject whose cuts (1, k) all agree with site 1, or whose first
-    differing one proves nothing, makes all eight attempts before its
-    walk, and one whose spectra all agree still computes every cut.
+    No input costs more than n reduced spectra, site 1's and the cuts
+    (1, k).  A reject whose cuts (1, k) all agree with site 1, or whose
+    first differing one proves nothing, makes all eight attempts.
     """
     used = {"rank_tol": tolerances.RANK_TOL, "diag_tol": tolerances.DIAG_TOL,
             "orth_tol": tolerances.ORTH_TOL, "seed": 0}  # the pair search's fixed stream
@@ -356,10 +356,6 @@ def check_decomposable(state: StateTensor) -> DecomposabilityReport:
     cuts: dict[tuple[int, ...], np.ndarray] = {}
 
     def reject(witness: dict, scaled: tuple | None = None) -> DecomposabilityReport:
-        ok, table = equal_spectra_check(state, cuts=cuts)
-        if not ok:
-            return DecomposabilityReport(False, STAGE_SPECTRA, {"spectra": _spectra_doc(table)},
-                                         tolerances_used=used)
         ok, comm_resid = positive_products_commute(stack)
         found = {"max_commutator": comm_resid}
         if not ok:  # a NaN residual fails too
@@ -380,7 +376,9 @@ def check_decomposable(state: StateTensor) -> DecomposabilityReport:
             break
         misses.append(miss)
         if attempt == 0 and _no_candidate_passes(state, cuts):
-            return reject({})
+            table = equal_spectra_check(state, cuts=cuts)[1]  # stops at the certifying cut
+            return DecomposabilityReport(False, STAGE_SPECTRA, {"spectra": _spectra_doc(table)},
+                                         tolerances_used=used)
     if pair is None:
         best = residuals["max_off_diagonal"] = min(_missed_residual(stack, *miss)
                                                    for miss in misses)
@@ -409,7 +407,7 @@ def check_decomposable(state: StateTensor) -> DecomposabilityReport:
 def _no_candidate_passes(state: StateTensor, cuts: dict) -> bool:
     """Does a cut (1, k) prove that no candidate can pass the rebuild gate?
 
-    The cuts (1, 2) to (1, n), the explain walk's first n - 1 in its
+    The cuts (1, 2) to (1, n), equal_spectra_check's first n - 1 in its
     order, are computed into cuts up to the first whose spectrum differs
     from site 1's at SPECTRA_TOL.  That cut proves it when the l1 gap
     between the two spectra, zero-padded, exceeds 8 sqrt(D)

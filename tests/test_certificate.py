@@ -119,6 +119,25 @@ def test_certified_reject_beats_the_bound_and_every_fit(name, monkeypatch):
     assert polar_fit_residual(state) > tolerances.RECONSTRUCT_TOL
 
 
+def test_every_spectra_unequal_report_is_a_proof():
+    # SpectraUnequal is reported only where the certificate rejects: its
+    # witness is site 1 and a cut (1, k) whose l1 gap, from an independent
+    # spectrum, beats the bound that no candidate within the gate can leave
+    proofs = 0
+    for build in [*CORPUS.values(), *CERTIFIED.values()]:
+        state = build()
+        rep = check_decomposable(state)
+        if rep.stage != "SpectraUnequal":
+            continue
+        site1, cut = (tuple(map(int, key.split(","))) for key in rep.witness["spectra"])
+        assert site1 == (1,) and len(cut) == 2 and cut[0] == 1
+        amps, dims = state.amplitudes, state.dims
+        gap = l1_gap(svd_spectrum(amps, dims, site1), svd_spectrum(amps, dims, cut))
+        assert gap > 8 * np.sqrt(state.total_dim) * tolerances.RECONSTRUCT_TOL
+        proofs += 1
+    assert proofs >= len(CERTIFIED)
+
+
 def test_polar_fit_rebuilds_a_decomposable_state():
     # the fit the certificate is checked against finds a form that exists
     for name in ("decomposable-3^3-r3", "tie-8^3-r8", "tiny-4^4", "rotated-ghz-6"):

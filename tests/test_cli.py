@@ -315,8 +315,8 @@ def test_spectra_verb(tmp_path, capsys):
 
 
 def test_spectra_equal_prints_the_deciding_cut_of_a_reject(tmp_path, capsys):
-    # spectra --equal stops at the first failing cut, as check's explain
-    # pass does, so both print site 1 and that cut, (1, 2) for Haar
+    # spectra --equal stops at the first failing cut, and check's certified
+    # reject reports that walk, so both print site 1 and that cut, (1, 2) for Haar
     haar = write_fixture(tmp_path, "haar", haar_random_state((2, 2, 2, 2), seed=1))
     code, out, _ = run(capsys, "spectra", haar, "--equal")
     assert code == 1

@@ -780,7 +780,7 @@ def test_w_reject_rotations_pinned(monkeypatch):
     (w_state, "SNotScaledUnitary", 1),
     (lambda: ghz_w_mixture(0.5), "SlicesNotSimultaneouslyDiagonalizable", 1),
     (lambda: random_decomposable_state((3, 3, 3), 3, seed=0), None, 1),
-    # single-site spectra differ: the explain pass stops before the commute test
+    # single-site spectra differ: the certificate rejects before any commute test
     (lambda: haar_random_state((2, 3, 4), seed=0), "SpectraUnequal", 0),
 ], ids=["w", "ghz-w", "decomposable", "haar"])
 def test_commute_test_is_called_by_name(build, stage, count, monkeypatch):
@@ -1052,6 +1052,11 @@ def w3_padded(n):
     return StateTensor((2,) * n, np.kron(w_state().amplitudes, np.eye(2 ** (n - 3))[0]))
 
 
+def ghz_padded(m):
+    """GHZ_m on the first m of m + 1 qubits, the last in |0>."""
+    return StateTensor((2,) * (m + 1), np.kron(ghz(m).amplitudes, [1.0, 0.0]))
+
+
 def count_pair_attempts(monkeypatch):
     """The number k of each pair attempt check_decomposable makes, in order."""
     attempts = []
@@ -1114,14 +1119,21 @@ def test_cuts_after_the_first_are_left_to_rebuild_and_table(build, monkeypatch):
     assert_deciding_cut(state, table)
 
 
+def haar_with_site_two_pure(seed):
+    """A Haar state on sites 1, 3 and 4 of four qubits, site 2 in |0>."""
+    tensor = np.einsum("acd,b->abcd", haar_random_state((2, 2, 2), seed).tensor(), [1.0, 0.0])
+    return StateTensor((2, 2, 2, 2), tensor.reshape(-1))
+
+
 @pytest.mark.parametrize("dims", [(2, 2, 2, 2), (3, 3, 3)], ids=str)
 def test_no_pair_reject_reads_s_only_when_the_report_shows_it(dims, monkeypatch):
-    # site 1 and the cut (1, 2) agree for these states (W_3 and |0>, and a
-    # 1<->3-symmetric state), no pair is found for them, and they are
-    # rejected at a later cut, W_3 and |0> after all eight attempts, the
-    # other at (1, 3) after one: S, whose read rotates the whole product
-    # family, is never read, because the report would not show it (W
-    # reads it once, test_w_reject_rotations_pinned)
+    # site 1 and the cut (1, 2) agree for these states (a Haar state with
+    # a pure site 2, and a 1<->3-symmetric state), no pair is found for
+    # them, and after one attempt the certificate rejects them at (1, 3):
+    # S, whose read rotates the whole product family, is never read,
+    # because the report would not show it (W and W_3 and |0>^k read it
+    # once, test_w_reject_rotations_pinned and
+    # test_w3_padded_reports_w3s_stage_and_s)
     calls = []
     real = multipartite._rotate_to_combination
 
@@ -1130,20 +1142,73 @@ def test_no_pair_reject_reads_s_only_when_the_report_shows_it(dims, monkeypatch)
         return real(family)
 
     monkeypatch.setattr(multipartite, "_rotate_to_combination", counting)
-    state = w3_padded(4) if len(dims) == 4 else swap_symmetric_state(dims, 7, site=3)
+    state = haar_with_site_two_pure(7) if len(dims) == 4 else swap_symmetric_state(dims, 7, site=3)
     assert every_attempt_misses(_slice_tensor(state)) is not None
     attempts = count_pair_attempts(monkeypatch)
     rep = check_decomposable(state)
-    assert attempts == list(range(8 if len(dims) == 4 else 1)) and rep.stage == "SpectraUnequal"
+    assert attempts == [0] and rep.stage == "SpectraUnequal"
+    assert list(rep.witness["spectra"]) == ["1", "1,3"]
     assert calls == []
 
 
+@pytest.mark.parametrize("build, cuts", [
+    (lambda: eps_band_state((2,) * 10, 1e-7, 2), [(1,), *((1, k) for k in range(2, 11))]),
+    (lambda: ghz_padded(9), []),
+], ids=["band-2x10", "ghz9-pad"])
+def test_a_reject_reads_at_most_n_spectra(build, cuts, monkeypatch):
+    # the band state's cuts (1, k) all agree with site 1, and GHZ_9 and |0>
+    # misses the rebuild after the fast path's pair: neither is certified,
+    # and the explain pass reads no spectrum, so the decision computes site
+    # 1 and the cuts (1, k) at most, where a walk over every cut containing
+    # site 1 would compute 511 and 503
+    state = build()
+    calls = []
+    real = multipartite.spectra
+
+    def counting(state, keep):
+        calls.append(tuple(keep))
+        return real(state, keep)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(multipartite, "spectra", counting)
+        rep = check_decomposable(state)
+    assert not rep.decomposable and rep.stage != "SpectraUnequal"
+    assert calls == cuts
+    if cuts:
+        # spectra --equal's walk still prints every proper subset
+        ok, table = equal_spectra_check(state)
+        assert ok and len(table) == 2 ** 10 - 2
+
+
+@pytest.mark.parametrize("k", [1, 5])
+def test_w3_padded_reports_w3s_stage_and_s(k, monkeypatch):
+    # W_3 and |0>^k agrees with site 1 on every cut (1, k) and differs on
+    # larger ones, which only a tolerance call would read: no cut (1, k)
+    # certifies, so it reports W_3's stage, and its no-pair S, read once,
+    # has W_3's Gram
+    calls = []
+    real = multipartite._rotate_to_combination
+
+    def counting(family):
+        calls.append(family.shape)
+        return real(family)
+
+    monkeypatch.setattr(multipartite, "_rotate_to_combination", counting)
+    rep = check_decomposable(w3_padded(3 + k))
+    assert rep.stage == "SNotScaledUnitary" and set(rep.witness) == {"ss_dagger"}
+    assert calls == [(2 ** (k + 1), 2, 2)]
+    w3 = check_decomposable(w_state())
+    assert np.abs(np.asarray(rep.witness["ss_dagger"])
+                  - np.asarray(w3.witness["ss_dagger"])).max() <= 1e-12
+
+
 def test_s_read_and_rejects_stay_behind_the_explain_checks():
-    # the no-pair S read (a rotation of the whole product family) and every
-    # reject report live in check_decomposable's reject, after the spectra
-    # walk and the commute test; only the commute test rotates elsewhere
+    # the no-pair S read (a rotation of the whole product family) lives in
+    # check_decomposable's reject, after the commute test; only the commute
+    # test rotates elsewhere.  Every reject report lives in reject, but for
+    # the certificate's SpectraUnequal one, and reject reads no spectrum
     tree = ast.parse(Path(multipartite.__file__).read_text())
-    rotations, rejects = [], []
+    rotations, rejects, spectra_reads = [], [], []
 
     def visit(node, owner):
         for child in ast.iter_child_nodes(node):
@@ -1156,19 +1221,26 @@ def test_s_read_and_rejects_stay_behind_the_explain_checks():
                 accept = child.args and isinstance(child.args[0], ast.Constant) \
                     and child.args[0].value is True
                 if child.func.id == "DecomposabilityReport" and not accept:
-                    rejects.append(owner)
+                    rejects.append((owner, ast.unparse(child.args[1])))
+                if child.func.id in ("equal_spectra_check", "_no_candidate_passes", "_cut",
+                                     "spectra"):
+                    spectra_reads.append(owner)
             visit(child, owner)
 
     visit(tree, "")
     assert sorted(set(rotations)) == ["_commute_residual", "check_decomposable.reject"]
-    assert rejects and set(rejects) == {"check_decomposable.reject"}
+    assert sorted(rejects) == [("check_decomposable", "STAGE_SPECTRA"),
+                               ("check_decomposable.reject", "STAGE_DIAG"),
+                               ("check_decomposable.reject", "stage")]
+    assert "check_decomposable.reject" not in spectra_reads
 
 
 def test_rebuild_is_the_only_gate_after_a_pair():
     # check_decomposable rejects only where a cut (1, k) proves that no
-    # candidate passes (asked only after attempt 0 misses), where no pair
-    # is found and where the rebuild misses; S's verdict is read once on
-    # the way to the rebuild and once in reject
+    # candidate passes (asked only after attempt 0 misses, and reported
+    # there with the walk's witness, read only then), where no pair is
+    # found and where the rebuild misses; S's verdict is read once on the
+    # way to the rebuild and once in reject
     tree = ast.parse(Path(multipartite.__file__).read_text())
     decide = next(node for node in tree.body if isinstance(node, ast.FunctionDef)
                   and node.name == "check_decomposable")
@@ -1182,8 +1254,11 @@ def test_rebuild_is_the_only_gate_after_a_pair():
             if isinstance(child, ast.Call) and isinstance(child.func, ast.Name):
                 if child.func.id == "_scaled_unitary_check":
                     checks.append(owner)
-                if child.func.id == "reject":
-                    gates.append((guard, isinstance(node, ast.Return)))
+                report = child.func.id == "DecomposabilityReport" and not (
+                    isinstance(child.args[0], ast.Constant) and child.args[0].value is True)
+                if owner == "check_decomposable" and (
+                        child.func.id in ("reject", "equal_spectra_check") or report):
+                    gates.append((guard, child.func.id, isinstance(node, ast.Return)))
             if isinstance(child, ast.If):
                 visit(child, owner, ast.unparse(child.test))
             elif isinstance(child, ast.ExceptHandler):
@@ -1192,10 +1267,11 @@ def test_rebuild_is_the_only_gate_after_a_pair():
                 visit(child, owner, guard)
 
     visit(decide, "check_decomposable", None)
-    assert len(gates) == 3 and all(returned for _, returned in gates)
-    assert gates[0][0] == "attempt == 0 and _no_candidate_passes(state, cuts)"
-    assert gates[1][0] == "pair is None"
-    assert gates[2][0] == "not resid <= tolerances.RECONSTRUCT_TOL"
+    certified = "attempt == 0 and _no_candidate_passes(state, cuts)"
+    assert gates == [(certified, "equal_spectra_check", False),
+                     (certified, "DecomposabilityReport", True),
+                     ("pair is None", "reject", True),
+                     ("not resid <= tolerances.RECONSTRUCT_TOL", "reject", True)]
     assert sorted(checks) == ["check_decomposable", "check_decomposable.reject"]
 
 
@@ -1408,7 +1484,7 @@ def test_no_pair_reject_holds_nothing_for_the_cyclic_gc(monkeypatch):
     # a no-pair error bound to a local of the pair search once did (frame,
     # error, traceback, frame): 0.26 times a W_14 state's bytes.  W_3 and
     # |0> on 14 qubits agrees with site 1 on every cut (1, k), finds no
-    # pair in eight attempts and rejects at (1, 2, 3)
+    # pair in eight attempts and rejects at W_3's stage, its rows of S
     state = w3_padded(14)
     attempts = count_pair_attempts(monkeypatch)
     check_decomposable(state)  # warm every lazy cache
@@ -1424,8 +1500,8 @@ def test_no_pair_reject_holds_nothing_for_the_cyclic_gc(monkeypatch):
             tracemalloc.stop()
         if enabled:
             gc.enable()
-    assert attempts == 2 * list(range(8)) and rep.stage == "SpectraUnequal"
-    assert list(rep.witness["spectra"]) == ["1", "1,2,3"]
+    assert attempts == 2 * list(range(8)) and rep.stage == "SNotScaledUnitary"
+    assert list(rep.witness) == ["ss_dagger"]
     assert retained <= 0.02 * state.amplitudes.nbytes
 
 
